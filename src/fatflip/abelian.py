@@ -15,6 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
+from . import intlinalg
+
 
 class RankMismatchError(ValueError):
     """Operands live over bases of different ranks."""
@@ -59,6 +61,10 @@ class KElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+    def transform(self, matrix: Sequence[Sequence[int]]) -> "KElement":
+        """Apply the linear map given by an integer matrix."""
+        return KElement(intlinalg.mat_vec(matrix, self.coords))
 
     def __add__(self, other: "KElement") -> "KElement":
         _common_rank(self, other)

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit status: 0 on success, 1 when validation or an asserted identity
-fails, 2 on usage or parse errors.
+fails or the input does not allow the requested operation (every such
+error of the package is a ValueError), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -10,15 +11,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .cocycles import COCYCLES, path_sum, step_values
-from .earle import earle_f
-from .fatgraph import FatGraphError
-from .flips import (FlipError, apply_path, flip, pentagon_path)
+from .cocycles import COCYCLES, path_sum, walk_values, zero_value
+from .earle import d2, d_surface, earle_f
+from .flips import apply_path, flip, pentagon_path
 from .graphio import GraphParseError, format_graph, parse_graph
 from .markings import (MarkingError, Marking, canonical_h_marking,
                        check_marking, is_topological_h, propagate_path)
 from .selftest import run_selftest
-from .words import FreeAutomorphism, WordError, gen_info, parse_word
+from .words import FreeAutomorphism, gen_info, parse_word
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -45,8 +45,6 @@ def _load(path: str):
         return parse_graph(_read_text(path))
     except GraphParseError as err:
         raise CliError("parse error: %s" % err, USAGE_ERROR)
-    except (FatGraphError, MarkingError) as err:
-        raise CliError(str(err), FAILURE)
 
 
 def _require_marking(marking, what: str) -> Marking:
@@ -66,12 +64,9 @@ def _emit(out, fmt: str, rows) -> None:
 
 def _cmd_validate(args, out) -> int:
     graph, marking = _load(args.file)
-    try:
-        graph.validate()
-        if marking is not None:
-            check_marking(graph, marking)
-    except (FatGraphError, MarkingError) as err:
-        raise CliError(str(err), FAILURE)
+    graph.validate()
+    if marking is not None:
+        check_marking(graph, marking)
     out.write("ok\n")
     return 0
 
@@ -95,16 +90,10 @@ def _cmd_info(args, out) -> int:
 
 def _cmd_flip(args, out) -> int:
     graph, marking = _load(args.file)
-    try:
-        new_graph, ctx = flip(graph, args.edge)
-    except FlipError as err:
-        raise CliError(str(err), FAILURE)
+    new_graph, ctx = flip(graph, args.edge)
     new_marking = None
     if marking is not None:
-        try:
-            new_marking = propagate_path(marking, [ctx])
-        except MarkingError as err:
-            raise CliError(str(err), FAILURE)
+        new_marking = propagate_path(marking, [ctx])
     out.write(format_graph(new_graph, new_marking))
     return 0
 
@@ -123,19 +112,20 @@ def _cocycle_list(which: str) -> List[str]:
 def _cmd_path(args, out) -> int:
     graph, marking = _load(args.file)
     marking = _require_marking(marking, "path")
-    edges = _parse_edge_list(args.flips)
-    try:
-        path = apply_path(graph, edges)
-    except FlipError as err:
-        raise CliError(str(err), FAILURE)
+    path = apply_path(graph, _parse_edge_list(args.flips))
     for which in _cocycle_list(args.cocycle):
-        values = step_values(path, marking, which)
-        for i, (ctx, val) in enumerate(zip(path.steps, values)):
+        total = zero_value(which, marking.rank)
+        values = walk_values(path, marking, which)
+        for i, ctx in enumerate(path.steps):
+            try:
+                val, _ = next(values)
+            except MarkingError as err:
+                raise CliError("step %d: %s" % (i, err), FAILURE)
+            total = total + val
             _emit(out, args.format, [
                 ("%s step %d flip %s a %s b %s c %s d %s new %s"
                  % (which, i, ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d,
                     ctx.new_edge), val)])
-        total, _ = path_sum(path, marking, which)
         _emit(out, args.format, [("%s total" % which, total)])
     return 0
 
@@ -147,10 +137,7 @@ def _cmd_pentagon(args, out) -> int:
         raise CliError("--edges needs exactly two edge ids", USAGE_ERROR)
     if marking is None:
         marking, _ = canonical_h_marking(graph)
-    try:
-        path = pentagon_path(graph, edges[0], edges[1])
-    except FlipError as err:
-        raise CliError(str(err), FAILURE)
+    path = pentagon_path(graph, edges[0], edges[1])
     status = 0
     for which in _cocycle_list(args.cocycle):
         total, _ = path_sum(path, marking, which)
@@ -166,22 +153,16 @@ def _cmd_marking(args, out) -> int:
     graph, marking = _load(args.file)
     if args.marking_command == "check":
         marking = _require_marking(marking, "marking check")
-        try:
-            check_marking(graph, marking)
-            if args.topological:
-                _, form = canonical_h_marking(graph)
-                if not is_topological_h(graph, marking, form):
-                    raise CliError("marking violates the intersection "
-                                   "criterion", FAILURE)
-        except MarkingError as err:
-            raise CliError(str(err), FAILURE)
+        check_marking(graph, marking)
+        if args.topological:
+            _, form = canonical_h_marking(graph)
+            if not is_topological_h(graph, marking, form):
+                raise CliError("marking violates the intersection "
+                               "criterion", FAILURE)
         out.write("ok\n")
         return 0
     if args.marking_command == "canonical":
-        try:
-            new_marking, _ = canonical_h_marking(graph)
-        except (MarkingError, FatGraphError) as err:
-            raise CliError(str(err), FAILURE)
+        new_marking, _ = canonical_h_marking(graph)
         out.write(format_graph(graph, new_marking))
         return 0
     raise CliError("unknown marking command", USAGE_ERROR)
@@ -197,26 +178,19 @@ def _infer_genus(word) -> int:
 
 def _cmd_earle(args, out) -> int:
     if args.earle_command == "d":
-        try:
-            word = parse_word(args.word)
-            from .earle import d2, d_surface
-            indexed = [n for n, _ in word if gen_info(n)[1] is not None]
-            bare = [n for n, _ in word if gen_info(n)[1] is None]
-            if indexed and bare:
-                raise CliError("mixed bare and indexed generators", FAILURE)
-            value = (d_surface(word, _infer_genus(word)) if indexed
-                     else d2(word))
-        except WordError as err:
-            raise CliError(str(err), FAILURE)
+        word = parse_word(args.word)
+        indexed = [n for n, _ in word if gen_info(n)[1] is not None]
+        bare = [n for n, _ in word if gen_info(n)[1] is None]
+        if indexed and bare:
+            raise CliError("mixed bare and indexed generators", FAILURE)
+        value = d_surface(word, _infer_genus(word)) if indexed else d2(word)
         out.write("%d\n" % value)
         return 0
     if args.earle_command == "eval":
-        try:
-            phi = FreeAutomorphism.from_text(_read_text(args.auto))
-            value = earle_f(phi, args.genus,
-                            inverse_supplied=args.inverse)
-        except (WordError, ValueError) as err:
-            raise CliError(str(err), FAILURE)
+        if args.genus < 1:
+            raise CliError("--genus must be at least 1", USAGE_ERROR)
+        phi = FreeAutomorphism.from_text(_read_text(args.auto))
+        value = earle_f(phi, args.genus, inverse_supplied=args.inverse)
         out.write("%s\n" % value)
         return 0
     raise CliError("unknown earle command", USAGE_ERROR)
@@ -310,6 +284,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as err:
         sys.stderr.write("fatflip: %s\n" % err)
         return err.status
+    except ValueError as err:
+        sys.stderr.write("fatflip: %s\n" % err)
+        return FAILURE
 
 
 if __name__ == "__main__":

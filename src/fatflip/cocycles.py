@@ -16,13 +16,15 @@ mapping class the path represents.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from . import intlinalg
 from .abelian import KElement, SymWedge, Wedge3, sym_pair, wedge2, wedge3
 from .fatgraph import FatGraph, canonical_iso
-from .flips import ClosureError, FlipContext, FlipPath, flip
-from .markings import Marking, _check_local_coherence, propagate
+from .flips import (ClosureError, FlipContext, FlipPath, concat_paths,
+                    replay_path)
+from .markings import (Marking, _check_local_coherence, propagate,
+                       propagate_path)
 
 COCYCLES = ("m", "j", "s")
 
@@ -55,24 +57,29 @@ def cocycle_s(ctx: FlipContext, marking: Marking) -> SymWedge:
 
 
 _COCYCLE_FUNCS = {"m": cocycle_m, "j": cocycle_j, "s": cocycle_s}
+_VALUE_TYPES = {"m": KElement, "j": Wedge3, "s": SymWedge}
 
 
 def zero_value(which: str, rank: int) -> CocycleValue:
-    if which == "m":
-        return KElement.zero(rank)
-    if which == "j":
-        return Wedge3.zero(rank)
-    if which == "s":
-        return SymWedge.zero(rank)
-    raise CocycleError("unknown cocycle %r" % which)
+    if which not in _VALUE_TYPES:
+        raise CocycleError("unknown cocycle %r" % which)
+    return _VALUE_TYPES[which].zero(rank)
 
 
 def transform_value(which: str, matrix: Sequence[Sequence[int]],
                     value: CocycleValue) -> CocycleValue:
     """Apply the coefficient action induced by a matrix on K."""
-    if which == "m":
-        return KElement(intlinalg.mat_vec(matrix, value.coords))
     return value.transform(matrix)
+
+
+def walk_values(path: FlipPath, marking: Marking,
+                which: str) -> Iterator[Tuple[CocycleValue, Marking]]:
+    """Yield each step's cocycle value and the marking after that step."""
+    func = _COCYCLE_FUNCS[which]
+    for ctx in path.steps:
+        value = func(ctx, marking)
+        marking = propagate(marking, ctx)
+        yield value, marking
 
 
 def path_sum(path: FlipPath, marking: Marking,
@@ -81,24 +88,15 @@ def path_sum(path: FlipPath, marking: Marking,
 
     Returns the total and the marking on the final graph.
     """
-    func = _COCYCLE_FUNCS.get(which)
-    if func is None:
-        raise CocycleError("unknown cocycle %r" % which)
     total = zero_value(which, marking.rank)
-    for ctx in path.steps:
-        total = total + func(ctx, marking)
-        marking = propagate(marking, ctx)
+    for value, marking in walk_values(path, marking, which):
+        total = total + value
     return total, marking
 
 
 def step_values(path: FlipPath, marking: Marking,
                 which: str) -> List[CocycleValue]:
-    func = _COCYCLE_FUNCS[which]
-    out = []
-    for ctx in path.steps:
-        out.append(func(ctx, marking))
-        marking = propagate(marking, ctx)
-    return out
+    return [value for value, _ in walk_values(path, marking, which)]
 
 
 def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix:
@@ -111,9 +109,7 @@ def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix
     """
     if not path.is_closed():
         raise ClosureError("path does not return to its starting graph")
-    end_marking = marking
-    for ctx in path.steps:
-        end_marking = propagate(end_marking, ctx)
+    end_marking = propagate_path(marking, path.steps)
     psi = canonical_iso(path.start, path.end)
     edges = path.start.oriented_edges()
     xs = [list(marking.value(e).coords) for e in edges]
@@ -138,15 +134,9 @@ def replay_on(path: FlipPath, target: FatGraph,
     ``iso`` translates unoriented edge ids of ``path.start`` to ids of
     ``target``; ids created along the way are translated positionally.
     """
-    translation = dict(iso)
-    graphs = [target]
-    steps: List[FlipContext] = []
-    for ctx in path.steps:
-        nxt_graph, new_ctx = flip(graphs[-1], translation[ctx.edge.edge])
-        translation[ctx.new_edge.edge] = new_ctx.new_edge.edge
-        graphs.append(nxt_graph)
-        steps.append(new_ctx)
-    return FlipPath(tuple(graphs), tuple(steps))
+    return replay_path(target,
+                       [(c.edge.edge, c.new_edge.edge) for c in path.steps],
+                       iso)
 
 
 def compose_closed(path1: FlipPath, path2: FlipPath) -> FlipPath:
@@ -159,8 +149,7 @@ def compose_closed(path1: FlipPath, path2: FlipPath) -> FlipPath:
         raise ClosureError("paths are not based at the same graph")
     psi = canonical_iso(path2.start, path1.end)
     iso = {e.edge: psi[e].edge for e in path2.start.oriented_edges()}
-    tail = replay_on(path2, path1.end, iso)
-    return FlipPath(path1.graphs + tail.graphs[1:], path1.steps + tail.steps)
+    return concat_paths(path1, replay_on(path2, path1.end, iso))
 
 
 class CocycleConditionError(CocycleError):

@@ -162,9 +162,6 @@ class HElement:
     def genus(self) -> int:
         return len(self.coords) // 2
 
-    def as_k_element(self) -> KElement:
-        return KElement(self.coords)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

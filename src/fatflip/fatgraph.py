@@ -286,13 +286,6 @@ class FatGraph:
         return ("FatGraph(%d vertices, %d edges, tail %s)"
                 % (self.num_vertices, self.num_edges, self.tail))
 
-    def describe(self) -> str:
-        parts = []
-        for vi, v in enumerate(self.vertices):
-            parts.append("vertex %d: %s" % (vi, " ".join(str(h) for h in v)))
-        parts.append("tail %s" % (self.tail,))
-        return "\n".join(parts)
-
 
 def validate(graph: FatGraph) -> None:
     graph.validate()

@@ -11,14 +11,18 @@ follow the cyclic orders read at the two endpoints:
 
 so the quadrilateral corners run (a, b, c, d) counterclockwise and the
 oriented pair (e, e') is positively oriented.  All other vertices and
-edges are untouched; the new edge gets a fresh id so that edge ids are
-never reused along a path of flips.
+edges are untouched; the new edge gets the fresh id max + 1, so edge ids
+are never reused along a path of flips and the k-th flip of a path from
+a graph whose fresh id is n creates edge n + k.  The relation loops are
+therefore plain edge lists: the involution pair is [e, n], the
+commuting square [e1, e2, n, n + 1] and the pentagon [f, g, n, n + 1,
+n + 2].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .fatgraph import FatGraph, FatGraphError, OrientedEdge
 
@@ -61,18 +65,11 @@ class FlipContext:
 
 @dataclass(frozen=True)
 class FlipPath:
-    """A composable sequence of flips with all intermediate graphs."""
+    """Flips in order: the start and end graphs and one record per step."""
 
-    graphs: Tuple[FatGraph, ...]
+    start: FatGraph
+    end: FatGraph
     steps: Tuple[FlipContext, ...]
-
-    @property
-    def start(self) -> FatGraph:
-        return self.graphs[0]
-
-    @property
-    def end(self) -> FatGraph:
-        return self.graphs[-1]
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -111,6 +108,11 @@ def flippable_edges(graph: FatGraph) -> List[int]:
     return [x for x in graph.edge_ids() if flippable(graph, x)]
 
 
+def fresh_edge_id(graph: FatGraph) -> int:
+    """The id the next flip of ``graph`` gives its new edge."""
+    return max(graph.edge_ids()) + 1
+
+
 def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
     """Flip along e, returning the new graph and the move record."""
     e = _as_oriented(graph, e)
@@ -128,8 +130,7 @@ def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
     b = graph.successor(a)
     c = graph.successor(e.rev)
     d = graph.successor(c)
-    new_id = max(graph.edge_ids()) + 1
-    e2 = OrientedEdge(new_id, 1)
+    e2 = OrientedEdge(fresh_edge_id(graph), 1)
 
     verts = list(graph.vertices)
     verts[v] = (e2, b, c)
@@ -140,16 +141,32 @@ def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
 
 def apply_path(graph: FatGraph, flips: Iterable[EdgeLike]) -> FlipPath:
     """Flip the listed edges in order; empty input gives the identity path."""
-    graphs = [graph]
+    cur = graph
     steps: List[FlipContext] = []
     for i, e in enumerate(flips):
         try:
-            nxt, ctx = flip(graphs[-1], e)
+            cur, ctx = flip(cur, e)
         except FlipError as err:
             raise PathStepError(i, err) from err
-        graphs.append(nxt)
         steps.append(ctx)
-    return FlipPath(tuple(graphs), tuple(steps))
+    return FlipPath(graph, cur, tuple(steps))
+
+
+def replay_path(graph: FatGraph, moves: Sequence[Tuple[int, int]],
+                translation: Mapping[int, int]) -> FlipPath:
+    """Replay (flipped, created) edge-id pairs of another path on ``graph``.
+
+    ``translation`` maps the other path's ids to ids of ``graph``; each
+    created id is mapped to the id its replay creates, which the fresh-id
+    rule fixes in advance, so later moves can flip it.
+    """
+    translation = dict(translation)
+    fresh = fresh_edge_id(graph)
+    edges = []
+    for k, (flipped, created) in enumerate(moves):
+        edges.append(translation[flipped])
+        translation[created] = fresh + k
+    return apply_path(graph, edges)
 
 
 def _require_closed(path: FlipPath, what: str) -> FlipPath:
@@ -165,31 +182,22 @@ def reverse_path(path: FlipPath) -> FlipPath:
     created; images must be tracked because a forward step may flip an
     edge created earlier, whose id the undos recreate afresh.
     """
-    restored: Dict[int, int] = {}
-    graphs = [path.end]
-    steps: List[FlipContext] = []
-    for ctx in reversed(path.steps):
-        target = restored.get(ctx.new_edge.edge, ctx.new_edge.edge)
-        nxt, undo = flip(graphs[-1], target)
-        restored[ctx.edge.edge] = undo.new_edge.edge
-        graphs.append(nxt)
-        steps.append(undo)
-    return FlipPath(tuple(graphs), tuple(steps))
+    return replay_path(path.end,
+                       [(c.new_edge.edge, c.edge.edge)
+                        for c in reversed(path.steps)],
+                       {x: x for x in path.end.edge_ids()})
 
 
 def concat_paths(first: FlipPath, second: FlipPath) -> FlipPath:
     """Join two paths where ``second`` starts at the end graph of ``first``."""
     if second.start != first.end:
         raise FatGraphError("paths do not share the junction graph")
-    return FlipPath(first.graphs + second.graphs[1:],
-                    first.steps + second.steps)
+    return FlipPath(first.start, second.end, first.steps + second.steps)
 
 
 def involution_pair(graph: FatGraph, e: EdgeLike) -> FlipPath:
     """Flip e, then flip the edge it created.  A closed loop of length 2."""
-    g1, ctx1 = flip(graph, e)
-    g2, ctx2 = flip(g1, ctx1.new_edge)
-    path = FlipPath((graph, g1, g2), (ctx1, ctx2))
+    path = apply_path(graph, [e, fresh_edge_id(graph)])
     return _require_closed(path, "involution pair")
 
 
@@ -202,20 +210,18 @@ def commuting_loop(graph: FatGraph, e1: EdgeLike, e2: EdgeLike) -> FlipPath:
     if ends1 & ends2:
         raise FlipError("edges %d and %d share an endpoint"
                         % (e1.edge, e2.edge))
-    g1, c1 = flip(graph, e1)
-    g2, c2 = flip(g1, e2)
-    g3, c3 = flip(g2, c1.new_edge)
-    g4, c4 = flip(g3, c2.new_edge)
-    path = FlipPath((graph, g1, g2, g3, g4), (c1, c2, c3, c4))
+    n = fresh_edge_id(graph)
+    path = apply_path(graph, [e1, e2, n, n + 1])
     return _require_closed(path, "commuting square")
 
 
 def pentagon_path(graph: FatGraph, f: EdgeLike, g: EdgeLike) -> FlipPath:
     """The pentagon loop for two edges sharing exactly one endpoint.
 
-    Alternately flips the current images of f and g (five flips in all);
-    by construction no flip immediately undoes the previous one.  The
-    result is a closed loop.
+    Alternately flips the current images of f and g, which is the edge
+    list [f, g, n, n + 1, n + 2] for the fresh id n; by construction no
+    flip immediately undoes the previous one.  The result is a closed
+    loop.
     """
     f = _as_oriented(graph, f)
     g = _as_oriented(graph, g)
@@ -225,39 +231,24 @@ def pentagon_path(graph: FatGraph, f: EdgeLike, g: EdgeLike) -> FlipPath:
     if len(shared) != 1:
         raise FlipError("edges %d and %d share %d endpoints, need exactly 1"
                         % (f.edge, g.edge, len(shared)))
-    graphs = [graph]
-    steps: List[FlipContext] = []
-    cur = {0: f, 1: g}
-    for i in range(5):
-        which = i % 2
-        try:
-            nxt, ctx = flip(graphs[-1], cur[which])
-        except FlipError as err:
-            raise PathStepError(i, err) from err
-        cur[which] = ctx.new_edge
-        graphs.append(nxt)
-        steps.append(ctx)
-    path = FlipPath(tuple(graphs), tuple(steps))
+    n = fresh_edge_id(graph)
+    path = apply_path(graph, [f, g, n, n + 1, n + 2])
     return _require_closed(path, "pentagon loop")
+
+
+def _flippable_pairs(graph: FatGraph, shared: int) -> List[Tuple[int, int]]:
+    """Pairs of flippable edges with exactly ``shared`` common endpoints."""
+    ids = flippable_edges(graph)
+    ends = {x: set(graph.endpoints(x)) for x in ids}
+    return [(x, y) for i, x in enumerate(ids) for y in ids[i + 1:]
+            if len(ends[x] & ends[y]) == shared]
 
 
 def disjoint_flippable_pairs(graph: FatGraph) -> List[Tuple[int, int]]:
     """Pairs of flippable edges with no common endpoint."""
-    ids = flippable_edges(graph)
-    out = []
-    for i, x in enumerate(ids):
-        for y in ids[i + 1:]:
-            if not set(graph.endpoints(x)) & set(graph.endpoints(y)):
-                out.append((x, y))
-    return out
+    return _flippable_pairs(graph, 0)
 
 
 def adjacent_flippable_pairs(graph: FatGraph) -> List[Tuple[int, int]]:
     """Pairs of flippable edges sharing exactly one endpoint."""
-    ids = flippable_edges(graph)
-    out = []
-    for i, x in enumerate(ids):
-        for y in ids[i + 1:]:
-            if len(set(graph.endpoints(x)) & set(graph.endpoints(y))) == 1:
-                out.append((x, y))
-    return out
+    return _flippable_pairs(graph, 1)

@@ -133,7 +133,13 @@ def parse_graph(text: str) -> Tuple[FatGraph, Optional[Marking]]:
                 raise GraphParseError(
                     "duplicate mark for %s, first marked on line %d"
                     % (h, mark_at[h][0]), lineno, toks[1][1])
-            marks[h] = KElement(ints)
+            value = KElement(ints)
+            if h.rev in marks and marks[h.rev] != -value:
+                raise GraphParseError(
+                    "mark for %s is not the negative of the mark for %s "
+                    "on line %d" % (h, h.rev, mark_at[h.rev][0]),
+                    lineno, toks[1][1])
+            marks[h] = value
             mark_at[h] = (lineno, toks[1][1])
 
         else:

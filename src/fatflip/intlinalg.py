@@ -7,8 +7,7 @@ are lists of lists of Python ints; nothing here ever leaves Z.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 Matrix = List[List[int]]
 
@@ -299,10 +298,3 @@ def symplectic_basis(pairing: Sequence[Sequence[int]]) -> Matrix:
     if not mat_eq(check, standard_symplectic(n // 2)):
         raise LinAlgError("symplectic reduction failed to reach standard form")
     return s
-
-
-def gcd_list(values: Sequence[int]) -> int:
-    g = 0
-    for x in values:
-        g = gcd(g, x)
-    return g

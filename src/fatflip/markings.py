@@ -80,11 +80,9 @@ class Marking:
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Marking":
         """Post-compose with the integer linear map given by ``matrix``."""
-        out = {}
-        for e, k in self.values.items():
-            if e.sign > 0:
-                out[e] = KElement(intlinalg.mat_vec(matrix, k.coords))
-        return Marking(len(matrix), out)
+        return Marking(len(matrix), {e: k.transform(matrix)
+                                     for e, k in self.values.items()
+                                     if e.sign > 0})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Marking) and self.rank == other.rank

@@ -68,13 +68,13 @@ def standard_surface_graph(genus: int,
 
 
 def random_flip_path(graph: FatGraph, steps: int, rng: Rng) -> FlipPath:
-    graphs = [graph]
+    """Flip an edge drawn from the graph reached, ``steps`` times."""
+    cur = graph
     ctxs = []
     for _ in range(steps):
-        nxt, ctx = flip(graphs[-1], rng.choice(flippable_edges(graphs[-1])))
-        graphs.append(nxt)
+        cur, ctx = flip(cur, rng.choice(flippable_edges(cur)))
         ctxs.append(ctx)
-    return FlipPath(tuple(graphs), tuple(ctxs))
+    return FlipPath(graph, cur, tuple(ctxs))
 
 
 def random_graph(genus: int, rng: Rng, *, extra_flips: int = 6) -> FatGraph:

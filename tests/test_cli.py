@@ -1,8 +1,10 @@
+import contextlib
 import importlib.resources
 import io
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatflip.cli import main
 
@@ -27,6 +29,19 @@ b1 -> a2 b2' a2' b1 a1 b1' a1' b1 a1 b1 a1' b1' a2 b2 a2'
 a2 -> a2 b2' a2' b1 a1 b1' a1' a2 b2
 b2 -> b2
 """
+
+
+# genus 0 with three boundary cycles and no marking section
+THREE_BOUNDARY_FILE = """\
+fatgraph v1
+vertex 0: 0-
+vertex 1: 0+ 1+ 2-
+vertex 2: 2+ 3+ 4-
+vertex 3: 4+ 3- 1-
+tail 0+
+"""
+
+SHIPPED_G1 = importlib.resources.files("fatflip") / "data" / "g1.fg"
 
 
 @pytest.fixture
@@ -63,7 +78,8 @@ class TestBasics:
         assert "parse error" in err
 
     @pytest.mark.parametrize("command", ["validate", "info"])
-    @pytest.mark.parametrize("bad_mark", ["mark 9+: 0 0", "mark 1+: 0 1"])
+    @pytest.mark.parametrize("bad_mark", ["mark 9+: 0 0", "mark 1+: 0 1",
+                                          "mark 1-: 5 5"])
     def test_bad_mark_line_exit_2(self, capsys, tmp_path, command, bad_mark):
         text = (importlib.resources.files("fatflip") / "data" / "g1.fg") \
             .read_text()
@@ -136,6 +152,41 @@ class TestFlipAndPaths:
                              "%d,%d" % (f, g), "--cocycle", "j")
         assert status == 0
         assert "j total: 0" in out
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("text, argv, status, message", [
+        # a marking that is incoherent at vertex 1 only, reached at step 1
+        (SHIPPED_G1.read_text().replace("mark 0+: 0 0", "mark 0+: 1 0"),
+         ["path", "{file}", "--flips", "4,1"], 1,
+         "step 1: marking incoherent at the head of 1+"),
+        (THREE_BOUNDARY_FILE, ["pentagon", "{file}", "--edges", "1,2"], 1,
+         "boundary number 1"),
+        (BP_AUTO, ["earle", "eval", "--genus", "0", "--auto", "{file}"], 2,
+         "--genus must be at least 1"),
+    ], ids=["path-incoherent", "pentagon-three-boundaries", "eval-genus-0"])
+    def test_no_traceback(self, capsys, tmp_path, text, argv, status,
+                          message):
+        p = tmp_path / "input"
+        p.write_text(text)
+        got, _, err = run(capsys, *[a.format(file=p) for a in argv])
+        assert got == status
+        assert message in err
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(command=st.sampled_from(["path", "pentagon"]),
+           edges=st.lists(st.integers(-2, 12), max_size=8),
+           cocycle=st.sampled_from(["m", "j", "s", "all"]))
+    def test_arbitrary_edge_lists(self, command, edges, cocycle):
+        option = "--flips" if command == "path" else "--edges"
+        flips = ",".join(map(str, edges))
+        argv = [command, str(SHIPPED_G1), "%s=%s" % (option, flips),
+                "--cocycle", cocycle]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2)
+        assert (status == 0) == (err.getvalue() == "")
 
 
 class TestMarkingCommands:

@@ -5,7 +5,7 @@ import pytest
 from fatflip.abelian import KElement, sym_pair, wedge2, wedge3
 from fatflip.cocycles import (cocycle_j, cocycle_m, cocycle_s,
                               compose_closed, induced_k_automorphism,
-                              path_sum, transform_value,
+                              path_sum, step_values, transform_value,
                               verify_cocycle_condition)
 from fatflip.fatgraph import oe
 from fatflip.flips import (adjacent_flippable_pairs, apply_path,
@@ -86,6 +86,19 @@ class TestPathSums:
                 for which in "mjs":
                     total, _ = path_sum(loop, m, which)
                     assert total.is_zero()
+
+    def test_step_values_sum_to_path_sum(self):
+        rng = random.Random(25)
+        g = random_graph(2, rng)
+        m = random_coherent_marking(g, 3, rng)
+        path = random_flip_path(g, 6, rng)
+        for which in "mjs":
+            values = step_values(path, m, which)
+            assert len(values) == len(path)
+            total = values[0]
+            for value in values[1:]:
+                total = total + value
+            assert total == path_sum(path, m, which)[0]
 
     def test_path_plus_reverse_vanishes(self):
         rng = random.Random(24)

@@ -108,6 +108,17 @@ class TestParse:
         assert exc.value.col == 6
         assert "line 8" in str(exc.value)
 
+    def test_inconsistent_mark_pair(self):
+        bad = G1_FILE + "mark 1-: 5 5\n"
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(bad)
+        assert exc.value.line == 13
+        assert exc.value.col == 6
+        assert "line 8" in str(exc.value)
+        # a pair that agrees with Inversion is accepted
+        _, marking = parse_graph(G1_FILE + "mark 1-: 0 -1\n")
+        assert marking.value(oe(1, -1)).coords == (0, -1)
+
 
 class TestRoundTrip:
     def test_same_canonical_form(self, g2):
