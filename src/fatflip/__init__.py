@@ -19,7 +19,7 @@ from .cocycles import (CocycleConditionError, cocycle_j, cocycle_m,
                        path_sum, transform_value,
                        verify_cocycle_condition)
 from .words import FreeAutomorphism, WordError, parse_word, reduce_word, word_str
-from .earle import (HElement, d2, d_surface, d_differences, earle_f,
+from .earle import (d2, d_surface, d_differences, earle_f, h_str,
                     morita_normal_form, project, reference_bp_automorphism)
 from .graphio import GraphParseError, format_graph, parse_graph
 

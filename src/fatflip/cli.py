@@ -12,7 +12,7 @@ import sys
 from typing import List, Optional
 
 from .cocycles import COCYCLES, path_sum, walk_values, zero_value
-from .earle import d2, d_surface, earle_f
+from .earle import d2, d_surface, earle_f, h_str
 from .flips import apply_path, flip, pentagon_path
 from .graphio import GraphParseError, format_graph, parse_graph
 from .markings import (MarkingError, Marking, canonical_h_marking,
@@ -191,7 +191,7 @@ def _cmd_earle(args, out) -> int:
             raise CliError("--genus must be at least 1", USAGE_ERROR)
         phi = FreeAutomorphism.from_text(_read_text(args.auto))
         value = earle_f(phi, args.genus, inverse_supplied=args.inverse)
-        out.write("%s\n" % value)
+        out.write("%s\n" % h_str(value))
         return 0
     raise CliError("unknown earle command", USAGE_ERROR)
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from . import intlinalg
 from .abelian import KElement, SymWedge, Wedge3, sym_pair, wedge2, wedge3
-from .fatgraph import FatGraph, canonical_iso
+from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (ClosureError, FlipContext, FlipPath, concat_paths,
                     replay_path)
 from .markings import (Marking, _check_local_coherence, propagate,
@@ -107,10 +107,12 @@ def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix
     the canonical isomorphism psi, and is invertible over Z.  T is the
     identity exactly when the path preserves the marking.
     """
-    if not path.is_closed():
-        raise ClosureError("path does not return to its starting graph")
+    try:
+        psi = canonical_iso(path.start, path.end)
+    except FatGraphError as err:
+        raise ClosureError(
+            "path does not return to its starting graph") from err
     end_marking = propagate_path(marking, path.steps)
-    psi = canonical_iso(path.start, path.end)
     edges = path.start.oriented_edges()
     xs = [list(marking.value(e).coords) for e in edges]
     ys = [list(end_marking.value(psi[e]).coords) for e in edges]
@@ -145,9 +147,10 @@ def compose_closed(path1: FlipPath, path2: FlipPath) -> FlipPath:
     The second path is replayed on the end graph of the first through
     the canonical isomorphism.
     """
-    if path1.start.canonical_key() != path2.start.canonical_key():
-        raise ClosureError("paths are not based at the same graph")
-    psi = canonical_iso(path2.start, path1.end)
+    try:
+        psi = canonical_iso(path2.start, path1.end)
+    except FatGraphError as err:
+        raise ClosureError("paths are not based at the same graph") from err
     iso = {e.edge: psi[e].edge for e in path2.start.oriented_edges()}
     return concat_paths(path1, replay_on(path2, path1.end, iso))
 

@@ -11,9 +11,8 @@ pairing.  The reference bounding-pair automorphism evaluates to -2*B2.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from . import intlinalg
 from .abelian import KElement
 from .words import (FreeAutomorphism, Word, WordError, abelianized_matrix,
                     commutator, concat, gen, gen_info, inverse,
@@ -134,88 +133,32 @@ def check_d_difference_additive(phi: FreeAutomorphism, genus: int,
                 % (word_str(x), word_str(y)))
 
 
-class HElement:
-    """Element of H = Z^{2g} in the basis (A1, B1, ..., Ag, Bg)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable[int]):
-        self.coords = tuple(int(c) for c in coords)
-        if len(self.coords) % 2:
-            raise ValueError("H has even rank")
-
-    @classmethod
-    def zero(cls, genus: int) -> "HElement":
-        return cls((0,) * (2 * genus))
-
-    @classmethod
-    def basis(cls, genus: int, kind: str, i: int) -> "HElement":
-        """A_i for kind 'A', B_i for kind 'B' (i is 1-based)."""
-        if kind not in ("A", "B") or not 1 <= i <= genus:
-            raise ValueError("no basis vector %s%d in genus %d"
-                             % (kind, i, genus))
-        coords = [0] * (2 * genus)
-        coords[2 * (i - 1) + (0 if kind == "A" else 1)] = 1
-        return cls(coords)
-
-    @property
-    def genus(self) -> int:
-        return len(self.coords) // 2
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "HElement") -> "HElement":
-        return HElement(a + b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "HElement":
-        return HElement(-a for a in self.coords)
-
-    def __mul__(self, n: int) -> "HElement":
-        return HElement(n * a for a in self.coords)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HElement) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            name = ("A" if i % 2 == 0 else "B") + str(i // 2 + 1)
-            parts.append("%s%d*%s" % ("+" if c > 0 else "-", abs(c), name))
-        out = " ".join(parts)
-        return out[1:] if out.startswith("+") else out
-
-    def __repr__(self) -> str:
-        return "HElement(%r)" % (self.coords,)
+def h_str(h: KElement) -> str:
+    """``h`` in the basis (A1, B1, ..., Ag, Bg) of H, e.g. ``-2*B2``."""
+    parts = ["%s%d*%s%d" % ("+" if c > 0 else "-", abs(c), "AB"[i % 2],
+                            i // 2 + 1)
+             for i, c in enumerate(h.coords) if c]
+    return " ".join(parts).lstrip("+") or "0"
 
 
-def d_difference_class(phi: FreeAutomorphism, genus: int) -> HElement:
+def d_difference_class(phi: FreeAutomorphism, genus: int) -> KElement:
     """The element h of H with h . y = d(phi(y)) - d(y) for all y.
 
-    With A_i . B_i = 1 the solution is sum_i lambda(b_i) A_i -
-    lambda(a_i) B_i.
+    H = Z^{2g} has the basis (A1, B1, ..., Ag, Bg).  With A_i . B_i = 1
+    the solution is sum_i lambda(b_i) A_i - lambda(a_i) B_i.
     """
     lam = d_differences(phi, genus)
     coords = []
     for i in range(1, genus + 1):
         coords.append(lam["b%d" % i])
         coords.append(-lam["a%d" % i])
-    return HElement(coords)
+    return KElement(coords)
 
 
 def earle_f(phi: FreeAutomorphism, genus: int, *,
             inverse_supplied: bool = False,
             probe_trials: int = 32,
-            rng: Optional[random.Random] = None) -> HElement:
+            rng: Optional[random.Random] = None) -> KElement:
     """Evaluate the Earle cocycle on the mapping class of ``phi``.
 
     The cocycle pairs against d-differences of the *inverse* map.  With
@@ -228,8 +171,7 @@ def earle_f(phi: FreeAutomorphism, genus: int, *,
     h = d_difference_class(phi, genus)
     if inverse_supplied:
         return h
-    action = abelianized_matrix(phi, genus)
-    return -HElement(intlinalg.mat_vec(action, h.coords))
+    return -h.transform(abelianized_matrix(phi, genus))
 
 
 def reference_bp_automorphism(genus: int = 2, *,

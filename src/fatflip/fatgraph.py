@@ -294,13 +294,24 @@ def validate(graph: FatGraph) -> None:
 def canonical_iso(src: FatGraph, dst: FatGraph) -> Dict[OrientedEdge, OrientedEdge]:
     """The unique tail-preserving isomorphism src -> dst on oriented edges.
 
-    Tailed fatgraphs with one boundary cycle are rigid, so the
-    isomorphism is the composite of the two canonical relabelings.
-    Raises FatGraphError when the canonical forms differ.
+    A connected tailed fatgraph is rigid: an isomorphism is fixed on the
+    tail, hence on everything reached from it by successor and reversal,
+    which is every oriented edge.  So one walk from the two tails finds
+    the only candidate.  Raises FatGraphError unless that candidate is a
+    bijection respecting successor and reversal.
     """
-    c_src, m_src = src.canonicalize()
-    c_dst, m_dst = dst.canonicalize()
-    if c_src != c_dst:
+    iso = {src.tail: dst.tail}
+    todo = [src.tail]
+    while todo:
+        h = todo.pop()
+        k = iso[h]
+        for h2, k2 in ((h.rev, k.rev), (src.successor(h), dst.successor(k))):
+            if h2 not in iso:
+                iso[h2] = k2
+                todo.append(h2)
+            elif iso[h2] != k2:
+                raise FatGraphError("graphs are not isomorphic rel tail")
+    # the walk must reach all of src (it is connected) and hit all of dst
+    if not len(iso) == len(src._at) == len(dst._at) == len(set(iso.values())):
         raise FatGraphError("graphs are not isomorphic rel tail")
-    back = {v: k for k, v in m_dst.items()}
-    return {h: back[m_src[h]] for h in m_src}
+    return iso

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .fatgraph import FatGraph, FatGraphError, OrientedEdge
+from .fatgraph import FatGraph, FatGraphError, OrientedEdge, canonical_iso
 
 EdgeLike = Union[int, OrientedEdge]
 
@@ -87,7 +87,12 @@ class FlipPath:
         return out
 
     def is_closed(self) -> bool:
-        return self.start.canonical_key() == self.end.canonical_key()
+        """Is the end graph isomorphic rel tail to the start graph?"""
+        try:
+            canonical_iso(self.start, self.end)
+        except FatGraphError:
+            return False
+        return True
 
 
 def _as_oriented(graph: FatGraph, e: EdgeLike) -> OrientedEdge:

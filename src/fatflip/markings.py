@@ -45,52 +45,52 @@ class PairingError(MarkingError):
 class Marking:
     """Map from oriented edges to Z^r with Inversion built in.
 
-    Values are stored on both orientations; giving a value for only one
-    orientation fills in the negated reverse, giving both checks them.
+    ``values`` holds one vector per edge id, the value on the edge's
+    ``+`` orientation; the ``-`` orientation carries its negative.  The
+    constructor accepts either orientation of an edge or both, and
+    checks that both agree.
     """
 
     __slots__ = ("rank", "values")
 
     def __init__(self, rank: int, values: Mapping[OrientedEdge, KElement]):
         self.rank = int(rank)
-        vals: Dict[OrientedEdge, KElement] = {}
+        vals: Dict[int, KElement] = {}
         for e, k in values.items():
             if k.rank != self.rank:
                 raise MarkingError("value on %s has rank %d, marking has %d"
                                    % (e, k.rank, self.rank))
-            vals[e] = k
-        for e in list(vals):
-            r = e.rev
-            if r in vals:
-                if vals[r] != -vals[e]:
-                    raise InversionError(
-                        "values on %s and %s are not opposite" % (e, r))
-            else:
-                vals[r] = -vals[e]
+            k = k if e.sign > 0 else -k
+            if vals.setdefault(e.edge, k) != k:
+                raise InversionError(
+                    "values on %s and %s are not opposite" % (e.rev, e))
         self.values = vals
+
+    @classmethod
+    def _of_edges(cls, rank: int, values: Dict[int, KElement]) -> "Marking":
+        """Wrap per-edge values that are already known to be consistent."""
+        marking = cls.__new__(cls)
+        marking.rank, marking.values = rank, values
+        return marking
 
     def value(self, e: OrientedEdge) -> KElement:
         try:
-            return self.values[e]
+            k = self.values[e.edge]
         except KeyError:
             raise MarkingDomainError("no value on %s" % (e,)) from None
-
-    def __contains__(self, e: OrientedEdge) -> bool:
-        return e in self.values
+        return k if e.sign > 0 else -k
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Marking":
         """Post-compose with the integer linear map given by ``matrix``."""
-        return Marking(len(matrix), {e: k.transform(matrix)
-                                     for e, k in self.values.items()
-                                     if e.sign > 0})
+        return Marking._of_edges(len(matrix), {x: k.transform(matrix)
+                                               for x, k in self.values.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Marking) and self.rank == other.rank
                 and self.values == other.values)
 
     def __repr__(self) -> str:
-        return "Marking(rank=%d, %d oriented edges)" % (self.rank,
-                                                        len(self.values))
+        return "Marking(rank=%d, %d edges)" % (self.rank, len(self.values))
 
 
 class SymplecticForm:
@@ -131,22 +131,21 @@ class SymplecticForm:
 
 
 def check_marking(graph: FatGraph, marking: Marking) -> None:
-    """Verify Inversion, Coherence and Surjectivity; raise per-axiom errors."""
-    missing = [h for h in graph.oriented_edges() if h not in marking]
+    """Verify the domain, Coherence and Surjectivity; raise per-axiom errors.
+
+    Inversion holds by construction of :class:`Marking`.
+    """
+    missing = [x for x in graph.edge_ids() if x not in marking.values]
     if missing:
-        raise MarkingDomainError("no value on %s"
-                                 % ", ".join(str(h) for h in missing))
-    for e in graph.oriented_edges():
-        if marking.value(e.rev) != -marking.value(e):
-            raise InversionError("values on %s and %s are not opposite"
-                                 % (e, e.rev))
+        raise MarkingDomainError("no value on edge %s"
+                                 % ", ".join(map(str, missing)))
     for vi, v in enumerate(graph.vertices):
         total = KElement.zero(marking.rank)
         for h in v:
             total = total + marking.value(h)
         if not total.is_zero():
             raise CoherenceError("vertex %d sums to %s" % (vi, total))
-    rows = [list(marking.value(h).coords) for h in graph.oriented_edges()]
+    rows = [list(marking.values[x].coords) for x in graph.edge_ids()]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
         raise SurjectivityError(
@@ -172,11 +171,10 @@ def propagate(marking: Marking, ctx: FlipContext) -> Marking:
     """
     _check_local_coherence(marking, ctx)
     vals = dict(marking.values)
-    del vals[ctx.edge], vals[ctx.edge.rev]
-    new_val = marking.value(ctx.d) + marking.value(ctx.a)
-    vals[ctx.new_edge] = new_val
-    vals[ctx.new_edge.rev] = -new_val
-    return Marking(marking.rank, vals)
+    del vals[ctx.edge.edge]
+    # flip creates the new edge in its + orientation
+    vals[ctx.new_edge.edge] = marking.value(ctx.d) + marking.value(ctx.a)
+    return Marking._of_edges(marking.rank, vals)
 
 
 def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
@@ -218,12 +216,13 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     if len(form.matrix) != marking.rank:
         raise MarkingError("form size does not match the marking rank")
     edges = graph.oriented_edges()
+    value = {h: marking.value(h) for h in edges}
     for i, a in enumerate(edges):
         for b in edges[i + 1:]:
             if a.edge == b.edge:
                 continue
             want = _pattern_sign(rank[a], rank[b], rank[a.rev], rank[b.rev])
-            if form.pairing(marking.value(a), marking.value(b)) != want:
+            if form.pairing(value[a], value[b]) != want:
                 return False
     return True
 

@@ -13,6 +13,7 @@ import random
 from typing import Callable, Optional
 
 from . import intlinalg
+from .abelian import KElement
 from .cocycles import induced_k_automorphism, path_sum, transform_value
 from .fatgraph import canonical_iso
 from .flips import (adjacent_flippable_pairs, commuting_loop,
@@ -22,10 +23,9 @@ from .markings import (check_marking, is_topological_h, propagate,
                        propagate_path, canonical_h_marking)
 from .randgen import (random_coherent_marking, random_flip_path, random_gl,
                       random_graph)
-from .words import parse_word, word_str
-from .earle import (HElement, bp_m_phase_sums, d2, earle_f,
-                    morita_normal_form, reconstruct,
-                    reference_bp_automorphism)
+from .words import parse_word, reduce_word, word_str
+from .earle import (bp_m_phase_sums, d2, earle_f, morita_normal_form,
+                    reconstruct, reference_bp_automorphism)
 
 
 class SelfTestFailure(AssertionError):
@@ -124,13 +124,12 @@ def _section_words(rng: random.Random, trials: int, log) -> None:
     for t in range(trials):
         letters = [("ab"[rng.randrange(2)], rng.choice((1, -1)))
                    for _ in range(rng.randint(0, 14))]
-        from .words import reduce_word
         w = reduce_word(letters)
         _check(reconstruct(morita_normal_form(w)) == w,
                "normal form does not reconstruct %s" % word_str(w))
     _check(d2(parse_word("b a b' a'")) == -2, "d(b a b' a') must be -2")
     phi = reference_bp_automorphism(2)
-    _check(earle_f(phi, 2, rng=rng) == -2 * HElement.basis(2, "B", 2),
+    _check(earle_f(phi, 2, rng=rng) == -2 * KElement.basis(4, 3),
            "reference bounding-pair value is not -2*B2")
     totals, grand = bp_m_phase_sums()
     _check(grand.coords == (4, 0, 0, 0), "bounding-pair grand total is not 4a")

@@ -33,3 +33,14 @@ def tree():
         [oe(0, 1), oe(1, -1)],
         [oe(1, 1)],
     ], oe(0, 1))
+
+
+@pytest.fixture
+def three_boundary():
+    """Genus 0 with three boundary cycles; edges 1 and 2 share vertex 1."""
+    return FatGraph([
+        [oe(0, -1)],
+        [oe(0, 1), oe(1, 1), oe(2, -1)],
+        [oe(2, 1), oe(3, 1), oe(4, 1)],
+        [oe(1, -1), oe(4, -1), oe(3, -1)],
+    ], oe(0, 1))

@@ -2,6 +2,7 @@ import contextlib
 import importlib.resources
 import io
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,22 @@ vertex 1: 0+ 1+ 2-
 vertex 2: 2+ 3+ 4-
 vertex 3: 4+ 3- 1-
 tail 0+
+"""
+
+# genus 0 with three boundary cycles and a coherent rank-2 marking
+MARKED_THREE_BOUNDARY_FILE = """\
+fatgraph v1
+vertex 0: 0-
+vertex 1: 0+ 1+ 2-
+vertex 2: 2+ 3+ 4+
+vertex 3: 1- 4- 3-
+tail 0+
+marking rank 2
+mark 0+: 0 0
+mark 1+: 1 0
+mark 2+: 1 0
+mark 3+: 0 1
+mark 4+: -1 -1
 """
 
 SHIPPED_G1 = importlib.resources.files("fatflip") / "data" / "g1.fg"
@@ -135,6 +152,13 @@ class TestFlipAndPaths:
         assert "j total: 0" in out
         assert "s total: 0" in out
 
+    def test_pentagon_three_boundary_cycles(self, capsys, tmp_path):
+        p = tmp_path / "three.fg"
+        p.write_text(MARKED_THREE_BOUNDARY_FILE)
+        status, out, _ = run(capsys, "pentagon", str(p), "--edges", "1,2")
+        assert status == 0
+        assert out == "m total: 0 0\nj total: 0\ns total: 0\n"
+
     def test_pentagon_rejects_disjoint_pair(self, capsys, g1_path):
         status, _, err = run(capsys, "pentagon", g1_path, "--edges", "2,4")
         assert status == 1
@@ -187,6 +211,57 @@ class TestExitStatus:
             status = main(argv)
         assert status in (0, 1, 2)
         assert (status == 0) == (err.getvalue() == "")
+
+
+G1_LINES = SHIPPED_G1.read_text().splitlines()
+FUZZ_TOKENS = ["0+", "0-", "1+", "1-", "2-", "3+", "4+", "4-", "7+", "0", "1",
+               "-1", "2", "x", "vertex", "mark", "rank", "4:", "3+:", "#"]
+# "-" reads the graph file from stdin
+FUZZ_COMMANDS = [["validate", "-"], ["info", "-"], ["flip", "-", "--edge", "1"],
+                 ["path", "-", "--flips", "1,2"],
+                 ["marking", "check", "-", "--topological"],
+                 ["marking", "canonical", "-"],
+                 ["pentagon", "-", "--edges", "1,2"]]
+
+
+@st.composite
+def mutated_g1(draw):
+    """g1.fg with a few lines deleted, duplicated or edited token-wise."""
+    lines = list(G1_LINES)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        kind = draw(st.sampled_from(["delete", "duplicate", "replace",
+                                     "append", "swap"]))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+            continue
+        if kind == "duplicate":
+            lines.insert(i, lines[i])
+            continue
+        j = draw(st.integers(0, max(len(toks) - 1, 0)))
+        if kind == "swap" and toks:
+            k = draw(st.integers(0, len(toks) - 1))
+            toks[j], toks[k] = toks[k], toks[j]
+        elif kind == "replace" and toks:
+            toks[j] = draw(st.sampled_from(FUZZ_TOKENS))
+        else:
+            toks.append(draw(st.sampled_from(FUZZ_TOKENS)))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedFiles:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(text=mutated_g1())
+    def test_exit_status_contract(self, text):
+        for argv in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                status = main(argv)
+            assert status in (0, 1, 2), argv
 
 
 class TestMarkingCommands:

@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fatflip.earle import (HElement, NotAHomomorphismError,
-                           bp_m_phase_sums, check_d_difference_additive, d2,
-                           d_differences, d_surface, earle_f,
-                           morita_normal_form, project, reconstruct,
-                           reference_bp_automorphism)
+from fatflip.abelian import KElement
+from fatflip.earle import (NotAHomomorphismError, bp_m_phase_sums,
+                           check_d_difference_additive, d2, d_differences,
+                           d_surface, earle_f, h_str, morita_normal_form,
+                           project, reconstruct, reference_bp_automorphism)
 from fatflip.words import (FreeAutomorphism, WordError, commutator, concat,
                            gen, parse_word, reduce_word, word_str)
 
@@ -109,15 +109,15 @@ class TestReferenceMap:
 
     def test_earle_value(self):
         phi = reference_bp_automorphism(2)
-        assert earle_f(phi, 2) == -2 * HElement.basis(2, "B", 2)
+        assert earle_f(phi, 2) == -2 * KElement.basis(4, 3)
 
     def test_identity_gives_zero(self):
         phi = FreeAutomorphism.identity(2)
-        assert earle_f(phi, 2) == HElement.zero(2)
+        assert earle_f(phi, 2) == KElement.zero(4)
 
     def test_higher_genus_padding(self):
         phi = reference_bp_automorphism(3)
-        assert earle_f(phi, 3) == -2 * HElement.basis(3, "B", 2)
+        assert earle_f(phi, 3) == -2 * KElement.basis(6, 3)
 
     def test_additivity_probe(self):
         check_d_difference_additive(reference_bp_automorphism(2), 2,
@@ -150,13 +150,13 @@ class TestReferenceMap:
             d_differences(reference_bp_automorphism(2), 2)
 
 
-class TestHElement:
+class TestHStr:
     def test_str(self):
-        h = -2 * HElement.basis(2, "B", 2)
-        assert str(h) == "-2*B2"
-        assert str(HElement.zero(2)) == "0"
-        combo = HElement.basis(2, "A", 1) + 3 * HElement.basis(2, "B", 1)
-        assert str(combo) == "1*A1 +3*B1"
+        h = -2 * KElement.basis(4, 3)
+        assert h_str(h) == "-2*B2"
+        assert h_str(KElement.zero(4)) == "0"
+        combo = KElement.basis(4, 0) + 3 * KElement.basis(4, 1)
+        assert h_str(combo) == "1*A1 +3*B1"
 
 
 class TestPhaseSums:

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from fatflip.fatgraph import (BoundaryNumberError, DisconnectedGraphError,
-                              FatGraph, HalfEdgeStructureError,
+                              FatGraph, FatGraphError, HalfEdgeStructureError,
                               UnivalentVertexError, ValenceError,
                               canonical_iso, oe)
+from fatflip.flips import flip, flippable_edges
+from fatflip.randgen import random_graph
 
 # hand traversal of the g1 fixture (see conftest), starting at the tail
 G1_BOUNDARY = ["0+", "1-", "2+", "4+", "1+", "3+", "2-", "4-", "3-", "0-"]
@@ -195,3 +197,53 @@ class TestCanonical:
         for v in g2.vertices:
             image_vertex = h.vertices[h.vertex_of(iso[v[0]])]
             assert set(iso[x] for x in v) == set(image_vertex)
+
+
+def relabeling_iso(src, dst):
+    """The composite of the two canonical relabelings (one boundary only)."""
+    c_src, m_src = src.canonicalize()
+    c_dst, m_dst = dst.canonicalize()
+    assert c_src == c_dst
+    back = {v: k for k, v in m_dst.items()}
+    return {h: back[m_src[h]] for h in m_src}
+
+
+class TestCanonicalIso:
+    def test_matches_relabeling_oracle(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            g = random_graph(rng.randint(1, 3), rng)
+            h = shuffle_graph(g, rng)
+            assert canonical_iso(g, h) == relabeling_iso(g, h)
+
+    def test_rejects_different_keys(self):
+        rng = random.Random(24)
+        rejected = 0
+        for _ in range(30):
+            g = random_graph(rng.randint(1, 3), rng)
+            flipped, _ = flip(g, rng.choice(flippable_edges(g)))
+            for other in (flipped, random_graph(rng.randint(1, 3), rng)):
+                if other.canonical_key() != g.canonical_key():
+                    with pytest.raises(FatGraphError):
+                        canonical_iso(g, shuffle_graph(other, rng))
+                    rejected += 1
+        assert rejected > 30
+
+    def test_rejects_extra_component(self):
+        part = [[oe(0, -1)], [oe(0, 1), oe(1, 1), oe(1, -1)]]
+        whole = FatGraph(part + [[oe(2, 1), oe(2, -1)]], oe(0, 1))
+        part = FatGraph(part, oe(0, 1))
+        for src, dst in ((part, whole), (whole, part)):
+            with pytest.raises(FatGraphError):
+                canonical_iso(src, dst)
+
+    def test_several_boundary_cycles(self, three_boundary):
+        rng = random.Random(25)
+        for _ in range(10):
+            h = shuffle_graph(three_boundary, rng)
+            iso = canonical_iso(three_boundary, h)
+            assert sorted(iso.values()) == sorted(h.oriented_edges())
+            for x in three_boundary.oriented_edges():
+                assert iso[x.rev] == iso[x].rev
+                assert iso[three_boundary.successor(x)] == \
+                    h.successor(iso[x])

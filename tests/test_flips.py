@@ -103,6 +103,11 @@ class TestRelationLoops:
             assert len(path) == 5
             assert path.is_closed()
 
+    def test_loops_close_with_several_boundary_cycles(self, three_boundary):
+        assert three_boundary.boundary_number() == 3
+        assert involution_pair(three_boundary, 1).is_closed()
+        assert pentagon_path(three_boundary, 1, 2).is_closed()
+
     def test_pentagon_rejects_disjoint(self, g2):
         x, y = disjoint_flippable_pairs(g2)[0]
         with pytest.raises(FlipError):

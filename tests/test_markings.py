@@ -11,7 +11,7 @@ from fatflip.markings import (CoherenceError, InversionError, Marking,
                               check_marking, is_topological_h, propagate,
                               propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
-                             random_graph)
+                             random_gl, random_graph)
 
 
 def k(*coords):
@@ -58,6 +58,28 @@ class TestAxioms:
         doubled = reference_marking(g1).transform([[2, 0], [0, 1]])
         with pytest.raises(SurjectivityError):
             check_marking(g1, doubled)
+
+
+class TestRepresentation:
+    def test_either_orientation(self):
+        v = k(1, -2)
+        assert Marking(2, {oe(3, 1): v}) == Marking(2, {oe(3, -1): -v})
+        assert Marking(2, {oe(3, 1): v, oe(3, -1): -v}).values == {3: v}
+
+    def test_inversion_on_every_source(self):
+        rng = random.Random(15)
+        for _ in range(8):
+            genus = rng.randint(1, 3)
+            g = random_graph(genus, rng)
+            h_marking, _ = canonical_h_marking(g)
+            m = random_coherent_marking(g, rng.randint(2, 2 * genus), rng)
+            g2, ctx = flip(g, rng.choice(flippable_edges(g)))
+            for graph, marking in ((g, h_marking), (g, m),
+                                   (g2, propagate(m, ctx)),
+                                   (g, m.transform(random_gl(m.rank, rng)))):
+                assert sorted(marking.values) == graph.edge_ids()
+                for e in graph.oriented_edges():
+                    assert marking.value(e.rev) == -marking.value(e)
 
 
 class TestPropagate:
