@@ -15,8 +15,9 @@ from .cocycles import COCYCLES, path_sum, walk_values, zero_value
 from .earle import d2, d_surface, earle_f, h_str
 from .flips import apply_path, flip, pentagon_path
 from .graphio import GraphParseError, format_graph, parse_graph
-from .markings import (MarkingError, Marking, canonical_h_marking,
-                       check_marking, is_topological_h, propagate_path)
+from .markings import (MarkingError, Marking, SymplecticForm,
+                       canonical_h_marking, check_marking, is_topological_h,
+                       propagate_path)
 from .selftest import run_selftest
 from .words import FreeAutomorphism, gen_info, parse_word
 
@@ -155,7 +156,9 @@ def _cmd_marking(args, out) -> int:
         marking = _require_marking(marking, "marking check")
         check_marking(graph, marking)
         if args.topological:
-            _, form = canonical_h_marking(graph)
+            # a BoundaryNumberError comes before the form is built
+            graph.boundary_order()
+            form = SymplecticForm.standard(graph.genus())
             if not is_topological_h(graph, marking, form):
                 raise CliError("marking violates the intersection "
                                "criterion", FAILURE)

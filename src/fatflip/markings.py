@@ -96,7 +96,7 @@ class Marking:
 class SymplecticForm:
     """Skew unimodular 2g x 2g integer form; standard pairs (Ai, Bi)."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_entries")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         m = [list(map(int, row)) for row in matrix]
@@ -110,6 +110,9 @@ class SymplecticForm:
         if not intlinalg.is_unimodular(m):
             raise MarkingError("form matrix is not unimodular")
         self.matrix = tuple(tuple(row) for row in m)
+        # the nonzero entries (i, j, m[i][j]), so pairing skips the zeros
+        self._entries = tuple((i, j, x) for i, row in enumerate(m)
+                              for j, x in enumerate(row) if x)
 
     @classmethod
     def standard(cls, g: int) -> "SymplecticForm":
@@ -122,9 +125,8 @@ class SymplecticForm:
     def pairing(self, x: KElement, y: KElement) -> int:
         if x.rank != len(self.matrix) or y.rank != len(self.matrix):
             raise MarkingError("vector rank does not match the form")
-        return sum(x.coords[i] * self.matrix[i][j] * y.coords[j]
-                   for i in range(len(self.matrix))
-                   for j in range(len(self.matrix)))
+        xc, yc = x.coords, y.coords
+        return sum(xc[i] * a * yc[j] for i, j, a in self._entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix
@@ -186,16 +188,15 @@ def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
 def _pattern_sign(ra: int, rb: int, rra: int, rrb: int) -> int:
     """Intersection sign from the four boundary ranks of a, b, ~a, ~b.
 
-    The four ranks are read as a cyclic word in the symbols a, b, A, B
-    (sorted by rank); the sign is +1 on rotations of (a, b, A, B), -1 on
-    rotations of (a, B, A, b) and 0 otherwise.
+    The four distinct ranks are read as a cyclic word in the symbols
+    a, b, A, B (sorted by rank); the sign is +1 on rotations of
+    (a, b, A, B), -1 on rotations of (a, B, A, b) and 0 otherwise.  A
+    cyclic sequence of four distinct numbers is a rotation of its sorted
+    order exactly when it descends once on the way round.
     """
-    word = tuple(s for _, s in sorted([(ra, "a"), (rb, "b"),
-                                       (rra, "A"), (rrb, "B")]))
-    rotations = {word[i:] + word[:i] for i in range(4)}
-    if ("a", "b", "A", "B") in rotations:
+    if (ra > rb) + (rb > rra) + (rra > rrb) + (rrb > ra) == 1:
         return 1
-    if ("a", "B", "A", "b") in rotations:
+    if (ra > rrb) + (rrb > rra) + (rra > rb) + (rb > ra) == 1:
         return -1
     return 0
 
@@ -204,10 +205,28 @@ def is_topological_h(graph: FatGraph, marking: Marking,
                      form: SymplecticForm) -> bool:
     """Does the marking respect the intersection numbers of the boundary?
 
-    Checks mu(a) . mu(b) against the cyclic pattern of the boundary
-    ranks of a, b and their reversals, for every pair of oriented edges
-    with distinct underlying edges.  Needs boundary number 1 and a
-    marking of rank 2g.
+    The criterion is mu(a) . mu(b) == P(a, b) for every pair of oriented
+    edges with distinct underlying edges, where P is the cyclic pattern
+    of the boundary ranks of a, b and their reversals.  Needs boundary
+    number 1 and a marking of rank 2g.
+
+    Both sides are bilinear in the edge classes, so the check runs on a
+    basis only: the ``+`` orientations of the 2g edges off a spanning
+    tree grown from the tail vertex, which freely generate the group of
+    oriented edges modulo inversion and coherence.  This gives the
+    all-pairs verdict because
+      * P descends to that group with a unimodular form
+        (:func:`canonical_h_marking` verifies this on every graph it
+        builds);
+      * for a coherent mu, mu(a) . mu(b) descends as well, and two
+        bilinear forms that agree on a basis agree everywhere;
+      * an incoherent mu fails the all-pairs check too: if every pair
+        agreed, mu's values would span rank 2g because P has rank 2g,
+        each vertex sum would pair to zero with all of them because P
+        kills the coherence relations, and the form is unimodular, so
+        every vertex sum would be zero.
+    So an incoherent marking is rejected before any pairing is read,
+    and at most g(2g - 1) pairings are computed.
     """
     rank = graph.boundary_order()
     if marking.rank != 2 * graph.genus():
@@ -215,14 +234,34 @@ def is_topological_h(graph: FatGraph, marking: Marking,
                            % (marking.rank, 2 * graph.genus()))
     if len(form.matrix) != marking.rank:
         raise MarkingError("form size does not match the marking rank")
-    edges = graph.oriented_edges()
-    value = {h: marking.value(h) for h in edges}
-    for i, a in enumerate(edges):
-        for b in edges[i + 1:]:
-            if a.edge == b.edge:
-                continue
+    for v in graph.vertices:
+        # coordinate-wise sums of the inward values at v
+        if any(map(sum, zip(*(marking.value(h).coords for h in v)))):
+            return False
+
+    start = graph.vertex_of(graph.tail.rev)
+    seen, tree, queue = {start}, set(), [start]
+    for vi in queue:  # breadth first: the loop reads what it appends
+        for h in graph.vertices[vi]:
+            other = graph.vertex_of(h.rev)
+            if other not in seen:
+                seen.add(other)
+                tree.add(h.edge)
+                queue.append(other)
+    if len(seen) != graph.num_vertices:
+        raise PairingError("spanning tree from the tail vertex reaches %d "
+                           "of %d vertices" % (len(seen), graph.num_vertices))
+    basis = [OrientedEdge(x, 1) for x in graph.edge_ids() if x not in tree]
+    if len(basis) != marking.rank:
+        raise PairingError("%d edges lie off the spanning tree, expected "
+                           "2g = %d" % (len(basis), marking.rank))
+
+    value = [marking.value(h) for h in basis]
+    for i, a in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            b = basis[j]
             want = _pattern_sign(rank[a], rank[b], rank[a.rev], rank[b.rev])
-            if form.pairing(value[a], value[b]) != want:
+            if form.pairing(value[i], value[j]) != want:
                 return False
     return True
 
@@ -268,12 +307,12 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
                            % (cok.free_rank, 2 * g))
 
     n = len(edges)
-    pattern = [[0] * n for _ in range(n)]
-    for i, a in enumerate(edges):
-        for j, b in enumerate(edges):
-            if a.edge != b.edge:
-                pattern[i][j] = _pattern_sign(rank[a], rank[b],
-                                              rank[a.rev], rank[b.rev])
+    ids = [h.edge for h in edges]
+    ranks = [rank[h] for h in edges]
+    rev_ranks = [rank[h.rev] for h in edges]
+    pattern = [[_pattern_sign(ra, rb, rra, rrb) if xa != xb else 0
+                for xb, rb, rrb in zip(ids, ranks, rev_ranks)]
+               for xa, ra, rra in zip(ids, ranks, rev_ranks)]
     # the pairing must kill every relation, otherwise it does not
     # descend to the quotient
     for x in graph.edge_ids():
@@ -301,10 +340,7 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
 
     values = {}
     for x in graph.edge_ids():
-        h = OrientedEdge(x, 1)
-        col = [0] * n
-        col[index[h]] = 1
-        coords = intlinalg.mat_vec(basis_inv, intlinalg.mat_vec(cok.projection, col))
-        values[h] = KElement(coords)
-    marking = Marking(2 * g, values)
-    return marking, SymplecticForm.standard(g)
+        i = index[OrientedEdge(x, 1)]
+        cls = [row[i] for row in cok.projection]
+        values[x] = KElement(intlinalg.mat_vec(basis_inv, cls))
+    return Marking._of_edges(2 * g, values), SymplecticForm.standard(g)

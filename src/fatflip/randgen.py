@@ -108,7 +108,7 @@ def random_coherent_marking(graph: FatGraph, rank: int, rng: Rng) -> Marking:
     built as the top rows of a random GL element (this needs
     rank <= 2g, the rank of the class group).
     """
-    edges, index, cok = _edge_class_space(graph)
+    _, index, cok = _edge_class_space(graph)
     free = cok.free_rank
     if rank > free:
         raise ValueError("rank %d exceeds the edge class rank %d"
@@ -116,8 +116,7 @@ def random_coherent_marking(graph: FatGraph, rank: int, rng: Rng) -> Marking:
     l_map = random_gl(free, rng)[:rank]
     values = {}
     for x in graph.edge_ids():
-        col = [0] * len(edges)
-        col[index[OrientedEdge(x, 1)]] = 1
-        cls = intlinalg.mat_vec(cok.projection, col)
+        i = index[OrientedEdge(x, 1)]
+        cls = [row[i] for row in cok.projection]
         values[OrientedEdge(x, 1)] = KElement(intlinalg.mat_vec(l_map, cls))
     return Marking(rank, values)

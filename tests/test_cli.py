@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatflip.cli import main
+from fatflip.graphio import format_graph, parse_graph
 
 G1_FILE = """\
 fatgraph v1
@@ -59,6 +60,15 @@ mark 4+: -1 -1
 """
 
 SHIPPED_G1 = importlib.resources.files("fatflip") / "data" / "g1.fg"
+
+
+def _swap_coordinates(text):
+    graph, marking = parse_graph(text)
+    return format_graph(graph, marking.transform([[0, 1], [1, 0]]))
+
+
+# coherent and surjective, but the swap reverses the sign of the pairing
+SWAPPED_G1 = _swap_coordinates(SHIPPED_G1.read_text())
 
 
 @pytest.fixture
@@ -274,6 +284,21 @@ class TestMarkingCommands:
         status, out, _ = run(capsys, "marking", "check", "--topological",
                              g1_path)
         assert status == 0
+
+    @pytest.mark.parametrize("text, status, out, message", [
+        (SHIPPED_G1.read_text(), 0, "ok\n", ""),
+        (MARKED_THREE_BOUNDARY_FILE, 1, "",
+         "boundary order needs boundary number 1, got 3"),
+        (SWAPPED_G1, 1, "", "violates the intersection criterion"),
+    ], ids=["shipped-g1", "three-boundaries", "swapped-coordinates"])
+    def test_check_topological_verdicts(self, capsys, tmp_path, text, status,
+                                        out, message):
+        p = tmp_path / "input.fg"
+        p.write_text(text)
+        got, got_out, err = run(capsys, "marking", "check", "--topological",
+                                str(p))
+        assert (got, got_out) == (status, out)
+        assert message in err
 
     def test_check_missing_marking(self, capsys, tmp_path):
         p = tmp_path / "plain.fg"

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from fatflip import intlinalg
 from fatflip.abelian import KElement
 from fatflip.fatgraph import canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
@@ -140,6 +142,18 @@ def oracle_sign(ra, rb, rra, rrb, total):
     return 0
 
 
+def sort_and_rotate_sign(ra, rb, rra, rrb):
+    """The cyclic word of a, b, A, B sorted by rank, matched by rotation."""
+    word = tuple(s for _, s in sorted([(ra, "a"), (rb, "b"),
+                                       (rra, "A"), (rrb, "B")]))
+    rotations = {word[i:] + word[:i] for i in range(4)}
+    if ("a", "b", "A", "B") in rotations:
+        return 1
+    if ("a", "B", "A", "b") in rotations:
+        return -1
+    return 0
+
+
 class TestPatternMatcher:
     def test_against_oracle(self):
         rng = random.Random(1)
@@ -153,6 +167,13 @@ class TestPatternMatcher:
         assert _pattern_sign(0, 1, 2, 3) == 1
         assert _pattern_sign(0, 3, 2, 1) == -1
         assert _pattern_sign(0, 2, 1, 3) == 0
+
+    @pytest.mark.parametrize("ranks", [(0, 1, 2, 3), (2, 5, 7, 13)])
+    def test_every_ordering_against_sort_and_rotate(self, ranks):
+        perms = list(itertools.permutations(ranks))
+        signs = [_pattern_sign(*perm) for perm in perms]
+        assert signs == [sort_and_rotate_sign(*perm) for perm in perms]
+        assert sorted(signs) == [-1] * 4 + [0] * 16 + [1] * 4
 
 
 class TestTopologicalH:
@@ -172,6 +193,94 @@ class TestTopologicalH:
         m = random_coherent_marking(g1, 1, random.Random(0))
         with pytest.raises(MarkingError):
             is_topological_h(g1, m, SymplecticForm.standard(1))
+
+    def test_matches_all_pairs_oracle(self):
+        rng = random.Random(33)
+        verdicts = {True: 0, False: 0}
+        for trial in range(30):
+            genus = 1 + trial % 6
+            g = random_graph(genus, rng)
+            m, form = canonical_h_marking(g)
+            edge = rng.choice(g.edge_ids())
+            bumped = {oe(x, 1): m.value(oe(x, 1)) for x in g.edge_ids()}
+            negated = dict(bumped)
+            bumped[oe(edge, 1)] += KElement.basis(2 * genus,
+                                                  rng.randrange(2 * genus))
+            negated[oe(edge, 1)] = -negated[oe(edge, 1)]
+            markings = [m, m.transform(random_gl(2 * genus, rng)),
+                        m.transform(symplectic_transvections(genus, rng)),
+                        random_coherent_marking(g, 2 * genus, rng),
+                        Marking(2 * genus, bumped),
+                        Marking(2 * genus, negated)]
+            for marking in markings:
+                want = all_pairs_is_topological_h(g, marking, form)
+                assert is_topological_h(g, marking, form) == want
+                verdicts[want] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+    def test_pairing_calls(self):
+        rng = random.Random(34)
+        for genus in (1, 3, 5):
+            g = random_graph(genus, rng)
+            m, _ = canonical_h_marking(g)
+            form = CountingForm(intlinalg.standard_symplectic(genus))
+            assert is_topological_h(g, m, form)
+            assert form.calls == genus * (2 * genus - 1)
+            # an incoherent marking is rejected before any pairing
+            vals = {oe(x, 1): m.value(oe(x, 1)) for x in g.edge_ids()}
+            vals[oe(g.edge_ids()[-1], 1)] += KElement.basis(2 * genus, 0)
+            form.calls = 0
+            assert not is_topological_h(g, Marking(2 * genus, vals), form)
+            assert form.calls == 0
+
+
+class CountingForm(SymplecticForm):
+    calls = 0
+
+    def pairing(self, x, y):
+        self.calls += 1
+        return super().pairing(x, y)
+
+
+def symplectic_transvections(genus, rng, count=4):
+    """A product of transvections x -> x + (x . v) v, which keep the form."""
+    omega = intlinalg.standard_symplectic(genus)
+    t = intlinalg.identity(2 * genus)
+    for _ in range(count):
+        v = [rng.randint(-1, 1) for _ in range(2 * genus)]
+        omega_v = intlinalg.mat_vec(omega, v)
+        step = [[int(i == j) + v[i] * omega_v[j] for j in range(2 * genus)]
+                for i in range(2 * genus)]
+        t = intlinalg.mat_mul(step, t)
+    assert intlinalg.mat_eq(
+        intlinalg.mat_mul(intlinalg.transpose(t), intlinalg.mat_mul(omega, t)),
+        omega)
+    return t
+
+
+def all_pairs_is_topological_h(graph, marking, form):
+    """The intersection check on every pair of oriented edges.
+
+    The reference for the 2g basis check: the earlier loop of
+    ``is_topological_h``, with the earlier sign rule.
+    """
+    rank = graph.boundary_order()
+    if marking.rank != 2 * graph.genus():
+        raise MarkingError("marking rank %d, expected 2g = %d"
+                           % (marking.rank, 2 * graph.genus()))
+    if len(form.matrix) != marking.rank:
+        raise MarkingError("form size does not match the marking rank")
+    edges = graph.oriented_edges()
+    value = {h: marking.value(h) for h in edges}
+    for i, a in enumerate(edges):
+        for b in edges[i + 1:]:
+            if a.edge == b.edge:
+                continue
+            want = sort_and_rotate_sign(rank[a], rank[b],
+                                        rank[a.rev], rank[b.rev])
+            if form.pairing(value[a], value[b]) != want:
+                return False
+    return True
 
 
 class TestCanonicalHMarking:
