@@ -7,11 +7,17 @@ integer coefficients in a canonical normal form, so that equality is
 exact coordinatewise comparison.  Plain Python integers are used
 throughout; there is no overflow to worry about.
 
+The wedge products iterate over the support of their arguments, the
+indices at which some factor is nonzero: a minor that uses any other
+row has a zero row, so its determinant vanishes.  Their cost follows
+the number of nonzero coordinates, not the rank.
+
 All values are immutable after construction.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -40,6 +46,13 @@ class KElement:
             raise ValueError("rank must be at least 1")
 
     @classmethod
+    def _of(cls, coords: Tuple[int, ...]) -> "KElement":
+        """Wrap a nonempty tuple of Python ints without copying or checking."""
+        k = cls.__new__(cls)
+        k.coords = coords
+        return k
+
+    @classmethod
     def zero(cls, rank: int) -> "KElement":
         return cls((0,) * rank)
 
@@ -60,7 +73,7 @@ class KElement:
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "KElement":
         """Apply the linear map given by an integer matrix."""
@@ -68,17 +81,22 @@ class KElement:
 
     def __add__(self, other: "KElement") -> "KElement":
         _common_rank(self, other)
-        return KElement(a + b for a, b in zip(self.coords, other.coords))
+        return KElement._of(tuple(map(operator.add, self.coords,
+                                      other.coords)))
 
     def __sub__(self, other: "KElement") -> "KElement":
         _common_rank(self, other)
-        return KElement(a - b for a, b in zip(self.coords, other.coords))
+        return KElement._of(tuple(map(operator.sub, self.coords,
+                                      other.coords)))
 
     def __neg__(self) -> "KElement":
-        return KElement(-a for a in self.coords)
+        return KElement._of(tuple(map(operator.neg, self.coords)))
 
     def __mul__(self, n: int) -> "KElement":
-        return KElement(n * a for a in self.coords)
+        # index() first: a fixed-width integer such as numpy.int64 would
+        # wrap in n * a before the product reached Python ints
+        n = operator.index(n)
+        return KElement._of(tuple([n * a for a in self.coords]))
 
     __rmul__ = __mul__
 
@@ -93,6 +111,12 @@ class KElement:
 
     def __repr__(self) -> str:
         return "KElement(%r)" % (self.coords,)
+
+
+def _add_into(out: Dict[tuple, int], c: int, value: _SparseTensor) -> None:
+    """Add c * value to the coefficient dict ``out`` in place."""
+    for key, x in value.coeffs.items():
+        out[key] = out.get(key, 0) + c * x
 
 
 class _SparseTensor:
@@ -117,8 +141,7 @@ class _SparseTensor:
                             % (type(self).__name__, type(other).__name__))
         _common_rank(self, other)
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + sign * c
+        _add_into(out, sign, other)
         return type(self)(self.rank, out)
 
     def __add__(self, other):
@@ -131,6 +154,7 @@ class _SparseTensor:
         return type(self)(self.rank, {k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, n: int):
+        n = operator.index(n)  # as in KElement.__mul__
         return type(self)(self.rank, {k: n * c for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -179,10 +203,10 @@ class Wedge2(_SparseTensor):
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Wedge2":
         """Apply Lambda^2 of the linear map given by an integer matrix."""
         cols = _matrix_columns(matrix, self.rank)
-        out = Wedge2.zero(len(matrix))
+        out: Dict[tuple, int] = {}
         for (i, j), c in self.coeffs.items():
-            out = out + c * wedge2(cols[i], cols[j])
-        return out
+            _add_into(out, c, wedge2(cols[i], cols[j]))
+        return Wedge2(len(matrix), out)
 
 
 class Wedge3(_SparseTensor):
@@ -199,10 +223,10 @@ class Wedge3(_SparseTensor):
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Wedge3":
         cols = _matrix_columns(matrix, self.rank)
-        out = Wedge3.zero(len(matrix))
+        out: Dict[tuple, int] = {}
         for (i, j, k), c in self.coeffs.items():
-            out = out + c * wedge3(cols[i], cols[j], cols[k])
-        return out
+            _add_into(out, c, wedge3(cols[i], cols[j], cols[k]))
+        return Wedge3(len(matrix), out)
 
 
 class SymWedge(_SparseTensor):
@@ -227,15 +251,12 @@ class SymWedge(_SparseTensor):
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "SymWedge":
         cols = _matrix_columns(matrix, self.rank)
-        out = SymWedge.zero(len(matrix))
+        out: Dict[tuple, int] = {}
         for (p, q), c in self.coeffs.items():
             wp = wedge2(cols[p[0]], cols[p[1]])
             wq = wedge2(cols[q[0]], cols[q[1]])
-            if p == q:
-                out = out + c * _sym_square(wp)
-            else:
-                out = out + c * sym_pair(wp, wq)
-        return out
+            _add_into(out, c, _sym_square(wp) if p == q else sym_pair(wp, wq))
+        return SymWedge(len(matrix), out)
 
 
 def _matrix_columns(matrix: Sequence[Sequence[int]], rank: int):
@@ -250,9 +271,11 @@ def _matrix_columns(matrix: Sequence[Sequence[int]], rank: int):
 def wedge2(x: KElement, y: KElement) -> Wedge2:
     """The wedge product x ^ y, bilinear and antisymmetric."""
     r = _common_rank(x, y)
+    xc, yc = x.coords, y.coords
+    support = [i for i, (a, b) in enumerate(zip(xc, yc)) if a or b]
     coeffs: Dict[Tuple[int, int], int] = {}
-    for i, j in combinations(range(r), 2):
-        c = x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]
+    for i, j in combinations(support, 2):
+        c = xc[i] * yc[j] - xc[j] * yc[i]
         if c:
             coeffs[(i, j)] = c
     return Wedge2(r, coeffs)
@@ -261,12 +284,15 @@ def wedge2(x: KElement, y: KElement) -> Wedge2:
 def wedge3(x: KElement, y: KElement, z: KElement) -> Wedge3:
     """The wedge product x ^ y ^ z, trilinear and alternating."""
     r = _common_rank(x, y, z)
+    xc, yc, zc = x.coords, y.coords, z.coords
+    support = [i for i, (a, b, c) in enumerate(zip(xc, yc, zc))
+               if a or b or c]
     coeffs: Dict[Tuple[int, int, int], int] = {}
-    for i, j, k in combinations(range(r), 3):
+    for i, j, k in combinations(support, 3):
         # 3x3 determinant of the (i, j, k) minor of the column matrix [x y z]
-        xi, xj, xk = x.coords[i], x.coords[j], x.coords[k]
-        yi, yj, yk = y.coords[i], y.coords[j], y.coords[k]
-        zi, zj, zk = z.coords[i], z.coords[j], z.coords[k]
+        xi, xj, xk = xc[i], xc[j], xc[k]
+        yi, yj, yk = yc[i], yc[j], yc[k]
+        zi, zj, zk = zc[i], zc[j], zc[k]
         c = (xi * (yj * zk - yk * zj)
              - yi * (xj * zk - xk * zj)
              + zi * (xj * yk - xk * yj))

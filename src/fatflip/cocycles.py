@@ -16,7 +16,8 @@ mapping class the path represents.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+import operator
+from typing import Dict, Iterator, List, Tuple, Union
 
 from . import intlinalg
 from .abelian import KElement, SymWedge, Wedge3, sym_pair, wedge2, wedge3
@@ -66,12 +67,6 @@ def zero_value(which: str, rank: int) -> CocycleValue:
     return _VALUE_TYPES[which].zero(rank)
 
 
-def transform_value(which: str, matrix: Sequence[Sequence[int]],
-                    value: CocycleValue) -> CocycleValue:
-    """Apply the coefficient action induced by a matrix on K."""
-    return value.transform(matrix)
-
-
 def walk_values(path: FlipPath, marking: Marking,
                 which: str) -> Iterator[Tuple[CocycleValue, Marking]]:
     """Yield each step's cocycle value and the marking after that step."""
@@ -86,12 +81,22 @@ def path_sum(path: FlipPath, marking: Marking,
              which: str) -> Tuple[CocycleValue, Marking]:
     """Sum the chosen cocycle along a path, propagating the marking.
 
-    Returns the total and the marking on the final graph.
+    Returns the total and the marking on the final graph.  The running
+    total is one coordinate list (m) or one coefficient dict (j, s),
+    turned into a value once at the end.
     """
-    total = zero_value(which, marking.rank)
-    for value, marking in walk_values(path, marking, which):
-        total = total + value
-    return total, marking
+    zero = zero_value(which, marking.rank)
+    steps = walk_values(path, marking, which)
+    if isinstance(zero, KElement):
+        coords = list(zero.coords)
+        for value, marking in steps:
+            coords = list(map(operator.add, coords, value.coords))
+        return KElement._of(tuple(coords)), marking
+    coeffs: Dict[tuple, int] = {}
+    for value, marking in steps:
+        for key, c in value.coeffs.items():
+            coeffs[key] = coeffs.get(key, 0) + c
+    return type(zero)(zero.rank, coeffs), marking
 
 
 def step_values(path: FlipPath, marking: Marking,
@@ -176,6 +181,6 @@ def verify_cocycle_condition(path1: FlipPath, path2: FlipPath,
     total1, _ = path_sum(path1, marking, which)
     total2, _ = path_sum(path2, marking, which)
     t1 = induced_k_automorphism(path1, marking)
-    expected = total1 + transform_value(which, t1, total2)
+    expected = total1 + total2.transform(t1)
     if total_comp != expected:
         raise CocycleConditionError(which, total_comp, expected)

@@ -54,6 +54,23 @@ class SmithResult(NamedTuple):
         return [self.s[i][i] for i in range(self.rank)]
 
 
+def _least_entry(m: Matrix, t: int, nrows: int, ncols: int):
+    """Position of the first entry of least absolute value in the block
+    from (t, t) on, in row order, or None if the block is zero.  Only a
+    strictly smaller entry replaces the best so far, so the scan may stop
+    at the first unit."""
+    pivot, best = None, None
+    for i in range(t, nrows):
+        row = m[i]
+        for j in range(t, ncols):
+            x = abs(row[j])
+            if x and (best is None or x < best):
+                if x == 1:
+                    return i, j
+                best, pivot = x, (i, j)
+    return pivot
+
+
 def smith(a: Sequence[Sequence[int]]) -> SmithResult:
     """Smith normal form with unimodular transforms.
 
@@ -100,14 +117,7 @@ def smith(a: Sequence[Sequence[int]]) -> SmithResult:
 
     t = 0
     while t < min(nrows, ncols):
-        # pivot: entry of least absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = m[i][j]
-                if x and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
+        pivot = _least_entry(m, t, nrows, ncols)
         if pivot is None:
             break
         if pivot != (t, t):
@@ -134,18 +144,14 @@ def smith(a: Sequence[Sequence[int]]) -> SmithResult:
         if dirty:
             continue  # remainders became new, smaller pivot candidates
 
-        # divisibility: m[t][t] must divide the rest of the block
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % m[t][t]:
-                    offender = i
-                    break
+        # divisibility: m[t][t] must divide the rest of the block; a unit
+        # divides everything
+        if m[t][t] != 1:
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(x % m[t][t] for x in m[i][t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
+                row_add(t, offender, 1)
+                continue
         t += 1
 
     rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i])
@@ -253,9 +259,12 @@ def symplectic_basis(pairing: Sequence[Sequence[int]]) -> Matrix:
             if pairing[i][j] != -pairing[j][i]:
                 raise LinAlgError("pairing is not skew-symmetric")
 
+    # the nonzero entries (i, j, pairing[i][j]), listed once per call
+    entries = [(i, j, p) for i, row in enumerate(pairing)
+               for j, p in enumerate(row) if p]
+
     def pair(x, y):
-        return sum(x[i] * pairing[i][j] * y[j]
-                   for i in range(n) for j in range(n) if pairing[i][j])
+        return sum(x[i] * p * y[j] for i, j, p in entries)
 
     remaining = [list(col) for col in identity(n)]
     columns: List[List[int]] = []

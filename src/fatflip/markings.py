@@ -10,6 +10,7 @@ markings that come from the surface's homology.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import intlinalg
@@ -155,14 +156,23 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
             % (res.rank, res.invariants, marking.rank))
 
 
+def _signed_coords(marking: Marking, h: OrientedEdge) -> Iterable[int]:
+    """The coordinates of mu(h), read from the stored ``+`` value."""
+    try:
+        coords = marking.values[h.edge].coords
+    except KeyError:
+        raise MarkingDomainError("no value on %s" % (h,)) from None
+    return coords if h.sign > 0 else map(operator.neg, coords)
+
+
 def _check_local_coherence(marking: Marking, ctx: FlipContext) -> None:
     e = ctx.edge
-    if not (marking.value(e) + marking.value(ctx.a)
-            + marking.value(ctx.b)).is_zero():
-        raise CoherenceError("marking incoherent at the head of %s" % (e,))
-    if not (marking.value(e.rev) + marking.value(ctx.c)
-            + marking.value(ctx.d)).is_zero():
-        raise CoherenceError("marking incoherent at the head of %s" % (e.rev,))
+    for head, h1, h2 in ((e, ctx.a, ctx.b), (e.rev, ctx.c, ctx.d)):
+        inward = zip(_signed_coords(marking, head),
+                     _signed_coords(marking, h1), _signed_coords(marking, h2))
+        if any(x + y + z for x, y, z in inward):
+            raise CoherenceError("marking incoherent at the head of %s"
+                                 % (head,))
 
 
 def propagate(marking: Marking, ctx: FlipContext) -> Marking:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import intlinalg
 from .abelian import KElement
-from .cocycles import induced_k_automorphism, path_sum, transform_value
+from .cocycles import induced_k_automorphism, path_sum
 from .fatgraph import FatGraphError, canonical_iso
 from .flips import (adjacent_flippable_pairs, commuting_loop,
                     disjoint_flippable_pairs, flip, flippable_edges,
@@ -117,7 +117,7 @@ def _section_equivariance(rng: random.Random, trials: int, log) -> None:
         for which in "mjs":
             total, _ = path_sum(path, m, which)
             total_t, _ = path_sum(path, m_t, which)
-            _check(total_t == transform_value(which, t_mat, total),
+            _check(total_t == total.transform(t_mat),
                    "cocycle %s is not equivariant" % which)
     log("ok equivariance (%d random transforms)" % trials)
 

@@ -1,8 +1,12 @@
+import random
+from itertools import combinations
+from typing import Dict, Tuple
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fatflip.abelian import (KElement, RankMismatchError, Wedge2, Wedge3,
-                             sym_pair, wedge2, wedge3)
+                             _common_rank, sym_pair, wedge2, wedge3)
 
 
 def e(i, rank=4):
@@ -137,3 +141,88 @@ class TestTransforms:
         moved = sym_pair(wedge2(apply(t, x), apply(t, y)),
                          wedge2(apply(t, z), apply(t, w)))
         assert value.transform(t) == moved
+
+
+def dense_wedge2(x: KElement, y: KElement) -> Wedge2:
+    """The all-pairs wedge2 loop, kept as the oracle for the sparse one."""
+    r = _common_rank(x, y)
+    coeffs: Dict[Tuple[int, int], int] = {}
+    for i, j in combinations(range(r), 2):
+        c = x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]
+        if c:
+            coeffs[(i, j)] = c
+    return Wedge2(r, coeffs)
+
+
+def dense_wedge3(x: KElement, y: KElement, z: KElement) -> Wedge3:
+    """The all-triples wedge3 loop, kept as the oracle for the sparse one."""
+    r = _common_rank(x, y, z)
+    coeffs: Dict[Tuple[int, int, int], int] = {}
+    for i, j, k in combinations(range(r), 3):
+        # 3x3 determinant of the (i, j, k) minor of the column matrix [x y z]
+        xi, xj, xk = x.coords[i], x.coords[j], x.coords[k]
+        yi, yj, yk = y.coords[i], y.coords[j], y.coords[k]
+        zi, zj, zk = z.coords[i], z.coords[j], z.coords[k]
+        c = (xi * (yj * zk - yk * zj)
+             - yi * (xj * zk - xk * zj)
+             + zi * (xj * yk - xk * yj))
+        if c:
+            coeffs[(i, j, k)] = c
+    return Wedge3(r, coeffs)
+
+
+def oracle_cases(rng, rank):
+    """Triples of vectors: zero, disjoint supports, full supports, huge."""
+    def draw(support, big=False):
+        coords = [0] * rank
+        for i in support:
+            c = rng.randint(-3, 3) or 1
+            coords[i] = c * 2 ** 70 + rng.randint(-5, 5) if big else c
+        return KElement(coords)
+
+    everything = range(rank)
+    yield [KElement.zero(rank)] * 3
+    yield [KElement.zero(rank), draw(everything), draw(everything)]
+    shuffled = list(everything)
+    rng.shuffle(shuffled)
+    yield [draw(shuffled[k::3]) for k in range(3)]
+    yield [draw(everything) for _ in range(3)]
+    yield [draw(everything, big=True) for _ in range(3)]
+    yield [draw(rng.sample(shuffled, rng.randint(1, rank)),
+                big=rng.random() < 0.5) for _ in range(3)]
+
+
+class TestSparseWedges:
+    def test_equal_to_dense_loops_with_key_order(self):
+        rng = random.Random(606)
+        cases = 0
+        for rank in range(1, 13):
+            for _ in range(5):
+                for x, y, z in oracle_cases(rng, rank):
+                    for got, want in ((wedge2(x, y), dense_wedge2(x, y)),
+                                      (wedge3(x, y, z),
+                                       dense_wedge3(x, y, z))):
+                        assert got.rank == want.rank == rank
+                        assert (list(got.coeffs.items())
+                                == list(want.coeffs.items()))
+                    cases += 1
+        assert cases == 12 * 5 * 6
+
+
+class TestExactScaling:
+    def test_numpy_integer_scale_does_not_wrap(self):
+        np = pytest.importorskip("numpy")
+        assert (KElement((2 ** 62, 1)) * np.int64(4)
+                == KElement((2 ** 64, 4)))
+        assert (Wedge3(3, {(0, 1, 2): 2 ** 62}) * np.int64(4)
+                == Wedge3(3, {(0, 1, 2): 2 ** 64}))
+
+    def test_arithmetic_results_hold_python_ints(self):
+        np = pytest.importorskip("numpy")
+        x = KElement(np.array([3, -2 ** 40, 0, 7], dtype=np.int64))
+        y = KElement((2 ** 80, 1, -1, 0))
+        results = [x + y, x - y, -x, x * np.int64(3), np.int64(2) * y,
+                   x * 5, 5 * y, x * True, KElement.zero(4) + x]
+        for v in results:
+            assert all(type(c) is int for c in v.coords), v
+        assert (x * np.int64(3)).coords == (9, -3 * 2 ** 40, 0, 21)

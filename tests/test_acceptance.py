@@ -8,7 +8,7 @@ import random
 import time
 
 from fatflip.abelian import KElement, SymWedge, sym_pair, wedge2
-from fatflip.cocycles import path_sum, transform_value
+from fatflip.cocycles import path_sum
 from fatflip.earle import (bp_m_phase_sums, d_differences, earle_f,
                            reference_bp_automorphism)
 from fatflip.flips import (adjacent_flippable_pairs, commuting_loop,
@@ -221,7 +221,7 @@ def test_c8_equivariance():
         for which in "mjs":
             total, _ = path_sum(path, m, which)
             total_t, _ = path_sum(path, m_t, which)
-            assert total_t == transform_value(which, t_mat, total), \
+            assert total_t == total.transform(t_mat), \
                 "cocycle %s not equivariant (trial %d)" % (which, trial)
     report("8 equivariance",
            "%d random GL transforms: sums move by T, wedge^3 T, S^2wedge^2 T"

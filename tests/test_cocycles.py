@@ -1,19 +1,22 @@
+import operator
 import random
+from functools import reduce
 
 import pytest
 
 from fatflip.abelian import KElement, sym_pair, wedge2, wedge3
 from fatflip.cocycles import (cocycle_j, cocycle_m, cocycle_s,
                               compose_closed, induced_k_automorphism,
-                              path_sum, step_values, transform_value,
-                              verify_cocycle_condition)
+                              path_sum, step_values,
+                              verify_cocycle_condition, zero_value)
 from fatflip.fatgraph import oe
 from fatflip.flips import (adjacent_flippable_pairs, apply_path,
                            commuting_loop, disjoint_flippable_pairs, flip,
                            flippable_edges, involution_pair, pentagon_path,
                            concat_paths, reverse_path)
 from fatflip.intlinalg import identity, mat_eq, solve_transform
-from fatflip.markings import Marking, canonical_h_marking
+from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
+                              canonical_h_marking, propagate, propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
                              random_gl, random_graph)
 
@@ -99,6 +102,19 @@ class TestPathSums:
             for value in values[1:]:
                 total = total + value
             assert total == path_sum(path, m, which)[0]
+
+    def test_long_path_sum_equals_fold(self):
+        rng = random.Random(26)
+        g = random_graph(8, rng)
+        m, _ = canonical_h_marking(g)
+        path = random_flip_path(g, 120, rng)
+        end = propagate_path(m, path.steps)
+        for which in "mjs":
+            fold = reduce(operator.add, step_values(path, m, which),
+                          zero_value(which, m.rank))
+            total, out = path_sum(path, m, which)
+            assert total == fold
+            assert out == end
 
     def test_path_plus_reverse_vanishes(self):
         rng = random.Random(24)
@@ -199,8 +215,8 @@ class TestCocycleCondition:
         for which in "mjs":
             total, _ = path_sum(cube, m, which)
             one, _ = path_sum(p, m, which)
-            expected = (one + transform_value(which, t, one)
-                        + transform_value(which, mat_mul(t, t), one))
+            expected = (one + one.transform(t)
+                        + one.transform(mat_mul(t, t)))
             assert total == expected
 
     def test_loop_with_reverse(self, g2):
@@ -229,4 +245,42 @@ class TestEquivariance:
             for which in "mjs":
                 total, _ = path_sum(path, m, which)
                 total_t, _ = path_sum(path, m_t, which)
-                assert total_t == transform_value(which, t, total)
+                assert total_t == total.transform(t)
+
+
+class TestLocalCoherence:
+    """Each step checks coherence at both heads before it reads a value."""
+
+    STEPS = (cocycle_m, cocycle_j, cocycle_s,
+             lambda ctx, marking: propagate(marking, ctx))
+
+    @staticmethod
+    def reference(g1):
+        # coherent on g1; flipping 1+ gives a = 3-, b = 0+, c = 2-, d = 4+
+        values = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
+        _, ctx = flip(g1, 1)
+        return ctx, values
+
+    @pytest.mark.parametrize("bumped, head", [((0,), "1+"), ((4,), "1-"),
+                                              ((0, 4), "1+")])
+    def test_incoherent_head_named(self, g1, bumped, head):
+        ctx, values = self.reference(g1)
+        for x in bumped:
+            values[x] = (values[x][0] + 1, values[x][1])
+        bad = Marking(2, {oe(x, 1): KElement(v) for x, v in values.items()})
+        for step in self.STEPS:
+            with pytest.raises(CoherenceError) as err:
+                step(ctx, bad)
+            assert str(err.value) == "marking incoherent at the head of " + head
+
+    @pytest.mark.parametrize("missing, name", [(1, "1+"), (3, "3-"),
+                                               (4, "4+")])
+    def test_missing_edge_named(self, g1, missing, name):
+        ctx, values = self.reference(g1)
+        del values[missing]
+        partial = Marking(2, {oe(x, 1): KElement(v)
+                              for x, v in values.items()})
+        for step in self.STEPS:
+            with pytest.raises(MarkingDomainError) as err:
+                step(ctx, partial)
+            assert str(err.value) == "no value on " + name
