@@ -11,7 +11,7 @@ markings that come from the surface's homology.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import intlinalg
 from .abelian import KElement
@@ -211,6 +211,52 @@ def _pattern_sign(ra: int, rb: int, rra: int, rrb: int) -> int:
     return 0
 
 
+class _SpanningTree:
+    """The breadth-first spanning tree grown from the tail vertex.
+
+    The ``+`` orientations of the edges off the tree, ``basis``, freely
+    generate the group of oriented edges modulo inversion and
+    coherence: coherence at the vertex a tree edge points into writes
+    that edge in edges off the tree or further out, and there are
+    E - V + 1 of them, the rank of the group.
+    """
+
+    __slots__ = ("graph", "links", "basis")
+
+    def __init__(self, graph: FatGraph):
+        start = graph.vertex_of(graph.tail.rev)
+        seen, links, queue = {start}, [], [start]
+        for vi in queue:  # breadth first: the loop reads what it appends
+            for h in graph.vertices[vi]:
+                other = graph.vertex_of(h.rev)
+                if other not in seen:
+                    seen.add(other)
+                    links.append(h.rev)  # the tree edge, into ``other``
+                    queue.append(other)
+        if len(seen) != graph.num_vertices:
+            raise PairingError("spanning tree from the tail vertex reaches %d "
+                               "of %d vertices" % (len(seen),
+                                                   graph.num_vertices))
+        tree = {h.edge for h in links}
+        self.graph, self.links = graph, links
+        self.basis = [OrientedEdge(x, 1) for x in graph.edge_ids()
+                      if x not in tree]
+
+    def fill(self, rank: int,
+             basis_values: Sequence[Sequence[int]]) -> Dict[int, KElement]:
+        """Extend the values on ``basis`` to every edge by coherence,
+        filling the links from the leaves to the root: the other edges
+        at the vertex a link points into are known by then."""
+        coords = {h.edge: tuple(v) for h, v in zip(self.basis, basis_values)}
+        vertices, vertex_of = self.graph.vertices, self.graph.vertex_of
+        for h in reversed(self.links):
+            others = [(-h.sign * k.sign, coords[k.edge])
+                      for k in vertices[vertex_of(h)] if k != h]
+            coords[h.edge] = tuple(sum(sign * c[i] for sign, c in others)
+                                   for i in range(rank))
+        return {x: KElement._of(c) for x, c in coords.items()}
+
+
 def is_topological_h(graph: FatGraph, marking: Marking,
                      form: SymplecticForm) -> bool:
     """Does the marking respect the intersection numbers of the boundary?
@@ -220,10 +266,8 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     of the boundary ranks of a, b and their reversals.  Needs boundary
     number 1 and a marking of rank 2g.
 
-    Both sides are bilinear in the edge classes, so the check runs on a
-    basis only: the ``+`` orientations of the 2g edges off a spanning
-    tree grown from the tail vertex, which freely generate the group of
-    oriented edges modulo inversion and coherence.  This gives the
+    Both sides are bilinear in the edge classes, so the check runs on
+    the 2g basis edges of :class:`_SpanningTree` only.  This gives the
     all-pairs verdict because
       * P descends to that group with a unimodular form
         (:func:`canonical_h_marking` verifies this on every graph it
@@ -249,19 +293,7 @@ def is_topological_h(graph: FatGraph, marking: Marking,
         if any(map(sum, zip(*(marking.value(h).coords for h in v)))):
             return False
 
-    start = graph.vertex_of(graph.tail.rev)
-    seen, tree, queue = {start}, set(), [start]
-    for vi in queue:  # breadth first: the loop reads what it appends
-        for h in graph.vertices[vi]:
-            other = graph.vertex_of(h.rev)
-            if other not in seen:
-                seen.add(other)
-                tree.add(h.edge)
-                queue.append(other)
-    if len(seen) != graph.num_vertices:
-        raise PairingError("spanning tree from the tail vertex reaches %d "
-                           "of %d vertices" % (len(seen), graph.num_vertices))
-    basis = [OrientedEdge(x, 1) for x in graph.edge_ids() if x not in tree]
+    basis = _SpanningTree(graph).basis
     if len(basis) != marking.rank:
         raise PairingError("%d edges lie off the spanning tree, expected "
                            "2g = %d" % (len(basis), marking.rank))
@@ -276,47 +308,23 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     return True
 
 
-def _edge_class_space(graph: FatGraph):
-    """Quotient of Z^{oriented edges} by inversion and coherence relations."""
-    edges = graph.oriented_edges()
-    index = {h: i for i, h in enumerate(edges)}
-    n = len(edges)
-    relations: List[List[int]] = []
-    for x in graph.edge_ids():
-        col = [0] * n
-        col[index[OrientedEdge(x, 1)]] += 1
-        col[index[OrientedEdge(x, -1)]] += 1
-        relations.append(col)
-    for v in graph.vertices:
-        col = [0] * n
-        for h in v:
-            col[index[h]] += 1
-        relations.append(col)
-    cok = intlinalg.cokernel(intlinalg.transpose(relations))
-    return edges, index, cok
-
-
 def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
     """Construct a homology marking realizing the intersection pairing.
 
-    Builds the group of edge classes modulo inversion and coherence,
-    puts the boundary-pattern pairing on it, extracts an integer
-    symplectic basis and reads off the edge coordinates.  The result
-    passes is_topological_h with the standard form and satisfies all
+    Checks that the boundary-pattern pairing P descends to the edge
+    classes and reads it on the free basis of :class:`_SpanningTree`.
+    With S^T P S = J from ``symplectic_basis``, the basis edges take
+    the columns of S^-1 = J^T S^T P and coherence fills in the tree, so
+    the result passes is_topological_h with the standard form and all
     three marking axioms.  Requires boundary number 1 and genus >= 1.
     """
     rank = graph.boundary_order()
     g = graph.genus()
     if g < 1:
         raise MarkingError("graph has genus 0, no homology marking exists")
-    edges, index, cok = _edge_class_space(graph)
-    if any(d != 1 for d in cok.invariants):
-        raise PairingError("edge class group has torsion %s" % cok.invariants)
-    if cok.free_rank != 2 * g:
-        raise PairingError("edge class group has rank %d, expected %d"
-                           % (cok.free_rank, 2 * g))
 
-    n = len(edges)
+    edges = graph.oriented_edges()
+    index = {h: i for i, h in enumerate(edges)}
     ids = [h.edge for h in edges]
     ranks = [rank[h] for h in edges]
     rev_ranks = [rank[h.rev] for h in edges]
@@ -327,30 +335,26 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
     # descend to the quotient
     for x in graph.edge_ids():
         ip, im = index[OrientedEdge(x, 1)], index[OrientedEdge(x, -1)]
-        for j in range(n):
-            if pattern[ip][j] + pattern[im][j]:
-                raise PairingError("pairing does not vanish on the inversion "
-                                   "relation of edge %d" % x)
+        if any(map(operator.add, pattern[ip], pattern[im])):
+            raise PairingError("pairing does not vanish on the inversion "
+                               "relation of edge %d" % x)
     for vi, v in enumerate(graph.vertices):
-        for j in range(n):
-            if sum(pattern[index[h]][j] for h in v):
-                raise PairingError("pairing does not vanish on the coherence "
-                                   "relation at vertex %d" % vi)
+        if any(map(sum, zip(*(pattern[index[h]] for h in v)))):
+            raise PairingError("pairing does not vanish on the coherence "
+                               "relation at vertex %d" % vi)
 
-    sect_t = intlinalg.transpose(cok.section)  # rows are section vectors
-    pair_m = [[sum(si * pattern[r][c] * tj
-                   for r, si in enumerate(s_row) if si
-                   for c, tj in enumerate(t_row) if tj)
-               for t_row in sect_t] for s_row in sect_t]
+    tree = _SpanningTree(graph)
+    if len(tree.basis) != 2 * g:
+        raise PairingError("edge class group has rank %d, expected %d"
+                           % (len(tree.basis), 2 * g))
+    basis = [index[h] for h in tree.basis]
+    pair_m = [[pattern[i][j] for j in basis] for i in basis]
     try:
-        basis = intlinalg.symplectic_basis(pair_m)
+        s = intlinalg.symplectic_basis(pair_m)
     except intlinalg.LinAlgError as err:
         raise PairingError(str(err)) from err
-    basis_inv = intlinalg.invert_unimodular(basis)
-
-    values = {}
-    for x in graph.edge_ids():
-        i = index[OrientedEdge(x, 1)]
-        cls = [row[i] for row in cok.projection]
-        values[x] = KElement(intlinalg.mat_vec(basis_inv, cls))
-    return Marking._of_edges(2 * g, values), SymplecticForm.standard(g)
+    # the columns of S^-1 = J^T S^T P are the rows of P^T S J
+    values = intlinalg.mat_mul(intlinalg.transpose(pair_m), intlinalg.mat_mul(
+        s, intlinalg.standard_symplectic(g)))
+    return (Marking._of_edges(2 * g, tree.fill(2 * g, values)),
+            SymplecticForm.standard(g))

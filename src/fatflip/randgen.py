@@ -3,9 +3,9 @@
 Graphs are grown from the one-vertex rose of a genus-g surface: attach
 the tail, split high-valence vertices until everything away from the
 tail vertex is trivalent (none of which changes the boundary count or
-the genus), then shuffle with random flips.  Coherent markings come from
-integer linear maps applied to the edge classes, so the axioms hold by
-construction.
+the genus), then shuffle with random flips.  Coherent markings put the
+columns of a random integer matrix on the edges off a spanning tree and
+fill in the tree edges by coherence, so the axioms hold by construction.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import random
 from typing import List, Optional
 
 from . import intlinalg
-from .abelian import KElement
 from .fatgraph import FatGraph, OrientedEdge
 from .flips import FlipPath, flip, flippable_edges
-from .markings import Marking, _edge_class_space
+from .markings import Marking, _SpanningTree
 
 Rng = random.Random
 
@@ -105,18 +104,15 @@ def random_coherent_marking(graph: FatGraph, rank: int, rng: Rng) -> Marking:
     """A surjective marking satisfying Inversion and Coherence.
 
     Values are L([e]) for a random surjection L on the edge classes,
-    built as the top rows of a random GL element (this needs
-    rank <= 2g, the rank of the class group).
+    built as the top rows of a random GL element (this needs rank at
+    most E - V + 1, the rank of the class group; 2g on one boundary).
+    The edges off the spanning tree are a free basis of the classes, so
+    they take the columns of L and coherence fills in the tree.
     """
-    _, index, cok = _edge_class_space(graph)
-    free = cok.free_rank
-    if rank > free:
-        raise ValueError("rank %d exceeds the edge class rank %d"
-                         % (rank, free))
+    tree = _SpanningTree(graph)
+    free = len(tree.basis)
+    if not 1 <= rank <= free:
+        raise ValueError("rank %d is not between 1 and the edge class "
+                         "rank %d" % (rank, free))
     l_map = random_gl(free, rng)[:rank]
-    values = {}
-    for x in graph.edge_ids():
-        i = index[OrientedEdge(x, 1)]
-        cls = [row[i] for row in cok.projection]
-        values[OrientedEdge(x, 1)] = KElement(intlinalg.mat_vec(l_map, cls))
-    return Marking(rank, values)
+    return Marking._of_edges(rank, tree.fill(rank, intlinalg.transpose(l_map)))

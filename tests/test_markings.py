@@ -9,7 +9,8 @@ from fatflip.fatgraph import canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingError, SurjectivityError, SymplecticForm,
-                              _pattern_sign, canonical_h_marking,
+                              _pattern_sign, _SpanningTree,
+                              canonical_h_marking,
                               check_marking, is_topological_h, propagate,
                               propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
@@ -312,3 +313,68 @@ class TestCanonicalHMarking:
         path = random_flip_path(g, 20, rng)
         m_end = propagate_path(m, path.steps)
         assert is_topological_h(path.end, m_end, form)
+
+
+def cokernel_classes(graph):
+    """Edge classes from the Smith cokernel of the edge relations.
+
+    The quotient of Z^{oriented edges} by the inversion relations
+    (h + ~h) and the coherence relations (the inward edges at each
+    vertex); returns the quotient coordinates of each edge's ``+``
+    orientation and the cokernel's invariants.
+    """
+    edges = graph.oriented_edges()
+    index = {h: i for i, h in enumerate(edges)}
+    relations = []
+    for x in graph.edge_ids():
+        col = [0] * len(edges)
+        col[index[oe(x, 1)]] += 1
+        col[index[oe(x, -1)]] += 1
+        relations.append(col)
+    for v in graph.vertices:
+        col = [0] * len(edges)
+        for h in v:
+            col[index[h]] += 1
+        relations.append(col)
+    cok = intlinalg.cokernel(intlinalg.transpose(relations))
+    classes = {x: [row[index[oe(x, 1)]] for row in cok.projection]
+               for x in graph.edge_ids()}
+    return classes, cok.invariants
+
+
+class TestSpanningTree:
+    def graphs(self):
+        rng = random.Random(35)
+        return [random_graph(1 + trial % 8, rng) for trial in range(30)]
+
+    def test_classes_match_cokernel(self, three_boundary):
+        for graph in self.graphs() + [three_boundary]:
+            tree = _SpanningTree(graph)
+            n = len(tree.basis)
+            assert n == graph.num_edges - graph.num_vertices + 1
+            filled = tree.fill(n, intlinalg.identity(n))
+            assert sorted(filled) == graph.edge_ids()
+            ours = [list(filled[x].coords) for x in graph.edge_ids()]
+            theirs, invariants = cokernel_classes(graph)
+            theirs = [theirs[x] for x in graph.edge_ids()]
+            assert all(d == 1 for d in invariants)
+            # a unimodular change of basis carries one set of classes to
+            # the other, in both directions
+            for xs, ys in ((theirs, ours), (ours, theirs)):
+                t = intlinalg.solve_transform(xs, ys)
+                assert t is not None and intlinalg.is_unimodular(t)
+
+    def test_filled_marking_is_coherent(self, three_boundary):
+        rng = random.Random(36)
+        for graph in self.graphs()[:10] + [three_boundary]:
+            tree = _SpanningTree(graph)
+            n = len(tree.basis)
+            values = [[rng.randint(-3, 3) for _ in range(n)]
+                      for _ in tree.basis]
+            filled = tree.fill(n, values)
+            for h, v in zip(tree.basis, values):
+                assert list(filled[h.edge].coords) == v
+            marking = Marking(n, {oe(x, 1): k for x, k in filled.items()})
+            for v in graph.vertices:
+                assert sum((marking.value(h) for h in v),
+                           KElement.zero(n)).is_zero()
