@@ -16,7 +16,6 @@ mapping class the path represents.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, Iterator, List, Tuple, Union
 
 from . import intlinalg
@@ -77,26 +76,39 @@ def walk_values(path: FlipPath, marking: Marking,
         yield value, marking
 
 
+class RunningTotal:
+    """A sum of cocycle values kept in one dict of coordinates (m) or
+    coefficients (j, s), turned into a value once instead of per step."""
+
+    __slots__ = ("_zero", "_terms")
+
+    def __init__(self, which: str, rank: int):
+        self._zero, self._terms = zero_value(which, rank), {}
+
+    def add(self, value: CocycleValue) -> None:
+        terms = self._terms
+        for key, c in (enumerate(value.coords) if isinstance(value, KElement)
+                       else value.coeffs.items()):
+            terms[key] = terms.get(key, 0) + c
+
+    def value(self) -> CocycleValue:
+        zero, terms = self._zero, self._terms
+        if isinstance(zero, KElement):
+            return KElement._of(tuple(terms.get(i, 0)
+                                      for i in range(zero.rank)))
+        return type(zero)(zero.rank, terms)
+
+
 def path_sum(path: FlipPath, marking: Marking,
              which: str) -> Tuple[CocycleValue, Marking]:
     """Sum the chosen cocycle along a path, propagating the marking.
 
-    Returns the total and the marking on the final graph.  The running
-    total is one coordinate list (m) or one coefficient dict (j, s),
-    turned into a value once at the end.
+    Returns the total and the marking on the final graph.
     """
-    zero = zero_value(which, marking.rank)
-    steps = walk_values(path, marking, which)
-    if isinstance(zero, KElement):
-        coords = list(zero.coords)
-        for value, marking in steps:
-            coords = list(map(operator.add, coords, value.coords))
-        return KElement._of(tuple(coords)), marking
-    coeffs: Dict[tuple, int] = {}
-    for value, marking in steps:
-        for key, c in value.coeffs.items():
-            coeffs[key] = coeffs.get(key, 0) + c
-    return type(zero)(zero.rank, coeffs), marking
+    total = RunningTotal(which, marking.rank)
+    for value, marking in walk_values(path, marking, which):
+        total.add(value)
+    return total.value(), marking
 
 
 def step_values(path: FlipPath, marking: Marking,

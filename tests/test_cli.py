@@ -154,6 +154,30 @@ class TestFlipAndPaths:
         # one flip along edge 1: value mu(a) + mu(c) = mu(3-) + mu(2-)
         assert "m total: -1 -1" in out
 
+    def test_path_totals_equal_path_sum(self, capsys, tmp_path):
+        import random
+        from fatflip.cocycles import path_sum
+        from fatflip.flips import apply_path
+        from fatflip.markings import canonical_h_marking
+        from fatflip.randgen import random_flip_path, random_graph
+        rng = random.Random(37)
+        graph = random_graph(3, rng)
+        marking, _ = canonical_h_marking(graph)
+        edges = [ctx.edge.edge for ctx in random_flip_path(graph, 60,
+                                                           rng).steps]
+        p = tmp_path / "g3.fg"
+        p.write_text(format_graph(graph, marking))
+        status, out, _ = run(capsys, "path", str(p), "--flips",
+                             ",".join(map(str, edges)), "--cocycle", "all")
+        assert status == 0
+        graph, marking = parse_graph(p.read_text())
+        path = apply_path(graph, edges)
+        totals = [line for line in out.splitlines() if " total: " in line]
+        assert totals == ["%s total: %s" % (which,
+                                            path_sum(path, marking, which)[0])
+                          for which in "mjs"]
+        assert not all(line.endswith(": 0") for line in totals[1:])
+
     def test_pentagon_asserts_zero(self, capsys, g1_path):
         status, out, _ = run(capsys, "pentagon", g1_path, "--edges", "1,2",
                              "--cocycle", "all")
