@@ -4,8 +4,7 @@ from .abelian import (KElement, RankMismatchError, SymWedge, Wedge2, Wedge3,
                       sym_pair, wedge2, wedge3)
 from .fatgraph import (BoundaryNumberError, DisconnectedGraphError, FatGraph,
                        FatGraphError, HalfEdgeStructureError, OrientedEdge,
-                       UnivalentVertexError, ValenceError, canonical_iso, oe,
-                       validate)
+                       UnivalentVertexError, ValenceError, canonical_iso, oe)
 from .flips import (ClosureError, FlipContext, FlipError, FlipPath,
                     PathStepError, apply_path, commuting_loop,
                     concat_paths, flip, flippable, flippable_edges,

@@ -287,10 +287,6 @@ class FatGraph:
                 % (self.num_vertices, self.num_edges, self.tail))
 
 
-def validate(graph: FatGraph) -> None:
-    graph.validate()
-
-
 def canonical_iso(src: FatGraph, dst: FatGraph) -> Dict[OrientedEdge, OrientedEdge]:
     """The unique tail-preserving isomorphism src -> dst on oriented edges.
 

@@ -22,7 +22,7 @@ n + 2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .fatgraph import FatGraph, FatGraphError, OrientedEdge, canonical_iso
 
@@ -73,18 +73,6 @@ class FlipPath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def correspondence(self) -> Dict[OrientedEdge, OrientedEdge]:
-        """The composed identification of oriented edges, start to end."""
-        out = {h: h for h in self.start.oriented_edges()}
-        for ctx in self.steps:
-            e, e2 = ctx.edge, ctx.new_edge
-            for k, v in out.items():
-                if v == e:
-                    out[k] = e2
-                elif v == e.rev:
-                    out[k] = e2.rev
-        return out
 
     def is_closed(self) -> bool:
         """Is the end graph isomorphic rel tail to the start graph?"""
