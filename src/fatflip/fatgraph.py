@@ -76,6 +76,22 @@ def _edge_key(e: OrientedEdge) -> Tuple[int, int]:
     return (e.edge, 0 if e.sign > 0 else 1)
 
 
+# interned canonical oriented edges, shared by all canonical forms: entry
+# 2x is x+ and entry 2x + 1 is x-, so an entry depends only on its index
+_CANONICAL_EDGES: List[OrientedEdge] = []
+
+
+def _canonical_edges(size: int) -> List[OrientedEdge]:
+    """The interned table with at least ``size`` entries."""
+    global _CANONICAL_EDGES
+    table = _CANONICAL_EDGES
+    if len(table) < size:
+        # a new list, bound in one step, so no caller sees a partial table
+        table = [OrientedEdge(c // 2, -1 if c % 2 else 1) for c in range(size)]
+        _CANONICAL_EDGES = table
+    return table
+
+
 class FatGraph:
     """Immutable fatgraph with tail.
 
@@ -88,7 +104,9 @@ class FatGraph:
     edge occurs at exactly one vertex, both orientations occur, the tail
     exists).  Connectivity and the valence rules are checked separately
     by :meth:`validate`, so that degenerate graphs such as trees can
-    still be built and measured.
+    still be built and measured.  The internal constructor :meth:`_of`
+    skips the structural checks; only :func:`flips.flip` and
+    :meth:`canonicalize` use it, whose results are valid by construction.
     """
 
     __slots__ = ("vertices", "tail", "_at")
@@ -115,6 +133,17 @@ class FatGraph:
         self.vertices = verts
         self.tail = tail
         self._at = at
+
+    @classmethod
+    def _of(cls, vertices: Tuple[Tuple[OrientedEdge, ...], ...],
+            tail: OrientedEdge,
+            at: Dict[OrientedEdge, Tuple[int, int]]) -> "FatGraph":
+        """Wrap tuples and a half-edge index known to be consistent."""
+        graph = object.__new__(cls)
+        graph.vertices = vertices
+        graph.tail = tail
+        graph._at = at
+        return graph
 
     # -- basic counting ------------------------------------------------
 
@@ -189,6 +218,23 @@ class FatGraph:
 
     # -- boundary structure ---------------------------------------------
 
+    def _cycle(self, start: OrientedEdge) -> List[OrientedEdge]:
+        """The boundary cycle through ``start``, beginning there."""
+        at, verts = self._at, self.vertices
+        cycle = [start]
+        vi, pos = at[start]
+        for _ in range(len(at)):
+            v = verts[vi]
+            s = v[(pos + 1) % len(v)]
+            # a plain (edge, sign) pair finds the reversal without building it
+            vi, pos = at[(s[0], -s[1])]
+            h = verts[vi][pos]
+            if h == start:
+                return cycle
+            cycle.append(h)
+        raise CorruptedStructureError(
+            "boundary walk from %s does not close" % (start,))
+
     def boundary_cycles(self) -> Tuple[Tuple[OrientedEdge, ...], ...]:
         """The boundary cycles of the thickened surface.
 
@@ -197,25 +243,13 @@ class FatGraph:
         tail; every other cycle starts at its least oriented edge, and
         the cycles are sorted by their starting edge.
         """
-        succ = {}
-        for v in self.vertices:
-            n = len(v)
-            for pos, h in enumerate(v):
-                succ[h] = v[(pos + 1) % n].rev
-        unseen = set(succ)
-        cycles = []
-        starts = [self.tail] + sorted(unseen, key=_edge_key)
-        for start in starts:
-            if start not in unseen:
-                continue
-            cycle = []
-            h = start
-            while h in unseen:
-                unseen.remove(h)
-                cycle.append(h)
-                h = succ[h]
-            cycles.append(tuple(cycle))
-        return tuple(cycles)
+        cycles = [self._cycle(self.tail)]
+        seen = set(cycles[0])
+        for start in sorted(self._at.keys() - seen, key=_edge_key):
+            if start not in seen:
+                cycles.append(self._cycle(start))
+                seen.update(cycles[-1])
+        return tuple(tuple(c) for c in cycles)
 
     def boundary_number(self) -> int:
         return len(self.boundary_cycles())
@@ -228,16 +262,21 @@ class FatGraph:
                 "Euler characteristic gives 2g = %d" % twice)
         return twice // 2
 
+    def _tail_cycle(self) -> List[OrientedEdge]:
+        """The boundary cycle from the tail, which must be the only one."""
+        cycle = self._cycle(self.tail)
+        if len(cycle) != len(self._at):
+            raise BoundaryNumberError(
+                "boundary order needs boundary number 1, got %d"
+                % self.boundary_number())
+        return cycle
+
     def boundary_order(self) -> Dict[OrientedEdge, int]:
         """Rank of first appearance along the boundary, starting at the tail.
 
         Only defined when there is a single boundary cycle.
         """
-        cycles = self.boundary_cycles()
-        if len(cycles) != 1:
-            raise BoundaryNumberError(
-                "boundary order needs boundary number 1, got %d" % len(cycles))
-        return {h: i for i, h in enumerate(cycles[0])}
+        return {h: i for i, h in enumerate(self._tail_cycle())}
 
     # -- canonical form --------------------------------------------------
 
@@ -250,21 +289,34 @@ class FatGraph:
         equal canonical forms iff some isomorphism preserving the tail
         and all cyclic orders relates them.  Requires boundary number 1.
         """
-        rank = self.boundary_order()
-        relabel: Dict[OrientedEdge, OrientedEdge] = {}
-        for x in self.edge_ids():
-            plus, minus = OrientedEdge(x, 1), OrientedEdge(x, -1)
-            rp, rm = rank[plus], rank[minus]
-            new = min(rp, rm)
-            relabel[plus] = OrientedEdge(new, 1 if rp < rm else -1)
-            relabel[minus] = relabel[plus].rev
-        verts = []
+        cycle = self._tail_cycle()
+        # code 2x (x+) or 2x + 1 (x-) sorts like _edge_key; the first
+        # orientation of an edge met along the boundary becomes x+
+        code: Dict[Tuple[int, int], int] = {}
+        for i, h in enumerate(cycle):
+            if h not in code:
+                code[h] = 2 * i
+                code[(h[0], -h[1])] = 2 * i + 1
+        rows = []
         for v in self.vertices:
-            w = tuple(relabel[h] for h in v)
-            k = min(range(len(w)), key=lambda i: _edge_key(w[i]))
-            verts.append(w[k:] + w[:k])
-        verts.sort(key=lambda w: tuple(_edge_key(h) for h in w))
-        return FatGraph(verts, relabel[self.tail]), relabel
+            w = [code[h] for h in v]
+            k = w.index(min(w))
+            rows.append(w[k:] + w[:k] if k else w)
+        rows.sort()
+        table = _canonical_edges(2 * len(cycle))
+        verts = []
+        at: Dict[OrientedEdge, Tuple[int, int]] = {}
+        for vi, w in enumerate(rows):
+            v = tuple([table[c] for c in w])
+            for pos, h in enumerate(v):
+                at[h] = (vi, pos)
+            verts.append(v)
+        if len(at) != len(cycle):
+            raise CorruptedStructureError(
+                "canonical form has %d half-edges, expected %d"
+                % (len(at), len(cycle)))
+        relabel = {h: table[code[h]] for h in cycle}
+        return FatGraph._of(tuple(verts), table[0], at), relabel
 
     def canonical_key(self):
         """A hashable complete invariant for tail-preserving isomorphism."""

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .fatgraph import FatGraph, FatGraphError, OrientedEdge, canonical_iso
+from .fatgraph import (CorruptedStructureError, FatGraph, FatGraphError,
+                       OrientedEdge, canonical_iso)
 
 EdgeLike = Union[int, OrientedEdge]
 
@@ -103,7 +104,7 @@ def flippable_edges(graph: FatGraph) -> List[int]:
 
 def fresh_edge_id(graph: FatGraph) -> int:
     """The id the next flip of ``graph`` gives its new edge."""
-    return max(graph.edge_ids()) + 1
+    return max(graph._at).edge + 1
 
 
 def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
@@ -128,8 +129,17 @@ def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
     verts = list(graph.vertices)
     verts[v] = (e2, b, c)
     verts[w] = (e2.rev, d, a)
+    # only the six half-edges at v and w move; e and ~e give way to e', ~e'
+    at = dict(graph._at)
+    del at[e], at[e.rev]
+    at[e2], at[b], at[c] = (v, 0), (v, 1), (v, 2)
+    at[e2.rev], at[d], at[a] = (w, 0), (w, 1), (w, 2)
+    if len(at) != len(graph._at):
+        raise CorruptedStructureError(
+            "flip of edge %d left %d half-edges, expected %d"
+            % (e.edge, len(at), len(graph._at)))
     ctx = FlipContext(edge=e, a=a, b=b, c=c, d=d, new_edge=e2)
-    return FatGraph(verts, graph.tail), ctx
+    return FatGraph._of(tuple(verts), graph.tail, at), ctx
 
 
 def apply_path(graph: FatGraph, flips: Iterable[EdgeLike]) -> FlipPath:

@@ -7,7 +7,7 @@ from fatflip.fatgraph import (BoundaryNumberError, DisconnectedGraphError,
                               UnivalentVertexError, ValenceError,
                               canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges
-from fatflip.randgen import random_graph
+from fatflip.randgen import random_flip_path, random_graph
 
 # hand traversal of the g1 fixture (see conftest), starting at the tail
 G1_BOUNDARY = ["0+", "1-", "2+", "4+", "1+", "3+", "2-", "4-", "3-", "0-"]
@@ -30,6 +30,51 @@ def shuffle_graph(graph, rng):
         verts.append(w[cut:] + w[:cut])
     rng.shuffle(verts)
     return FatGraph(verts, fate[graph.tail])
+
+
+def edge_key(h):
+    return (h.edge, 0 if h.sign > 0 else 1)
+
+
+def sorted_canonicalize(graph):
+    """The sort-based canonical form, kept as an oracle for ``canonicalize``.
+
+    Ranks come from a walk over a successor dict built from the vertex
+    tuples; each edge is relabeled by its smaller rank, and the vertex
+    tuples are rotated and sorted by edge key.
+    """
+    succ = {}
+    for v in graph.vertices:
+        for i, h in enumerate(v):
+            succ[h] = v[(i + 1) % len(v)].rev
+    rank, h = {}, graph.tail
+    while h not in rank:
+        rank[h] = len(rank)
+        h = succ[h]
+    assert len(rank) == len(succ)
+    relabel = {}
+    for x in graph.edge_ids():
+        plus, minus = oe(x, 1), oe(x, -1)
+        rp, rm = rank[plus], rank[minus]
+        relabel[plus] = oe(min(rp, rm), 1 if rp < rm else -1)
+        relabel[minus] = relabel[plus].rev
+    verts = []
+    for v in graph.vertices:
+        w = tuple(relabel[h] for h in v)
+        k = min(range(len(w)), key=lambda i: edge_key(w[i]))
+        verts.append(w[k:] + w[:k])
+    verts.sort(key=lambda w: tuple(edge_key(h) for h in w))
+    return FatGraph(verts, relabel[graph.tail]), relabel
+
+
+def path_graphs(path):
+    """Every graph a flip path passes through after its start, in order."""
+    cur, out = path.start, []
+    for ctx in path.steps:
+        cur, _ = flip(cur, ctx.edge)
+        out.append(cur)
+    assert cur == path.end
+    return out
 
 
 class TestStructure:
@@ -247,3 +292,49 @@ class TestCanonicalIso:
                 assert iso[x.rev] == iso[x].rev
                 assert iso[three_boundary.successor(x)] == \
                     h.successor(iso[x])
+
+
+class TestCanonicalOracle:
+    """``canonicalize`` against the sort-based oracle, and the trusted
+    half-edge index against the one the checked constructor builds."""
+
+    @staticmethod
+    def assert_matches_oracle(graph):
+        got, relabel = graph.canonicalize()
+        want, want_relabel = sorted_canonicalize(graph)
+        assert got == want
+        assert relabel == want_relabel
+
+    @staticmethod
+    def assert_index_rebuilds(graph):
+        rebuilt = FatGraph(graph.vertices, graph.tail)
+        assert rebuilt == graph
+        assert rebuilt._at == graph._at
+
+    def test_random_graphs_and_relabelings(self):
+        rng = random.Random(31)
+        for genus in (1, 2, 3, 4):
+            for _ in range(6):
+                g = random_graph(genus, rng)
+                self.assert_matches_oracle(g)
+                for _ in range(3):
+                    self.assert_matches_oracle(shuffle_graph(g, rng))
+
+    def test_along_flip_paths(self):
+        rng = random.Random(32)
+        for genus in (1, 2, 3, 4):
+            path = random_flip_path(random_graph(genus, rng), 50, rng)
+            for g in path_graphs(path):
+                self.assert_matches_oracle(g)
+
+    def test_flip_and_canonical_index_rebuild(self):
+        rng = random.Random(33)
+        for genus in (1, 2, 3, 4):
+            path = random_flip_path(random_graph(genus, rng), 50, rng)
+            for g in path_graphs(path):
+                self.assert_index_rebuilds(g)
+                self.assert_index_rebuilds(g.canonicalize()[0])
+
+    def test_several_boundary_cycles_rejected(self, three_boundary):
+        with pytest.raises(BoundaryNumberError, match="got 3"):
+            three_boundary.canonicalize()

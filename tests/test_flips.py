@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -19,6 +20,15 @@ def correspondence(path):
         rename = {ctx.edge: ctx.new_edge, ctx.edge.rev: ctx.new_edge.rev}
         out = {h: rename.get(k, k) for h, k in out.items()}
     return out
+
+
+def walsh_lehman(genus):
+    """Rooted one-face cubic maps of genus g: 2(6g-3)! / (12^g g! (3g-2)!)
+    (Walsh & Lehman, JCT B 1972)."""
+    num = 2 * factorial(6 * genus - 3)
+    den = 12 ** genus * factorial(genus) * factorial(3 * genus - 2)
+    assert num % den == 0
+    return num // den
 
 
 class TestFlip:
@@ -162,3 +172,23 @@ class TestPaths:
         corr_b = correspondence(back)
         for h in g.oriented_edges():
             assert iso_inv[corr_b[corr_f[h]]].edge == h.edge
+
+
+class TestFlipGraph:
+    @pytest.mark.parametrize("genus, classes, flips",
+                             [(1, 1, 4), (2, 105, 1050)])
+    def test_walsh_lehman_counts(self, genus, classes, flips):
+        # breadth-first search over canonical classes: every non-tail edge
+        # of a trivalent one-boundary graph flips, 6g - 2 per class
+        start, _ = random_graph(genus, random.Random(genus)).canonicalize()
+        seen, queue, made = {start}, [start], 0
+        for g in queue:
+            for e in flippable_edges(g):
+                canon, _ = flip(g, e)[0].canonicalize()
+                made += 1
+                if canon not in seen:
+                    seen.add(canon)
+                    queue.append(canon)
+        want = walsh_lehman(genus)
+        assert (len(seen), made) == (want, want * (6 * genus - 2))
+        assert (len(seen), made) == (classes, flips)
