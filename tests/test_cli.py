@@ -372,7 +372,13 @@ class TestSelfTest:
         status, out, _ = run(capsys, "selftest", "--seed", "7",
                              "--trials", "3")
         assert status == 0
-        assert out.count("ok ") == 5
+        assert out.splitlines() == [
+            "ok structural invariance (30 flips)",
+            "ok relation loops (9 loops, cocycles m j s)",
+            "ok homology markings (3 graphs, 12 flips each)",
+            "ok equivariance (3 random transforms)",
+            "ok word algebra and bounding-pair values (3 words)",
+        ]
 
     def test_deterministic_for_fixed_seed(self, capsys):
         _, first, _ = run(capsys, "selftest", "--seed", "11", "--trials", "2")
