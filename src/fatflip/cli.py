@@ -200,6 +200,8 @@ def _cmd_earle(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1", USAGE_ERROR)
     status = run_selftest(seed=args.seed, trials=args.trials,
                           log=lambda msg: out.write(msg + "\n"))
     if status:

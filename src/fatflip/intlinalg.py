@@ -165,16 +165,6 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return res.rank == len(a) and all(d == 1 for d in res.invariants)
 
 
-def invert_unimodular(a: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of a square matrix with determinant +-1."""
-    res = smith(a)
-    n = len(a)
-    if res.rank != n or any(d != 1 for d in res.invariants):
-        raise LinAlgError("matrix is not unimodular")
-    # u*a*v == 1  =>  a^-1 == v*u
-    return mat_mul(res.v, res.u)
-
-
 class Cokernel(NamedTuple):
     invariants: List[int]   # nontrivial elementary divisors of the relations
     projection: Matrix      # (n - rank) x n, coordinates in the quotient

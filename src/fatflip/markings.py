@@ -11,7 +11,7 @@ markings that come from the surface's homology.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from . import intlinalg
 from .abelian import KElement
@@ -142,12 +142,10 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     if missing:
         raise MarkingDomainError("no value on edge %s"
                                  % ", ".join(map(str, missing)))
-    for vi, v in enumerate(graph.vertices):
-        total = KElement.zero(marking.rank)
-        for h in v:
-            total = total + marking.value(h)
-        if not total.is_zero():
-            raise CoherenceError("vertex %d sums to %s" % (vi, total))
+    for vi, sums in enumerate(_vertex_sums(graph, marking)):
+        if any(sums):
+            raise CoherenceError("vertex %d sums to %s"
+                                 % (vi, KElement._of(sums)))
     rows = [list(marking.values[x].coords) for x in graph.edge_ids()]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
@@ -163,6 +161,13 @@ def _signed_coords(marking: Marking, h: OrientedEdge) -> Iterable[int]:
     except KeyError:
         raise MarkingDomainError("no value on %s" % (h,)) from None
     return coords if h.sign > 0 else map(operator.neg, coords)
+
+
+def _vertex_sums(graph: FatGraph,
+                 marking: Marking) -> Iterator[Tuple[int, ...]]:
+    """The coordinate-wise sums of the inward values at each vertex."""
+    for v in graph.vertices:
+        yield tuple(map(sum, zip(*(_signed_coords(marking, h) for h in v))))
 
 
 def _check_local_coherence(marking: Marking, ctx: FlipContext) -> None:
@@ -288,10 +293,8 @@ def is_topological_h(graph: FatGraph, marking: Marking,
                            % (marking.rank, 2 * graph.genus()))
     if len(form.matrix) != marking.rank:
         raise MarkingError("form size does not match the marking rank")
-    for v in graph.vertices:
-        # coordinate-wise sums of the inward values at v
-        if any(map(sum, zip(*(marking.value(h).coords for h in v)))):
-            return False
+    if any(map(any, _vertex_sums(graph, marking))):
+        return False
 
     basis = _SpanningTree(graph).basis
     if len(basis) != marking.rank:

@@ -5,22 +5,28 @@ structural invariance of flips, vanishing of the three cocycles on the
 relation loops, preservation and topologicality of markings, coefficient
 equivariance, and the word-algebra normal form.  Everything is
 deterministic for a fixed seed.
+
+The per-item identities are public ``check_*`` functions that raise
+:class:`SelfTestFailure`, an ``AssertionError`` (the marking axioms
+raise the ``MarkingError`` of ``check_marking``); the acceptance suite
+calls the same functions from its own seeded drivers.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from . import intlinalg
 from .abelian import KElement
 from .cocycles import induced_k_automorphism, path_sum
-from .fatgraph import FatGraphError, canonical_iso
-from .flips import (adjacent_flippable_pairs, commuting_loop,
+from .fatgraph import FatGraph, FatGraphError, canonical_iso
+from .flips import (FlipPath, adjacent_flippable_pairs, commuting_loop,
                     disjoint_flippable_pairs, flip, flippable_edges,
                     involution_pair, pentagon_path)
-from .markings import (check_marking, is_topological_h, propagate,
-                       propagate_path, canonical_h_marking)
+from .markings import (Marking, SymplecticForm, canonical_h_marking,
+                       check_marking, is_topological_h, propagate,
+                       propagate_path)
 from .randgen import (random_coherent_marking, random_flip_path, random_gl,
                       random_graph)
 from .words import parse_word, reduce_word, word_str
@@ -37,21 +43,88 @@ def _check(cond: bool, message: str) -> None:
         raise SelfTestFailure(message)
 
 
+def check_flip_step(before: FatGraph, after: FatGraph,
+                    marking: Marking) -> None:
+    """A flip keeps V, E, the boundary number and the genus, and the
+    propagated marking passes :func:`check_marking` on ``after``."""
+    _check(after.num_vertices == before.num_vertices, "flip changed V")
+    _check(after.num_edges == before.num_edges, "flip changed E")
+    _check(after.boundary_number() == before.boundary_number(),
+           "flip changed boundary number")
+    _check(after.genus() == before.genus(), "flip changed genus")
+    check_marking(after, marking)
+
+
+def random_relation_loops(graph: FatGraph,
+                          rng: random.Random) -> List[FlipPath]:
+    """One involution pair, then a pentagon and a commuting loop when
+    the graph has an adjacent or a disjoint flippable pair."""
+    loops = [involution_pair(graph, rng.choice(flippable_edges(graph)))]
+    adj = adjacent_flippable_pairs(graph)
+    if adj:
+        loops.append(pentagon_path(graph, *rng.choice(adj)))
+    dis = disjoint_flippable_pairs(graph)
+    if dis:
+        loops.append(commuting_loop(graph, *rng.choice(dis)))
+    return loops
+
+
+def check_relation_loop(loop: FlipPath, marking: Marking) -> None:
+    """The loop closes, the marking comes back under ``canonical_iso``,
+    the m, j and s totals vanish and the induced automorphism is 1."""
+    try:
+        psi = canonical_iso(loop.start, loop.end)
+    except FatGraphError:
+        raise SelfTestFailure("relation loop did not close") from None
+    m_end = propagate_path(marking, loop.steps)
+    _check(all(m_end.value(psi[e]) == marking.value(e)
+               for e in loop.start.oriented_edges()),
+           "marking did not return around a relation loop")
+    for which in "mjs":
+        total, _ = path_sum(loop, marking, which)
+        _check(total.is_zero(),
+               "cocycle %s nonzero on a relation loop" % which)
+    t_mat = induced_k_automorphism(loop, marking)
+    _check(intlinalg.mat_eq(t_mat, intlinalg.identity(marking.rank)),
+           "relation loop induced a nontrivial automorphism")
+
+
+def check_topological_path(path: FlipPath, marking: Marking,
+                           form: SymplecticForm) -> Marking:
+    """The marking passes :func:`check_marking` and the intersection
+    criterion at the start of the path, and the criterion still holds
+    at its end; returns the marking at the end."""
+    check_marking(path.start, marking)
+    _check(is_topological_h(path.start, marking, form),
+           "start marking fails the intersection criterion")
+    m_end = propagate_path(marking, path.steps)
+    _check(is_topological_h(path.end, m_end, form),
+           "marking stopped being topological after flips")
+    return m_end
+
+
+def check_equivariance(path: FlipPath, marking: Marking,
+                       t_mat: intlinalg.Matrix) -> None:
+    """Moving the marking by T moves each of the m, j and s path sums
+    by the induced map of T."""
+    m_t = marking.transform(t_mat)
+    for which in "mjs":
+        total, _ = path_sum(path, marking, which)
+        total_t, _ = path_sum(path, m_t, which)
+        _check(total_t == total.transform(t_mat),
+               "cocycle %s is not equivariant" % which)
+
+
 def _section_structural(rng: random.Random, trials: int, log) -> None:
     flips_done = 0
     for t in range(trials):
         genus = rng.randint(1, 3)
         g = random_graph(genus, rng, extra_flips=0)
         m = random_coherent_marking(g, rng.randint(2, 2 * genus), rng)
-        b = g.boundary_number()
         for _ in range(10):
             g2, ctx = flip(g, rng.choice(flippable_edges(g)))
             m = propagate(m, ctx)
-            _check(g2.num_vertices == g.num_vertices, "flip changed V")
-            _check(g2.num_edges == g.num_edges, "flip changed E")
-            _check(g2.boundary_number() == b, "flip changed boundary number")
-            _check(g2.genus() == genus, "flip changed genus")
-            check_marking(g2, m)
+            check_flip_step(g, g2, m)
             g = g2
             flips_done += 1
     log("ok structural invariance (%d flips)" % flips_done)
@@ -63,29 +136,8 @@ def _section_relation_loops(rng: random.Random, trials: int, log) -> None:
         genus = rng.randint(1, 3)
         g = random_graph(genus, rng)
         m = random_coherent_marking(g, rng.randint(2, 2 * genus), rng)
-        batch = [involution_pair(g, rng.choice(flippable_edges(g)))]
-        adj = adjacent_flippable_pairs(g)
-        if adj:
-            batch.append(pentagon_path(g, *rng.choice(adj)))
-        dis = disjoint_flippable_pairs(g)
-        if dis:
-            batch.append(commuting_loop(g, *rng.choice(dis)))
-        for loop in batch:
-            try:
-                psi = canonical_iso(loop.start, loop.end)
-            except FatGraphError:
-                raise SelfTestFailure("relation loop did not close") from None
-            m_end = propagate_path(m, loop.steps)
-            _check(all(m_end.value(psi[e]) == m.value(e)
-                       for e in loop.start.oriented_edges()),
-                   "marking did not return around a relation loop")
-            for which in "mjs":
-                total, _ = path_sum(loop, m, which)
-                _check(total.is_zero(),
-                       "cocycle %s nonzero on a relation loop" % which)
-            t_mat = induced_k_automorphism(loop, m)
-            _check(intlinalg.mat_eq(t_mat, intlinalg.identity(m.rank)),
-                   "relation loop induced a nontrivial automorphism")
+        for loop in random_relation_loops(g, rng):
+            check_relation_loop(loop, m)
             loops += 1
     log("ok relation loops (%d loops, cocycles m j s)" % loops)
 
@@ -95,13 +147,7 @@ def _section_topological(rng: random.Random, trials: int, log) -> None:
         genus = rng.randint(1, 3)
         g = random_graph(genus, rng)
         m, form = canonical_h_marking(g)
-        check_marking(g, m)
-        _check(is_topological_h(g, m, form),
-               "canonical marking fails the intersection criterion")
-        path = random_flip_path(g, 12, rng)
-        m_end = propagate_path(m, path.steps)
-        _check(is_topological_h(path.end, m_end, form),
-               "marking stopped being topological after flips")
+        check_topological_path(random_flip_path(g, 12, rng), m, form)
     log("ok homology markings (%d graphs, 12 flips each)" % trials)
 
 
@@ -112,13 +158,8 @@ def _section_equivariance(rng: random.Random, trials: int, log) -> None:
         r = rng.randint(2, 2 * genus)
         m = random_coherent_marking(g, r, rng)
         t_mat = random_gl(r, rng)
-        path = random_flip_path(g, rng.randint(1, 8), rng)
-        m_t = m.transform(t_mat)
-        for which in "mjs":
-            total, _ = path_sum(path, m, which)
-            total_t, _ = path_sum(path, m_t, which)
-            _check(total_t == total.transform(t_mat),
-                   "cocycle %s is not equivariant" % which)
+        check_equivariance(random_flip_path(g, rng.randint(1, 8), rng), m,
+                           t_mat)
     log("ok equivariance (%d random transforms)" % trials)
 
 

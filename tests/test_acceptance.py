@@ -8,16 +8,17 @@ import random
 import time
 
 from fatflip.abelian import KElement, SymWedge, sym_pair, wedge2
-from fatflip.cocycles import path_sum
 from fatflip.earle import (bp_m_phase_sums, d_differences, earle_f,
                            reference_bp_automorphism)
 from fatflip.flips import (adjacent_flippable_pairs, commuting_loop,
                            disjoint_flippable_pairs, flip, flippable_edges,
                            involution_pair, pentagon_path)
-from fatflip.markings import (check_marking, canonical_h_marking,
-                              is_topological_h, propagate)
+from fatflip.markings import canonical_h_marking, propagate
 from fatflip.randgen import (random_coherent_marking, random_gl, random_graph,
                              random_flip_path)
+from fatflip.selftest import (check_equivariance, check_flip_step,
+                              check_relation_loop, check_topological_path,
+                              random_relation_loops)
 
 
 def report(criterion, detail):
@@ -35,32 +36,22 @@ def test_c1_relation_loop_cocycles_vanish():
         g = random_graph(genus, rng, extra_flips=4)
         rank = rng.randint(2, 2 * genus)
         m = random_coherent_marking(g, rank, rng)
-        exhaustive = trial < 3  # first trial of each genus checks all loops
-        loops = []
-        flippables = flippable_edges(g)
-        adjacent = adjacent_flippable_pairs(g)
-        disjoint = disjoint_flippable_pairs(g)
-        if exhaustive:
-            loops += [involution_pair(g, e) for e in flippables]
-            loops += [pentagon_path(g, *p) for p in adjacent]
-            loops += [commuting_loop(g, *p) for p in disjoint]
+        if trial < 3:  # first trial of each genus checks all loops
+            loops = ([involution_pair(g, e) for e in flippable_edges(g)]
+                     + [pentagon_path(g, *p)
+                        for p in adjacent_flippable_pairs(g)]
+                     + [commuting_loop(g, *p)
+                        for p in disjoint_flippable_pairs(g)])
         else:
-            loops.append(involution_pair(g, rng.choice(flippables)))
-            if adjacent:
-                loops.append(pentagon_path(g, *rng.choice(adjacent)))
-            if disjoint:
-                loops.append(commuting_loop(g, *rng.choice(disjoint)))
+            loops = random_relation_loops(g, rng)
         for loop in loops:
-            assert loop.is_closed()
-            for which in "mjs":
-                total, _ = path_sum(loop, m, which)
-                assert total.is_zero(), \
-                    "nonzero %s on a relation loop (trial %d)" % (which, trial)
+            check_relation_loop(loop, m)
             loops_checked += 1
     elapsed = time.time() - t0
     assert elapsed < 10.0, "criterion 1 exceeded 10 s (%.1f s)" % elapsed
     report("1 cocycle-vanishing",
-           "%d trials, %d loops, all m/j/s sums exactly 0, %.1f s"
+           "%d trials, %d loops, all m/j/s sums exactly 0, markings "
+           "return, T = 1, %.1f s"
            % (trials, loops_checked, elapsed))
 
 
@@ -127,7 +118,7 @@ def test_c5_lemma_consistency():
 
 
 def test_c6_structural_invariance():
-    """Ten thousand flips never change genus or boundary; coherence holds."""
+    """Ten thousand flips keep V, E, genus, boundary and the marking axioms."""
     rng = random.Random(606)
     t0 = time.time()
     flips_done = 0
@@ -137,25 +128,17 @@ def test_c6_structural_invariance():
         g = random_graph(genus, rng, extra_flips=0)
         rank = rng.randint(2, 2 * genus)
         m = random_coherent_marking(g, rank, rng)
-        zero = KElement.zero(rank)
         for _ in range(40):
-            g, ctx = flip(g, rng.choice(flippable_edges(g)))
+            g2, ctx = flip(g, rng.choice(flippable_edges(g)))
             m = propagate(m, ctx)
-            assert g.genus() == genus
-            assert g.boundary_number() == 1
-            total_ok = True
-            for v in g.vertices:
-                s = zero
-                for h in v:
-                    s = s + m.value(h)
-                total_ok = total_ok and s.is_zero()
-            assert total_ok, "coherence broken after a flip"
+            check_flip_step(g, g2, m)
+            g = g2
             flips_done += 1
     elapsed = time.time() - t0
     assert elapsed < 30.0, "criterion 6 exceeded 30 s (%.1f s)" % elapsed
     report("6 structural-invariance",
-           "%d flips, genus/boundary constant, coherent throughout, %.1f s"
-           % (flips_done, elapsed))
+           "%d flips, V/E/genus/boundary constant, marking axioms hold "
+           "throughout, %.1f s" % (flips_done, elapsed))
 
 
 def brute_force_intersection_check(graph, marking, form):
@@ -193,14 +176,10 @@ def test_c7_topological_markings():
         genus = 1 + trial % 3
         g = random_graph(genus, rng, extra_flips=3)
         m, form = canonical_h_marking(g)
-        check_marking(g, m)
-        assert is_topological_h(g, m, form)
+        path = random_flip_path(g, 100, rng)
+        m_end = check_topological_path(path, m, form)
         assert brute_force_intersection_check(g, m, form)
-        for _ in range(100):
-            g, ctx = flip(g, rng.choice(flippable_edges(g)))
-            m = propagate(m, ctx)
-        assert is_topological_h(g, m, form)
-        assert brute_force_intersection_check(g, m, form)
+        assert brute_force_intersection_check(path.end, m_end, form)
     report("7 topological-markings",
            "%d graphs of genus 1..3, oracle agreement, still topological "
            "after 100 flips each" % graphs)
@@ -216,13 +195,8 @@ def test_c8_equivariance():
         rank = rng.randint(2, 2 * genus)
         m = random_coherent_marking(g, rank, rng)
         t_mat = random_gl(rank, rng)
-        path = random_flip_path(g, rng.randint(1, 7), rng)
-        m_t = m.transform(t_mat)
-        for which in "mjs":
-            total, _ = path_sum(path, m, which)
-            total_t, _ = path_sum(path, m_t, which)
-            assert total_t == total.transform(t_mat), \
-                "cocycle %s not equivariant (trial %d)" % (which, trial)
+        check_equivariance(random_flip_path(g, rng.randint(1, 7), rng), m,
+                           t_mat)
     report("8 equivariance",
            "%d random GL transforms: sums move by T, wedge^3 T, S^2wedge^2 T"
            % trials)

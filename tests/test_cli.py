@@ -7,8 +7,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fatflip import selftest
 from fatflip.cli import main
 from fatflip.graphio import format_graph, parse_graph
+from fatflip.selftest import SelfTestFailure
 
 G1_FILE = """\
 fatgraph v1
@@ -379,6 +381,23 @@ class TestSelfTest:
             "ok equivariance (3 random transforms)",
             "ok word algebra and bounding-pair values (3 words)",
         ]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        status, out, err = run(capsys, "selftest", "--trials", trials)
+        assert status == 2
+        assert out == ""
+        assert err == "fatflip: --trials must be at least 1\n"
+
+    def test_first_failure_stops_the_run(self, monkeypatch):
+        def fail(*args):
+            raise SelfTestFailure("injected")
+
+        monkeypatch.setattr(selftest, "check_relation_loop", fail)
+        lines = []
+        assert selftest.run_selftest(7, 3, log=lines.append) == 1
+        assert lines == ["ok structural invariance (30 flips)",
+                         "FAIL relation-loops: injected"]
 
     def test_deterministic_for_fixed_seed(self, capsys):
         _, first, _ = run(capsys, "selftest", "--seed", "11", "--trials", "2")

@@ -10,15 +10,15 @@ from fatflip.cocycles import (cocycle_j, cocycle_m, cocycle_s,
                               path_sum, step_values,
                               verify_cocycle_condition, zero_value)
 from fatflip.fatgraph import oe
-from fatflip.flips import (adjacent_flippable_pairs, apply_path,
-                           commuting_loop, disjoint_flippable_pairs, flip,
+from fatflip.flips import (adjacent_flippable_pairs, apply_path, flip,
                            flippable_edges, involution_pair, pentagon_path,
                            concat_paths, reverse_path)
 from fatflip.intlinalg import identity, mat_eq, solve_transform
 from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
                               canonical_h_marking, propagate, propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
-                             random_gl, random_graph)
+                             random_graph)
+from fatflip.selftest import SelfTestFailure, check_relation_loop
 
 
 def marked_flip(g1, edge=1, rank=4):
@@ -72,23 +72,12 @@ class TestPathSums:
             assert total.is_zero()
             assert out == m
 
-    def test_relation_loops_vanish(self):
-        rng = random.Random(23)
-        for _ in range(15):
-            genus = rng.randint(1, 3)
-            g = random_graph(genus, rng)
-            m = random_coherent_marking(g, rng.randint(2, 2 * genus), rng)
-            loops = [involution_pair(g, rng.choice(flippable_edges(g)))]
-            adj = adjacent_flippable_pairs(g)
-            if adj:
-                loops.append(pentagon_path(g, *rng.choice(adj)))
-            dis = disjoint_flippable_pairs(g)
-            if dis:
-                loops.append(commuting_loop(g, *rng.choice(dis)))
-            for loop in loops:
-                for which in "mjs":
-                    total, _ = path_sum(loop, m, which)
-                    assert total.is_zero()
+    def test_open_path_fails_the_relation_loop_check(self, g2):
+        m, _ = canonical_h_marking(g2)
+        path = apply_path(g2, [flippable_edges(g2)[0]])
+        with pytest.raises(SelfTestFailure) as err:
+            check_relation_loop(path, m)
+        assert str(err.value) == "relation loop did not close"
 
     def test_step_values_sum_to_path_sum(self):
         rng = random.Random(25)
@@ -229,23 +218,6 @@ class TestCocycleCondition:
         for which in "mjs":
             verify_cocycle_condition(loop, p2, m, which)
             verify_cocycle_condition(p2, loop, m, which)
-
-
-class TestEquivariance:
-    def test_transforms_by_functor(self):
-        rng = random.Random(50)
-        for _ in range(12):
-            genus = rng.randint(1, 3)
-            g = random_graph(genus, rng)
-            r = rng.randint(2, 2 * genus)
-            m = random_coherent_marking(g, r, rng)
-            t = random_gl(r, rng)
-            path = random_flip_path(g, rng.randint(1, 6), rng)
-            m_t = m.transform(t)
-            for which in "mjs":
-                total, _ = path_sum(path, m, which)
-                total_t, _ = path_sum(path, m_t, which)
-                assert total_t == total.transform(t)
 
 
 class TestLocalCoherence:
