@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from fatflip import selftest
 from fatflip.cli import main
 from fatflip.graphio import format_graph, parse_graph
-from fatflip.selftest import SelfTestFailure
 
 G1_FILE = """\
 fatgraph v1
@@ -391,7 +390,7 @@ class TestSelfTest:
 
     def test_first_failure_stops_the_run(self, monkeypatch):
         def fail(*args):
-            raise SelfTestFailure("injected")
+            raise selftest.SelfTestFailure("injected")
 
         monkeypatch.setattr(selftest, "check_relation_loop", fail)
         lines = []
