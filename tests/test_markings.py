@@ -39,8 +39,10 @@ class TestAxioms:
 
     def test_all_zero_fails_surjectivity(self, g1):
         zero = Marking(2, {oe(x, 1): k(0, 0) for x in g1.edge_ids()})
-        with pytest.raises(SurjectivityError):
+        with pytest.raises(SurjectivityError) as exc:
             check_marking(g1, zero)
+        assert str(exc.value) == ("values span a subgroup of rank 0 with "
+                                  "invariants [] in Z^2")
 
     def test_inversion_enforced_at_construction(self):
         with pytest.raises(InversionError):
@@ -60,8 +62,19 @@ class TestAxioms:
 
     def test_proper_subgroup_fails(self, g1):
         doubled = reference_marking(g1).transform([[2, 0], [0, 1]])
-        with pytest.raises(SurjectivityError):
+        with pytest.raises(SurjectivityError) as exc:
             check_marking(g1, doubled)
+        assert str(exc.value) == ("values span a subgroup of rank 2 with "
+                                  "invariants [1, 2] in Z^2")
+
+    def test_genus2_index_three_subgroup_fails(self, g2):
+        marking, _ = canonical_h_marking(g2)
+        moved = marking.transform([[3, 0, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(SurjectivityError) as exc:
+            check_marking(g2, moved)
+        assert str(exc.value) == ("values span a subgroup of rank 4 with "
+                                  "invariants [1, 1, 1, 3] in Z^4")
 
 
 class TestRepresentation:
