@@ -24,9 +24,9 @@ from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (FlipPath, adjacent_flippable_pairs, commuting_loop,
                     disjoint_flippable_pairs, flip, flippable_edges,
                     involution_pair, pentagon_path)
-from .markings import (Marking, SymplecticForm, canonical_h_marking,
-                       check_marking, is_topological_h, propagate,
-                       propagate_path)
+from .markings import (Marking, MarkingError, SymplecticForm,
+                       canonical_h_marking, check_marking, is_topological_h,
+                       propagate, propagate_path)
 from .randgen import (random_coherent_marking, random_flip_path, random_gl,
                       random_graph)
 from .words import parse_word, reduce_word, word_str
@@ -190,13 +190,15 @@ SECTIONS = (
 
 def run_selftest(seed: int = 0, trials: int = 25,
                  log: Optional[Callable[[str], None]] = None) -> int:
-    """Run all sections; returns 0 on success, 1 on the first failure."""
+    """Run all sections; returns 0 on success, 1 on the first failure,
+    a failed check or a marking that breaks an axiom, after logging
+    ``FAIL <section>: <message>``."""
     log = log or print
     rng = random.Random(seed)
     for name, section in SECTIONS:
         try:
             section(rng, trials, log)
-        except SelfTestFailure as err:
+        except (SelfTestFailure, MarkingError) as err:
             log("FAIL %s: %s" % (name, err))
             return 1
     return 0

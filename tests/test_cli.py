@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fatflip import selftest
 from fatflip.cli import main
 from fatflip.graphio import format_graph, parse_graph
+from fatflip.markings import Marking
 
 G1_FILE = """\
 fatgraph v1
@@ -397,6 +398,22 @@ class TestSelfTest:
         assert selftest.run_selftest(7, 3, log=lines.append) == 1
         assert lines == ["ok structural invariance (30 flips)",
                          "FAIL relation-loops: injected"]
+
+    def test_broken_marking_logs_a_failure(self, monkeypatch):
+        make = selftest.random_coherent_marking
+
+        def doubled(graph, rank, rng):
+            # double the value on the last edge with a nonzero value
+            marking = make(graph, rank, rng)
+            values = dict(marking.values)
+            x = max(x for x, v in values.items() if not v.is_zero())
+            values[x] = values[x] + values[x]
+            return Marking._of_edges(marking.rank, values)
+
+        monkeypatch.setattr(selftest, "random_coherent_marking", doubled)
+        lines = []
+        assert selftest.run_selftest(7, 3, log=lines.append) == 1
+        assert lines[-1].startswith("FAIL structural: vertex")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         _, first, _ = run(capsys, "selftest", "--seed", "11", "--trials", "2")
