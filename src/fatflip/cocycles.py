@@ -23,7 +23,7 @@ from .abelian import KElement, SymWedge, Wedge3, sym_pair, wedge2, wedge3
 from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (ClosureError, FlipContext, FlipPath, concat_paths,
                     replay_path)
-from .markings import (Marking, _check_local_coherence, propagate,
+from .markings import (Marking, _check_local_coherence, _propagate,
                        propagate_path)
 
 COCYCLES = ("m", "j", "s")
@@ -68,11 +68,16 @@ def zero_value(which: str, rank: int) -> CocycleValue:
 
 def walk_values(path: FlipPath, marking: Marking,
                 which: str) -> Iterator[Tuple[CocycleValue, Marking]]:
-    """Yield each step's cocycle value and the marking after that step."""
+    """Yield each step's cocycle value and the marking after that step.
+
+    The cocycle function checks local coherence at the flip, which is
+    the check :func:`propagate` would repeat, so the step propagates
+    unchecked.
+    """
     func = _COCYCLE_FUNCS[which]
     for ctx in path.steps:
         value = func(ctx, marking)
-        marking = propagate(marking, ctx)
+        marking = _propagate(marking, ctx)
         yield value, marking
 
 

@@ -7,6 +7,8 @@ are lists of lists of Python ints; nothing here ever leaves Z.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import add, mul
 from typing import List, NamedTuple, Optional, Sequence
 
 Matrix = List[List[int]]
@@ -29,12 +31,22 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """The product a * b, adding a[i][k] * (row k of b) only where
+    a[i][k] is nonzero.  As in a dense sum over ``zip``, entries of a
+    row of a past len(b) are ignored, and the product is as wide as the
+    narrowest row of b."""
+    width = min(map(len, b), default=0)
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in compress(zip(row, b), row):
+            acc = list(map(add, acc, map(mul, repeat(x), b_row)))
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
@@ -249,18 +261,18 @@ def symplectic_basis(pairing: Sequence[Sequence[int]]) -> Matrix:
             if pairing[i][j] != -pairing[j][i]:
                 raise LinAlgError("pairing is not skew-symmetric")
 
-    # the nonzero entries (i, j, pairing[i][j]), listed once per call
-    entries = [(i, j, p) for i, row in enumerate(pairing)
-               for j, p in enumerate(row) if p]
+    def dot(x, y):
+        return sum(map(mul, x, y))
 
-    def pair(x, y):
-        return sum(x[i] * p * y[j] for i, j, p in entries)
+    def add_multiple(w, q, x):  # w + q * x
+        return list(map(add, w, map(mul, repeat(q), x)))
 
     remaining = [list(col) for col in identity(n)]
     columns: List[List[int]] = []
     while remaining:
         u = remaining.pop(0)
-        vals = [pair(u, w) for w in remaining]
+        up = mat_mul([u], pairing)[0]  # u^T * pairing, so pair(u, w) = up.w
+        vals = [dot(up, w) for w in remaining]
         if all(x == 0 for x in vals):
             raise LinAlgError("degenerate pairing: isotropic leftover vector")
         # integer column ops on `remaining` until a single pairing value +-1
@@ -278,17 +290,22 @@ def symplectic_basis(pairing: Sequence[Sequence[int]]) -> Matrix:
                     continue
                 q = vals[k] // vals[k_small]
                 vals[k] -= q * vals[k_small]
-                remaining[k] = [x - q * y for x, y in
-                                zip(remaining[k], remaining[k_small])]
+                remaining[k] = add_multiple(remaining[k], -q,
+                                            remaining[k_small])
         k = nz[0]
         v = remaining.pop(k)
         if vals[k] == -1:
             v = [-x for x in v]
-        # make the rest orthogonal to the hyperbolic pair (u, v)
+        vp = mat_mul([v], pairing)[0]
+        # make the rest orthogonal to the hyperbolic pair (u, v):
+        # w - pair(u, w) * v + pair(v, w) * u
         for idx, w in enumerate(remaining):
-            pu, pv = pair(u, w), pair(v, w)
-            remaining[idx] = [wx - pu * vx + pv * ux
-                              for wx, vx, ux in zip(w, v, u)]
+            pu, pv = dot(up, w), dot(vp, w)
+            if pu:
+                w = add_multiple(w, -pu, v)
+            if pv:
+                w = add_multiple(w, pv, u)
+            remaining[idx] = w
         columns.append(u)
         columns.append(v)
 

@@ -11,7 +11,8 @@ markings that come from the surface's homology.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Sequence,
+                    Tuple)
 
 from . import intlinalg
 from .abelian import KElement
@@ -111,9 +112,10 @@ class SymplecticForm:
         if not intlinalg.is_unimodular(m):
             raise MarkingError("form matrix is not unimodular")
         self.matrix = tuple(tuple(row) for row in m)
-        # the nonzero entries (i, j, m[i][j]), so pairing skips the zeros
-        self._entries = tuple((i, j, x) for i, row in enumerate(m)
-                              for j, x in enumerate(row) if x)
+        # the nonzero entries m[i][j] as the parallel tuples of their i,
+        # j and values, so pairing skips the zeros
+        self._entries = tuple(zip(*((i, j, x) for i, row in enumerate(m)
+                                    for j, x in enumerate(row) if x)))
 
     @classmethod
     def standard(cls, g: int) -> "SymplecticForm":
@@ -126,8 +128,11 @@ class SymplecticForm:
     def pairing(self, x: KElement, y: KElement) -> int:
         if x.rank != len(self.matrix) or y.rank != len(self.matrix):
             raise MarkingError("vector rank does not match the form")
-        xc, yc = x.coords, y.coords
-        return sum(xc[i] * a * yc[j] for i, j, a in self._entries)
+        rows, cols, values = self._entries
+        return sum(map(operator.mul,
+                       map(operator.mul, map(x.coords.__getitem__, rows),
+                           values),
+                       map(y.coords.__getitem__, cols)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix
@@ -146,7 +151,12 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
         if any(sums):
             raise CoherenceError("vertex %d sums to %s"
                                  % (vi, KElement._of(sums)))
-    rows = [list(marking.values[x].coords) for x in graph.edge_ids()]
+    # by coherence each forest edge's value is an integer combination of
+    # the values off the forest (fill the links in from the leaves), so
+    # those span the same subgroup, with the same Smith invariants
+    tree = {h.edge for links in _spanning_forest(graph) for h in links}
+    rows = [list(marking.values[x].coords) for x in graph.edge_ids()
+            if x not in tree]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
         raise SurjectivityError(
@@ -172,10 +182,11 @@ def _vertex_sums(graph: FatGraph,
 
 def _check_local_coherence(marking: Marking, ctx: FlipContext) -> None:
     e = ctx.edge
+    add = operator.add
     for head, h1, h2 in ((e, ctx.a, ctx.b), (e.rev, ctx.c, ctx.d)):
-        inward = zip(_signed_coords(marking, head),
-                     _signed_coords(marking, h1), _signed_coords(marking, h2))
-        if any(x + y + z for x, y, z in inward):
+        if any(map(add, map(add, _signed_coords(marking, head),
+                            _signed_coords(marking, h1)),
+                   _signed_coords(marking, h2))):
             raise CoherenceError("marking incoherent at the head of %s"
                                  % (head,))
 
@@ -187,6 +198,11 @@ def propagate(marking: Marking, ctx: FlipContext) -> Marking:
     Coherence at the two vertices involved is required and preserved.
     """
     _check_local_coherence(marking, ctx)
+    return _propagate(marking, ctx)
+
+
+def _propagate(marking: Marking, ctx: FlipContext) -> Marking:
+    """:func:`propagate` for a marking already checked at the flip."""
     vals = dict(marking.values)
     del vals[ctx.edge.edge]
     # flip creates the new edge in its + orientation
@@ -200,20 +216,65 @@ def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
     return marking
 
 
-def _pattern_sign(ra: int, rb: int, rra: int, rrb: int) -> int:
-    """Intersection sign from the four boundary ranks of a, b, ~a, ~b.
+def _pattern(n: int, rows: Sequence[Tuple[int, int]],
+             cols: Sequence[Tuple[int, int]]) -> intlinalg.Matrix:
+    """The boundary pattern P(a, b) for a in ``rows`` and b in ``cols``.
 
-    The four distinct ranks are read as a cyclic word in the symbols
-    a, b, A, B (sorted by rank); the sign is +1 on rotations of
-    (a, b, A, B), -1 on rotations of (a, B, A, b) and 0 otherwise.  A
-    cyclic sequence of four distinct numbers is a rotation of its sorted
-    order exactly when it descends once on the way round.
+    Each oriented edge h is given by its boundary ranks (r(h), r(~h)),
+    out of ``n`` ranks in all.  With I_h the open arc that runs upward,
+    cyclically, from r(h) to r(~h),
+
+        P(a, b) = [r(~a) in I_b] - [r(a) in I_b].
+
+    Read as a cyclic word in a, b, A = ~a and B = ~b, sorted by rank,
+    this is +1 on rotations of (a, b, A, B), where I_b holds A but not
+    a, -1 on rotations of (a, B, A, b), where it holds a but not A, and
+    0 when b and B do not separate a from A, or when b is a or A.  So
+    P is skew, P(a, b) = [r(b) in I_a] - [r(~b) in I_a], and each row
+    is read off one 0/1 list of the ranks on I_a.
     """
-    if (ra > rb) + (rb > rra) + (rra > rrb) + (rrb > ra) == 1:
-        return 1
-    if (ra > rrb) + (rrb > rra) + (rra > rb) + (rb > ra) == 1:
-        return -1
-    return 0
+    at = [r for r, _ in cols]
+    rev_at = [r for _, r in cols]
+    out = []
+    for lo, hi in rows:
+        if lo < hi:
+            arc = [0] * (lo + 1) + [1] * (hi - lo - 1) + [0] * (n - hi)
+        else:
+            arc = [1] * hi + [0] * (lo - hi + 1) + [1] * (n - lo - 1)
+        on_arc = arc.__getitem__
+        out.append(list(map(operator.sub, map(on_arc, at),
+                            map(on_arc, rev_at))))
+    return out
+
+
+def _pattern_sign(ra: int, rb: int, rra: int, rrb: int) -> int:
+    """The entry P(a, b) of :func:`_pattern` from the four boundary
+    ranks of a, b, ~a and ~b."""
+    return _pattern(max(ra, rb, rra, rrb) + 1, [(ra, rra)], [(rb, rrb)])[0][0]
+
+
+def _spanning_forest(graph: FatGraph) -> List[List[OrientedEdge]]:
+    """The breadth-first spanning forest, one tree per component, grown
+    from the tail vertex first and then from the first vertex not yet
+    reached.  Each tree is listed by its links: the tree edge pointing
+    into each vertex it reached, in the order reached."""
+    vertices, at = graph.vertices, graph._at
+    seen, forest = set(), []
+    for root in (graph.vertex_of(graph.tail.rev), *range(len(vertices))):
+        if root in seen:
+            continue
+        seen.add(root)
+        links, queue = [], [root]
+        for vi in queue:  # breadth first: the loop reads what it appends
+            for x, sign in vertices[vi]:
+                # a plain (edge, sign) pair finds the reversal unbuilt
+                other = at[(x, -sign)][0]
+                if other not in seen:
+                    seen.add(other)
+                    links.append(OrientedEdge(x, -sign))
+                    queue.append(other)
+        forest.append(links)
+    return forest
 
 
 class _SpanningTree:
@@ -229,18 +290,10 @@ class _SpanningTree:
     __slots__ = ("graph", "links", "basis")
 
     def __init__(self, graph: FatGraph):
-        start = graph.vertex_of(graph.tail.rev)
-        seen, links, queue = {start}, [], [start]
-        for vi in queue:  # breadth first: the loop reads what it appends
-            for h in graph.vertices[vi]:
-                other = graph.vertex_of(h.rev)
-                if other not in seen:
-                    seen.add(other)
-                    links.append(h.rev)  # the tree edge, into ``other``
-                    queue.append(other)
-        if len(seen) != graph.num_vertices:
+        links, *rest = _spanning_forest(graph)
+        if rest:
             raise PairingError("spanning tree from the tail vertex reaches %d "
-                               "of %d vertices" % (len(seen),
+                               "of %d vertices" % (len(links) + 1,
                                                    graph.num_vertices))
         tree = {h.edge for h in links}
         self.graph, self.links = graph, links
@@ -255,10 +308,12 @@ class _SpanningTree:
         coords = {h.edge: tuple(v) for h, v in zip(self.basis, basis_values)}
         vertices, vertex_of = self.graph.vertices, self.graph.vertex_of
         for h in reversed(self.links):
-            others = [(-h.sign * k.sign, coords[k.edge])
-                      for k in vertices[vertex_of(h)] if k != h]
-            coords[h.edge] = tuple(sum(sign * c[i] for sign, c in others)
-                                   for i in range(rank))
+            acc = [0] * rank
+            for k in vertices[vertex_of(h)]:
+                if k != h:  # k's value enters with sign -h.sign * k.sign
+                    acc = list(map(operator.add if k.sign != h.sign
+                                   else operator.sub, acc, coords[k.edge]))
+            coords[h.edge] = tuple(acc)
         return {x: KElement._of(c) for x, c in coords.items()}
 
 
@@ -302,11 +357,11 @@ def is_topological_h(graph: FatGraph, marking: Marking,
                            "2g = %d" % (len(basis), marking.rank))
 
     value = [marking.value(h) for h in basis]
-    for i, a in enumerate(basis):
+    ranks = [(rank[h], rank[h.rev]) for h in basis]
+    want = _pattern(len(rank), ranks, ranks)
+    for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            b = basis[j]
-            want = _pattern_sign(rank[a], rank[b], rank[a.rev], rank[b.rev])
-            if form.pairing(value[i], value[j]) != want:
+            if form.pairing(value[i], value[j]) != want[i][j]:
                 return False
     return True
 
@@ -328,12 +383,8 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
 
     edges = graph.oriented_edges()
     index = {h: i for i, h in enumerate(edges)}
-    ids = [h.edge for h in edges]
-    ranks = [rank[h] for h in edges]
-    rev_ranks = [rank[h.rev] for h in edges]
-    pattern = [[_pattern_sign(ra, rb, rra, rrb) if xa != xb else 0
-                for xb, rb, rrb in zip(ids, ranks, rev_ranks)]
-               for xa, ra, rra in zip(ids, ranks, rev_ranks)]
+    ranks = [(rank[h], rank[h.rev]) for h in edges]
+    pattern = _pattern(len(rank), ranks, ranks)
     # the pairing must kill every relation, otherwise it does not
     # descend to the quotient
     for x in graph.edge_ids():

@@ -11,6 +11,71 @@ def random_matrix(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
+def textbook_mul(a, b):
+    """The dense definition: (a b)[i][j] = sum over k of a[i][k] b[k][j]."""
+    inner, width = len(b), len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(inner))
+             for j in range(width)] for i in range(len(a))]
+
+
+def sparse_matrix(rng, m, n):
+    """Mostly zeros, with one zero row and one zero column when there
+    are rows and columns to spare."""
+    a = [[rng.choice((0, 0, 0, 0, rng.randint(-7, 7))) for _ in range(n)]
+         for _ in range(m)]
+    if m > 1:
+        a[rng.randrange(m)] = [0] * n
+    if n > 1:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def assert_int_matrix(got, want):
+    assert got == want
+    assert all(type(x) is int for row in got for x in row)
+
+
+class TestProducts:
+    SHAPES = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1),
+              (3, 5, 2), (2, 3, 7), (7, 7, 7), (4, 0, 3), (0, 4, 3)]
+
+    @pytest.mark.parametrize("m, k, n", SHAPES)
+    def test_mat_mul_against_textbook(self, m, k, n):
+        rng = random.Random(100 * m + 10 * k + n)
+        for _ in range(20):
+            a = sparse_matrix(rng, m, k)
+            b = sparse_matrix(rng, k, n) if k else []
+            assert_int_matrix(la.mat_mul(a, b), textbook_mul(a, b))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (3, 5),
+                                      (5, 3), (0, 4), (4, 0)])
+    def test_mat_vec_against_textbook(self, m, n):
+        rng = random.Random(10 * m + n)
+        for _ in range(20):
+            a = sparse_matrix(rng, m, n)
+            v = [rng.randint(-5, 5) for _ in range(n)]
+            want = [row[0] for row in textbook_mul(a, [[x] for x in v])] \
+                if n else [0] * m
+            got = la.mat_vec(a, v)
+            assert got == want
+            assert all(type(x) is int for x in got)
+
+    def test_empty_inputs(self):
+        assert la.mat_mul([], []) == []
+        assert la.mat_mul([], [[1, 2]]) == []
+        assert la.mat_mul([[], []], []) == [[], []]
+        assert la.mat_vec([], [1, 2]) == []
+        assert la.mat_vec([[], []], []) == [0, 0]
+
+    def test_zero_rows_and_columns_stay_zero(self):
+        a = [[0, 0, 0], [1, 0, 2]]
+        b = [[0, 3], [0, 4], [0, 5]]
+        assert la.mat_mul(a, b) == [[0, 0], [0, 13]]
+        assert la.mat_vec(a, [7, 8, 9]) == [0, 25]
+
+
 class TestSmith:
     def test_against_sympy(self):
         rng = random.Random(11)

@@ -5,11 +5,11 @@ import pytest
 
 from fatflip import intlinalg
 from fatflip.abelian import KElement
-from fatflip.fatgraph import canonical_iso, oe
+from fatflip.fatgraph import FatGraph, canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingError, SurjectivityError, SymplecticForm,
-                              _pattern_sign, _SpanningTree,
+                              _pattern, _pattern_sign, _SpanningTree,
                               canonical_h_marking,
                               check_marking, is_topological_h, propagate,
                               propagate_path)
@@ -75,6 +75,20 @@ class TestAxioms:
             check_marking(g2, moved)
         assert str(exc.value) == ("values span a subgroup of rank 4 with "
                                   "invariants [1, 1, 1, 3] in Z^4")
+
+    def test_disconnected_graph_uses_every_component(self):
+        # loops 2 and 3 sit on a component away from the tail
+        graph = FatGraph([
+            [oe(0, -1)],
+            [oe(0, 1), oe(1, 1), oe(1, -1)],
+            [oe(2, 1), oe(2, -1), oe(3, 1), oe(3, -1)],
+        ], oe(0, 1))
+        values = {oe(0, 1): k(0, 0), oe(1, 1): k(0, 0), oe(2, 1): k(1, 0)}
+        check_marking(graph, Marking(2, {**values, oe(3, 1): k(0, 1)}))
+        with pytest.raises(SurjectivityError) as exc:
+            check_marking(graph, Marking(2, {**values, oe(3, 1): k(0, 2)}))
+        assert str(exc.value) == ("values span a subgroup of rank 2 with "
+                                  "invariants [1, 2] in Z^2")
 
 
 class TestRepresentation:
@@ -165,6 +179,21 @@ class TestPatternMatcher:
             ra, rb, rra, rrb = rng.sample(range(total), 4)
             assert (_pattern_sign(ra, rb, rra, rrb)
                     == oracle_sign(ra, rb, rra, rrb, total))
+
+    def test_block_against_oracle(self):
+        rng = random.Random(4)
+        for genus in (1, 2, 3, 4):
+            graph = random_graph(genus, rng)
+            rank = graph.boundary_order()
+            edges = graph.oriented_edges()
+            ranks = [(rank[h], rank[h.rev]) for h in edges]
+            block = _pattern(len(rank), ranks, ranks)
+            for a, row in zip(edges, block):
+                assert row == [
+                    0 if a.edge == b.edge else
+                    oracle_sign(rank[a], rank[b], rank[a.rev], rank[b.rev],
+                                len(rank))
+                    for b in edges]
 
     def test_plain_cases(self):
         assert _pattern_sign(0, 1, 2, 3) == 1
