@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from fatflip import intlinalg
+from fatflip import intlinalg, markings
 from fatflip.abelian import KElement
 from fatflip.fatgraph import FatGraph, canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.markings import (CoherenceError, InversionError, Marking,
-                              MarkingError, SurjectivityError, SymplecticForm,
-                              _pattern, _pattern_sign, _SpanningTree,
-                              canonical_h_marking,
+                              MarkingError, PairingError, SurjectivityError,
+                              SymplecticForm, _pattern, _pattern_sign,
+                              _SpanningTree, canonical_h_marking,
                               check_marking, is_topological_h, propagate,
                               propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
@@ -326,6 +326,26 @@ class TestCanonicalHMarking:
     def test_tree_rejected(self, tree):
         with pytest.raises(MarkingError):
             canonical_h_marking(tree)
+
+    @pytest.mark.parametrize("minus, message", [
+        (0, "pairing does not vanish on the inversion relation of edge 0"),
+        (-1, "pairing does not vanish on the coherence relation at vertex 0"),
+    ])
+    def test_descent_checks_name_the_relation(self, g1, monkeypatch, minus,
+                                              message):
+        pattern = markings._pattern
+
+        def bumped(n, rows, cols):
+            # rows 0 and 1 are the tail's 0+ and 0-; vertex 0 holds 0-
+            p = pattern(n, rows, cols)
+            p[0][2] += 1
+            p[1][2] += minus
+            return p
+
+        monkeypatch.setattr(markings, "_pattern", bumped)
+        with pytest.raises(PairingError) as exc:
+            canonical_h_marking(g1)
+        assert str(exc.value) == message
 
     def test_non_symplectic_transform_fails_the_path_check(self):
         rng = random.Random(32)
