@@ -5,7 +5,7 @@ import pytest
 
 from fatflip import intlinalg, markings
 from fatflip.abelian import KElement
-from fatflip.fatgraph import FatGraph, canonical_iso, oe
+from fatflip.fatgraph import BoundaryNumberError, FatGraph, canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingError, PairingError, SurjectivityError,
@@ -226,6 +226,17 @@ class TestTopologicalH:
         with pytest.raises(MarkingError):
             is_topological_h(g1, m, SymplecticForm.standard(1))
 
+    def test_genus_zero_rank_message(self, tree):
+        m = Marking(1, {oe(0, 1): k(0), oe(1, 1): k(0)})
+        with pytest.raises(MarkingError) as err:
+            is_topological_h(tree, m, SymplecticForm.standard(1))
+        assert str(err.value) == "marking rank 1, expected 2g = 0"
+
+    def test_three_boundaries_rejected(self, three_boundary):
+        m = random_coherent_marking(three_boundary, 2, random.Random(0))
+        with pytest.raises(BoundaryNumberError, match="got 3"):
+            is_topological_h(three_boundary, m, SymplecticForm.standard(1))
+
     def test_matches_all_pairs_oracle(self):
         rng = random.Random(33)
         verdicts = {True: 0, False: 0}
@@ -324,8 +335,14 @@ class TestCanonicalHMarking:
         assert m.value(g1.tail).is_zero()
 
     def test_tree_rejected(self, tree):
-        with pytest.raises(MarkingError):
+        with pytest.raises(MarkingError) as err:
             canonical_h_marking(tree)
+        assert str(err.value) == ("graph has genus 0, no homology marking "
+                                  "exists")
+
+    def test_three_boundaries_rejected(self, three_boundary):
+        with pytest.raises(BoundaryNumberError, match="got 3"):
+            canonical_h_marking(three_boundary)
 
     @pytest.mark.parametrize("minus, message", [
         (0, "pairing does not vanish on the inversion relation of edge 0"),
