@@ -77,6 +77,7 @@ class KElement:
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "KElement":
         """Apply the linear map given by an integer matrix."""
+        _check_width(matrix, self.rank)
         return KElement(intlinalg.mat_vec(matrix, self.coords))
 
     def __add__(self, other: "KElement") -> "KElement":
@@ -113,6 +114,14 @@ class KElement:
         return "KElement(%r)" % (self.coords,)
 
 
+def _check_width(matrix: Sequence[Sequence[int]], rank: int) -> None:
+    """A matrix applied to a value of rank ``rank`` has ``rank`` columns."""
+    for i, row in enumerate(matrix):
+        if len(row) != rank:
+            raise RankMismatchError("matrix row %d has %d columns, value has "
+                                    "rank %d" % (i, len(row), rank))
+
+
 def _add_into(out: Dict[tuple, int], c: int, value: _SparseTensor) -> None:
     """Add c * value to the coefficient dict ``out`` in place."""
     for key, x in value.coeffs.items():
@@ -122,8 +131,10 @@ def _add_into(out: Dict[tuple, int], c: int, value: _SparseTensor) -> None:
 class _SparseTensor:
     """Shared machinery for the sparse wedge/symmetric values.
 
-    Subclasses fix the key domain; keys with coefficient 0 are never
-    stored, which makes coefficient dictionaries canonical.
+    Subclasses fix the key domain and give ``_image(key, cols)``, the
+    image of one basis key under the linear map whose columns are
+    ``cols``; keys with coefficient 0 are never stored, which makes
+    coefficient dictionaries canonical.
     """
 
     __slots__ = ("rank", "coeffs")
@@ -132,8 +143,22 @@ class _SparseTensor:
         self.rank = int(rank)
         self.coeffs = {k: int(c) for k, c in coeffs.items() if c != 0}
 
+    @classmethod
+    def zero(cls, rank: int):
+        return cls(rank, {})
+
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def transform(self, matrix: Sequence[Sequence[int]]):
+        """Apply the functor of the linear map given by an integer matrix."""
+        _check_width(matrix, self.rank)
+        cols = [KElement(tuple(row[c] for row in matrix))
+                for c in range(self.rank)]
+        out: Dict[tuple, int] = {}
+        for key, c in self.coeffs.items():
+            _add_into(out, c, self._image(key, cols))
+        return type(self)(len(matrix), out)
 
     def _binop(self, other, sign):
         if type(self) is not type(other):
@@ -180,12 +205,8 @@ class _SparseTensor:
     def __repr__(self) -> str:
         return "%s(%d, %r)" % (type(self).__name__, self.rank, self.coeffs)
 
-    def _key_str(self, key) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-def _wedge_key_str(key: Tuple[int, ...]) -> str:
-    return "^".join("e%d" % (i + 1) for i in key)
+    def _key_str(self, key) -> str:
+        return "^".join("e%d" % (i + 1) for i in key)
 
 
 class Wedge2(_SparseTensor):
@@ -193,20 +214,9 @@ class Wedge2(_SparseTensor):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, rank: int) -> "Wedge2":
-        return cls(rank, {})
-
-    def _key_str(self, key) -> str:
-        return _wedge_key_str(key)
-
-    def transform(self, matrix: Sequence[Sequence[int]]) -> "Wedge2":
-        """Apply Lambda^2 of the linear map given by an integer matrix."""
-        cols = _matrix_columns(matrix, self.rank)
-        out: Dict[tuple, int] = {}
-        for (i, j), c in self.coeffs.items():
-            _add_into(out, c, wedge2(cols[i], cols[j]))
-        return Wedge2(len(matrix), out)
+    def _image(self, key, cols) -> "Wedge2":
+        i, j = key
+        return wedge2(cols[i], cols[j])
 
 
 class Wedge3(_SparseTensor):
@@ -214,19 +224,9 @@ class Wedge3(_SparseTensor):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, rank: int) -> "Wedge3":
-        return cls(rank, {})
-
-    def _key_str(self, key) -> str:
-        return _wedge_key_str(key)
-
-    def transform(self, matrix: Sequence[Sequence[int]]) -> "Wedge3":
-        cols = _matrix_columns(matrix, self.rank)
-        out: Dict[tuple, int] = {}
-        for (i, j, k), c in self.coeffs.items():
-            _add_into(out, c, wedge3(cols[i], cols[j], cols[k]))
-        return Wedge3(len(matrix), out)
+    def _image(self, key, cols) -> "Wedge3":
+        i, j, k = key
+        return wedge3(cols[i], cols[j], cols[k])
 
 
 class SymWedge(_SparseTensor):
@@ -241,31 +241,15 @@ class SymWedge(_SparseTensor):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, rank: int) -> "SymWedge":
-        return cls(rank, {})
-
     def _key_str(self, key) -> str:
+        return "(%s)*(%s)" % tuple(map(super()._key_str, key))
+
+    def _image(self, key, cols) -> "SymWedge":
         p, q = key
-        return "(%s)*(%s)" % (_wedge_key_str(p), _wedge_key_str(q))
-
-    def transform(self, matrix: Sequence[Sequence[int]]) -> "SymWedge":
-        cols = _matrix_columns(matrix, self.rank)
-        out: Dict[tuple, int] = {}
-        for (p, q), c in self.coeffs.items():
-            wp = wedge2(cols[p[0]], cols[p[1]])
-            wq = wedge2(cols[q[0]], cols[q[1]])
-            _add_into(out, c, _sym_square(wp) if p == q else sym_pair(wp, wq))
-        return SymWedge(len(matrix), out)
-
-
-def _matrix_columns(matrix: Sequence[Sequence[int]], rank: int):
-    rows = len(matrix)
-    if any(len(row) != rank for row in matrix):
-        raise RankMismatchError("matrix has %d columns, value has rank %d"
-                                % (len(matrix[0]), rank))
-    return [KElement(tuple(matrix[r][c] for r in range(rows)))
-            for c in range(rank)]
+        wp = wedge2(cols[p[0]], cols[p[1]])
+        if p == q:
+            return _sym_square(wp)
+        return sym_pair(wp, wedge2(cols[q[0]], cols[q[1]]))
 
 
 def wedge2(x: KElement, y: KElement) -> Wedge2:

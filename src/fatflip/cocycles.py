@@ -16,7 +16,7 @@ mapping class the path represents.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from . import intlinalg
 from .abelian import KElement, SymWedge, Wedge3, sym_pair, wedge2, wedge3
@@ -114,11 +114,6 @@ def path_sum(path: FlipPath, marking: Marking,
     for value, marking in walk_values(path, marking, which):
         total.add(value)
     return total.value(), marking
-
-
-def step_values(path: FlipPath, marking: Marking,
-                which: str) -> List[CocycleValue]:
-    return [value for value, _ in walk_values(path, marking, which)]
 
 
 def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix:

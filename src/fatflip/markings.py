@@ -247,12 +247,6 @@ def _pattern(n: int, rows: Sequence[Tuple[int, int]],
     return out
 
 
-def _pattern_sign(ra: int, rb: int, rra: int, rrb: int) -> int:
-    """The entry P(a, b) of :func:`_pattern` from the four boundary
-    ranks of a, b, ~a and ~b."""
-    return _pattern(max(ra, rb, rra, rrb) + 1, [(ra, rra)], [(rb, rrb)])[0][0]
-
-
 def _spanning_forest(graph: FatGraph) -> List[List[OrientedEdge]]:
     """The breadth-first spanning forest, one tree per component, grown
     from the tail vertex first and then from the first vertex not yet
@@ -317,6 +311,19 @@ class _SpanningTree:
         return {x: KElement._of(c) for x, c in coords.items()}
 
 
+def _basis_pairing(graph: FatGraph) -> Tuple[_SpanningTree, intlinalg.Matrix]:
+    """The spanning tree from the tail vertex and the boundary pattern P
+    on its basis edges, from one walk of the boundary cycle.
+
+    Needs boundary number 1.  Then V - E = 2 - 2g - 1 gives
+    E - V + 1 = 2g basis edges, so the block is 2g x 2g.
+    """
+    rank = graph.boundary_order()
+    tree = _SpanningTree(graph)
+    ranks = [(rank[h], rank[h.rev]) for h in tree.basis]
+    return tree, _pattern(len(rank), ranks, ranks)
+
+
 def is_topological_h(graph: FatGraph, marking: Marking,
                      form: SymplecticForm) -> bool:
     """Does the marking respect the intersection numbers of the boundary?
@@ -329,9 +336,10 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     Both sides are bilinear in the edge classes, so the check runs on
     the 2g basis edges of :class:`_SpanningTree` only.  This gives the
     all-pairs verdict because
-      * P descends to that group with a unimodular form
-        (:func:`canonical_h_marking` verifies this on every graph it
-        builds);
+      * P descends to that group (the proof is in
+        :func:`canonical_h_marking`) with a unimodular form, the
+        surface's intersection form, as ``symplectic_basis`` confirms
+        there;
       * for a coherent mu, mu(a) . mu(b) descends as well, and two
         bilinear forms that agree on a basis agree everywhere;
       * an incoherent mu fails the all-pairs check too: if every pair
@@ -342,25 +350,18 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     So an incoherent marking is rejected before any pairing is read,
     and at most g(2g - 1) pairings are computed.
     """
-    rank = graph.boundary_order()
-    if marking.rank != 2 * graph.genus():
+    tree, want = _basis_pairing(graph)
+    if marking.rank != len(tree.basis):
         raise MarkingError("marking rank %d, expected 2g = %d"
-                           % (marking.rank, 2 * graph.genus()))
+                           % (marking.rank, len(tree.basis)))
     if len(form.matrix) != marking.rank:
         raise MarkingError("form size does not match the marking rank")
     if any(map(any, _vertex_sums(graph, marking))):
         return False
 
-    basis = _SpanningTree(graph).basis
-    if len(basis) != marking.rank:
-        raise PairingError("%d edges lie off the spanning tree, expected "
-                           "2g = %d" % (len(basis), marking.rank))
-
-    value = [marking.value(h) for h in basis]
-    ranks = [(rank[h], rank[h.rev]) for h in basis]
-    want = _pattern(len(rank), ranks, ranks)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    value = [marking.value(h) for h in tree.basis]
+    for i in range(len(value)):
+        for j in range(i + 1, len(value)):
             if form.pairing(value[i], value[j]) != want[i][j]:
                 return False
     return True
@@ -369,40 +370,31 @@ def is_topological_h(graph: FatGraph, marking: Marking,
 def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
     """Construct a homology marking realizing the intersection pairing.
 
-    Checks that the boundary-pattern pairing P descends to the edge
-    classes and reads it on the free basis of :class:`_SpanningTree`.
-    With S^T P S = J from ``symplectic_basis``, the basis edges take
-    the columns of S^-1 = J^T S^T P and coherence fills in the tree, so
-    the result passes is_topological_h with the standard form and all
-    three marking axioms.  Requires boundary number 1 and genus >= 1.
+    Reads the boundary-pattern pairing P on the free basis of
+    :class:`_SpanningTree`.  With S^T P S = J from ``symplectic_basis``,
+    the basis edges take the columns of S^-1 = J^T S^T P and coherence
+    fills in the tree, so the result passes is_topological_h with the
+    standard form and all three marking axioms.  Requires boundary
+    number 1 and genus >= 1.
+
+    P descends to the edge classes, so its basis block determines it.
+    P is skew, so the relations need checking in a only:
+      * Inversion: P(~a, b) = -P(a, b) term by term in the arc formula
+        of :func:`_pattern`.
+      * Coherence: let h_1, ..., h_k point into a vertex v, in cyclic
+        order.  The boundary walk goes from h_i to ~h_{i+1}, so
+        r(~h_{i+1}) = r(h_i) + 1 mod the boundary length and, with
+        indices mod k,
+            sum_i P(h_i, b) = sum_i [r(h_i) + 1 in I_b] - [r(h_i) in I_b]
+                            = sum_i [r(h_i) = r(b)] - [r(h_i) + 1 = r(~b)],
+        which is [b points into v] - [the predecessor of ~b points into
+        v].  The walk leaves that predecessor by b, the next half-edge
+        at its head, so it points into the head of b: the sum is 0.
     """
-    rank = graph.boundary_order()
-    g = graph.genus()
+    tree, pair_m = _basis_pairing(graph)
+    g = len(tree.basis) // 2
     if g < 1:
         raise MarkingError("graph has genus 0, no homology marking exists")
-
-    edges = graph.oriented_edges()
-    index = {h: i for i, h in enumerate(edges)}
-    ranks = [(rank[h], rank[h.rev]) for h in edges]
-    pattern = _pattern(len(rank), ranks, ranks)
-    # the pairing must kill every relation, otherwise it does not
-    # descend to the quotient
-    for x in graph.edge_ids():
-        ip, im = index[OrientedEdge(x, 1)], index[OrientedEdge(x, -1)]
-        if any(map(operator.add, pattern[ip], pattern[im])):
-            raise PairingError("pairing does not vanish on the inversion "
-                               "relation of edge %d" % x)
-    for vi, v in enumerate(graph.vertices):
-        if any(map(sum, zip(*(pattern[index[h]] for h in v)))):
-            raise PairingError("pairing does not vanish on the coherence "
-                               "relation at vertex %d" % vi)
-
-    tree = _SpanningTree(graph)
-    if len(tree.basis) != 2 * g:
-        raise PairingError("edge class group has rank %d, expected %d"
-                           % (len(tree.basis), 2 * g))
-    basis = [index[h] for h in tree.basis]
-    pair_m = [[pattern[i][j] for j in basis] for i in basis]
     try:
         s = intlinalg.symplectic_basis(pair_m)
     except intlinalg.LinAlgError as err:

@@ -92,6 +92,10 @@ class TestSymPair:
     def test_zero_absorbs(self):
         assert sym_pair(Wedge2.zero(4), wedge2(e(0), e(1))).is_zero()
 
+    def test_str(self):
+        v = sym_pair(wedge2(e(0), e(1)), wedge2(e(0), e(2)) - wedge2(e(1), e(3)))
+        assert str(v) == "+1*(e1^e2)*(e1^e3) -1*(e1^e2)*(e2^e4)"
+
     def test_symmetric(self):
         u = wedge2(e(0), e(1))
         v = wedge2(e(2), e(3) + e(0))
@@ -109,6 +113,23 @@ class TestSymPair:
 
 
 class TestTransforms:
+    @pytest.mark.parametrize("value", [
+        vec(1, 2, 3),
+        wedge2(e(0, 3), e(1, 3)),
+        wedge3(e(0, 3), e(1, 3), e(2, 3)),
+        sym_pair(wedge2(e(0, 3), e(1, 3)), wedge2(e(1, 3), e(2, 3))),
+    ], ids=["k", "wedge2", "wedge3", "sym"])
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 0]], "matrix row 0 has 2 columns, value has rank 3"),
+        ([[1, 0, 0], [0, 1], [0, 0, 1]],
+         "matrix row 1 has 2 columns, value has rank 3"),
+        ([[1, 0, 0, 0]] * 3, "matrix row 0 has 4 columns, value has rank 3"),
+    ], ids=["narrow", "ragged", "wide"])
+    def test_wrong_width_names_the_row(self, value, matrix, message):
+        with pytest.raises(RankMismatchError) as err:
+            value.transform(matrix)
+        assert str(err.value) == message
+
     def test_k_functorial(self):
         # Lambda^2 of a composition, spot check against composing values
         from fatflip.intlinalg import mat_mul

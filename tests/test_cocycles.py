@@ -7,8 +7,8 @@ import pytest
 from fatflip.abelian import KElement, sym_pair, wedge2, wedge3
 from fatflip.cocycles import (cocycle_j, cocycle_m, cocycle_s,
                               compose_closed, induced_k_automorphism,
-                              path_sum, step_values,
-                              verify_cocycle_condition, zero_value)
+                              path_sum, verify_cocycle_condition, walk_values,
+                              zero_value)
 from fatflip.fatgraph import oe
 from fatflip.flips import (adjacent_flippable_pairs, apply_path, flip,
                            flippable_edges, involution_pair, pentagon_path,
@@ -85,7 +85,7 @@ class TestPathSums:
         m = random_coherent_marking(g, 3, rng)
         path = random_flip_path(g, 6, rng)
         for which in "mjs":
-            values = step_values(path, m, which)
+            values = [value for value, _ in walk_values(path, m, which)]
             assert len(values) == len(path)
             total = values[0]
             for value in values[1:]:
@@ -99,7 +99,8 @@ class TestPathSums:
         path = random_flip_path(g, 120, rng)
         end = propagate_path(m, path.steps)
         for which in "mjs":
-            fold = reduce(operator.add, step_values(path, m, which),
+            fold = reduce(operator.add,
+                          (value for value, _ in walk_values(path, m, which)),
                           zero_value(which, m.rank))
             total, out = path_sum(path, m, which)
             assert total == fold

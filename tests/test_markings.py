@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from fatflip import intlinalg, markings
-from fatflip.abelian import KElement
+from fatflip import intlinalg
+from fatflip.abelian import KElement, RankMismatchError
 from fatflip.fatgraph import BoundaryNumberError, FatGraph, canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.markings import (CoherenceError, InversionError, Marking,
-                              MarkingError, PairingError, SurjectivityError,
-                              SymplecticForm, _pattern, _pattern_sign,
-                              _SpanningTree, canonical_h_marking,
+                              MarkingError, SurjectivityError, SymplecticForm,
+                              _pattern, _SpanningTree, canonical_h_marking,
                               check_marking, is_topological_h, propagate,
                               propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
@@ -112,6 +111,18 @@ class TestRepresentation:
                 for e in graph.oriented_edges():
                     assert marking.value(e.rev) == -marking.value(e)
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 0]], "matrix row 0 has 2 columns, value has rank 3"),
+        ([[1, 0, 0], [0, 1], [0, 0, 1]],
+         "matrix row 1 has 2 columns, value has rank 3"),
+        ([[1, 0, 0, 0]] * 3, "matrix row 0 has 4 columns, value has rank 3"),
+    ])
+    def test_transform_checks_the_width(self, matrix, message):
+        m = Marking(3, {oe(1, 1): k(1, 2, 3), oe(2, 1): k(0, 0, 1)})
+        with pytest.raises(RankMismatchError) as err:
+            m.transform(matrix)
+        assert str(err.value) == message
+
 
 class TestPropagate:
     def test_formula(self, g1):
@@ -159,6 +170,12 @@ def oracle_sign(ra, rb, rra, rrb, total):
     return 0
 
 
+def pattern_sign(ra, rb, rra, rrb):
+    """The entry P(a, b) of the 1 x 1 pattern of the four boundary ranks
+    of a, b, ~a and ~b."""
+    return _pattern(max(ra, rb, rra, rrb) + 1, [(ra, rra)], [(rb, rrb)])[0][0]
+
+
 def sort_and_rotate_sign(ra, rb, rra, rrb):
     """The cyclic word of a, b, A, B sorted by rank, matched by rotation."""
     word = tuple(s for _, s in sorted([(ra, "a"), (rb, "b"),
@@ -177,7 +194,7 @@ class TestPatternMatcher:
         for _ in range(300):
             total = rng.randrange(8, 30, 2)
             ra, rb, rra, rrb = rng.sample(range(total), 4)
-            assert (_pattern_sign(ra, rb, rra, rrb)
+            assert (pattern_sign(ra, rb, rra, rrb)
                     == oracle_sign(ra, rb, rra, rrb, total))
 
     def test_block_against_oracle(self):
@@ -195,15 +212,33 @@ class TestPatternMatcher:
                                 len(rank))
                     for b in edges]
 
+    def test_descends_to_edge_classes(self):
+        # the inversion and coherence relations have zero pattern rows,
+        # the two facts the proof in canonical_h_marking shows
+        rng = random.Random(37)
+        for trial in range(40):
+            graph = random_graph(1 + trial % 8, rng)
+            rank = graph.boundary_order()
+            edges = graph.oriented_edges()
+            ranks = [(rank[h], rank[h.rev]) for h in edges]
+            row = dict(zip(edges, _pattern(len(rank), ranks, ranks)))
+            zero = [0] * len(edges)
+            for x in graph.edge_ids():
+                assert [p + m for p, m in zip(row[oe(x, 1)], row[oe(x, -1)])
+                        ] == zero, "inversion of edge %d" % x
+            for vi, v in enumerate(graph.vertices):
+                assert [sum(col) for col in zip(*(row[h] for h in v))
+                        ] == zero, "coherence at vertex %d" % vi
+
     def test_plain_cases(self):
-        assert _pattern_sign(0, 1, 2, 3) == 1
-        assert _pattern_sign(0, 3, 2, 1) == -1
-        assert _pattern_sign(0, 2, 1, 3) == 0
+        assert pattern_sign(0, 1, 2, 3) == 1
+        assert pattern_sign(0, 3, 2, 1) == -1
+        assert pattern_sign(0, 2, 1, 3) == 0
 
     @pytest.mark.parametrize("ranks", [(0, 1, 2, 3), (2, 5, 7, 13)])
     def test_every_ordering_against_sort_and_rotate(self, ranks):
         perms = list(itertools.permutations(ranks))
-        signs = [_pattern_sign(*perm) for perm in perms]
+        signs = [pattern_sign(*perm) for perm in perms]
         assert signs == [sort_and_rotate_sign(*perm) for perm in perms]
         assert sorted(signs) == [-1] * 4 + [0] * 16 + [1] * 4
 
@@ -343,26 +378,6 @@ class TestCanonicalHMarking:
     def test_three_boundaries_rejected(self, three_boundary):
         with pytest.raises(BoundaryNumberError, match="got 3"):
             canonical_h_marking(three_boundary)
-
-    @pytest.mark.parametrize("minus, message", [
-        (0, "pairing does not vanish on the inversion relation of edge 0"),
-        (-1, "pairing does not vanish on the coherence relation at vertex 0"),
-    ])
-    def test_descent_checks_name_the_relation(self, g1, monkeypatch, minus,
-                                              message):
-        pattern = markings._pattern
-
-        def bumped(n, rows, cols):
-            # rows 0 and 1 are the tail's 0+ and 0-; vertex 0 holds 0-
-            p = pattern(n, rows, cols)
-            p[0][2] += 1
-            p[1][2] += minus
-            return p
-
-        monkeypatch.setattr(markings, "_pattern", bumped)
-        with pytest.raises(PairingError) as exc:
-            canonical_h_marking(g1)
-        assert str(exc.value) == message
 
     def test_non_symplectic_transform_fails_the_path_check(self):
         rng = random.Random(32)
