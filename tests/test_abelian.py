@@ -93,7 +93,8 @@ class TestSymPair:
         assert sym_pair(Wedge2.zero(4), wedge2(e(0), e(1))).is_zero()
 
     def test_str(self):
-        v = sym_pair(wedge2(e(0), e(1)), wedge2(e(0), e(2)) - wedge2(e(1), e(3)))
+        v = sym_pair(wedge2(e(0), e(1)),
+                     wedge2(e(0), e(2)) - wedge2(e(1), e(3)))
         assert str(v) == "+1*(e1^e2)*(e1^e3) -1*(e1^e2)*(e2^e4)"
 
     def test_symmetric(self):

@@ -111,17 +111,11 @@ class TestRepresentation:
                 for e in graph.oriented_edges():
                     assert marking.value(e.rev) == -marking.value(e)
 
-    @pytest.mark.parametrize("matrix, message", [
-        ([[1, 0]], "matrix row 0 has 2 columns, value has rank 3"),
-        ([[1, 0, 0], [0, 1], [0, 0, 1]],
-         "matrix row 1 has 2 columns, value has rank 3"),
-        ([[1, 0, 0, 0]] * 3, "matrix row 0 has 4 columns, value has rank 3"),
-    ])
-    def test_transform_checks_the_width(self, matrix, message):
+    def test_transform_checks_the_width(self):
         m = Marking(3, {oe(1, 1): k(1, 2, 3), oe(2, 1): k(0, 0, 1)})
         with pytest.raises(RankMismatchError) as err:
-            m.transform(matrix)
-        assert str(err.value) == message
+            m.transform([[1, 0, 0], [0, 1], [0, 0, 1]])
+        assert str(err.value) == "matrix row 1 has 2 columns, value has rank 3"
 
 
 class TestPropagate:
