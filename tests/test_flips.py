@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from fatflip.fatgraph import FatGraph, canonical_iso, oe
+from fatflip.fatgraph import FatGraph, OrientedEdge, canonical_iso, oe
 from fatflip.flips import (FlipError, PathStepError, adjacent_flippable_pairs,
                            apply_path, commuting_loop,
                            disjoint_flippable_pairs, flip, flippable,
@@ -44,6 +44,13 @@ class TestFlip:
             flip(loopy, 3)  # a loop edge
         with pytest.raises(FlipError):
             flip(loopy, 1)  # 4-valent endpoint
+
+    def test_rejects_edges_not_in_graph(self, g1):
+        # a negative id and a sign other than +-1 name no half-edge
+        for bad in (-1, oe(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0)):
+            with pytest.raises(FlipError, match="no edge"):
+                flip(g1, bad)
+            assert not flippable(g1, bad)
 
     def test_all_reference_edges_flippable(self, g1):
         assert flippable_edges(g1) == [1, 2, 3, 4]
