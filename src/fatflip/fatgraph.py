@@ -6,18 +6,29 @@ incident edge is the *tail*.  Half-edges at a vertex v are identified
 with the oriented edges pointing towards v, so the whole structure is a
 list of cyclically ordered tuples of oriented edges.
 
+Internally an oriented edge is an int code, 2x for ``x+`` and 2x + 1 for
+``x-``: reversal is ``c ^ 1``, and codes sort like (edge, ``+`` before
+``-``).  A graph stores one tuple of codes per vertex and the tail's
+code.  This is the permutation model of a map (Lando & Zvonkin, *Graphs
+on Surfaces and Their Applications*, 2004): the rows give the rotation
+permutation, ``c ^ 1`` the edge involution.
+
 The thickened surface is never built explicitly; its boundary cycles are
 the orbits of the face traversal rule "continue with the reversal of the
-cyclic successor", chosen so that the surface lies to the left of the
-traverser.  Genus and boundary number come from the Euler characteristic
-of the thickening.
+cyclic successor", c -> succ(c) ^ 1, chosen so that the surface lies to
+the left of the traverser.  Genus and boundary number come from the
+Euler characteristic of the thickening.
 
-Graphs are immutable; every operation returns fresh objects.
+Graphs are immutable; every operation returns fresh objects.  The public
+view, ``FatGraph.vertices`` and ``FatGraph.tail``, is in
+:class:`OrientedEdge` and is decoded from the codes on each read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from itertools import chain
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 
 class FatGraphError(ValueError):
@@ -71,100 +82,194 @@ def oe(edge: int, sign: int = 1) -> OrientedEdge:
     return OrientedEdge(int(edge), sign)
 
 
-def _edge_key(e: OrientedEdge) -> Tuple[int, int]:
-    # '+' before '-' so that sorting is stable and readable
-    return (e.edge, 0 if e.sign > 0 else 1)
-
-
-# interned canonical oriented edges, shared by all canonical forms: entry
-# 2x is x+ and entry 2x + 1 is x-, so an entry depends only on its index
+# interned oriented edges by code, shared by all graphs: entry c is the
+# oriented edge with code c, so an entry depends only on its index
 _CANONICAL_EDGES: List[OrientedEdge] = []
+# codes past this are decoded one read at a time, so that a graph with a
+# huge edge id does not intern a table of that size
+_INTERNED_CODES = 1 << 15
 
 
-def _canonical_edges(size: int) -> List[OrientedEdge]:
-    """The interned table with at least ``size`` entries."""
-    global _CANONICAL_EDGES
+class _DecodedEdges:
+    """The table's stand-in for codes too large to intern."""
+
+    __slots__ = ()
+
+    def __getitem__(self, c: int) -> OrientedEdge:
+        return OrientedEdge(c >> 1, -1 if c & 1 else 1)
+
+
+def _canonical_edges(size: int) -> Sequence[OrientedEdge]:
+    """A table whose entry c is the oriented edge with code c, c < size."""
     table = _CANONICAL_EDGES
     if len(table) < size:
-        # a new list, bound in one step, so no caller sees a partial table
-        table = [OrientedEdge(c // 2, -1 if c % 2 else 1) for c in range(size)]
-        _CANONICAL_EDGES = table
+        if size > _INTERNED_CODES:
+            return _DecodedEdges()
+        # grow geometrically; extend gets the new entries in one step
+        size = min(max(size, 2 * len(table)), _INTERNED_CODES)
+        table.extend([OrientedEdge(c >> 1, -1 if c & 1 else 1)
+                      for c in range(len(table), size)])
     return table
+
+
+def _decode(c: int) -> OrientedEdge:
+    return _canonical_edges(c + 1)[c]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _code(h) -> int:
+    """The code of an oriented edge; -1, which no graph holds, for an
+    edge id that is not an int or a sign other than +-1."""
+    x, s = h
+    if not _is_int(x) or s not in (1, -1):
+        return -1
+    return 2 * x + (s < 0)
+
+
+def _check_half_edge(h) -> int:
+    """The code of a constructor's half-edge, after its id and sign."""
+    x, s = h.edge, h.sign
+    if not _is_int(x) or x < 0:
+        raise HalfEdgeStructureError(
+            "half-edge (%r, %r) has edge id %r, expected an int >= 0"
+            % (x, s, x))
+    if not _is_int(s) or s not in (1, -1):
+        raise HalfEdgeStructureError(
+            "half-edge (%r, %r) has sign %r, expected +1 or -1" % (x, s, s))
+    return 2 * x + (s < 0)
+
+
+def _successors(rows: Iterable[Tuple[int, ...]]) -> Dict[int, int]:
+    """Each code to the next one in the cyclic order of its row."""
+    succ: Dict[int, int] = {}
+    for row in rows:
+        succ.update(zip(row, row[1:] + row[:1]))
+    return succ
 
 
 class FatGraph:
     """Immutable fatgraph with tail.
 
-    ``vertices`` is a sequence of cyclically ordered tuples of inward
+    ``vertices`` is a tuple of cyclically ordered tuples of inward
     pointing oriented edges (one tuple per vertex, considered up to
     rotation); ``tail`` is the oriented tail edge, pointing away from
-    its univalent endpoint.
+    its univalent endpoint.  Both are views, decoded on each read from
+    what the graph stores: ``_rows``, one tuple of codes per vertex in
+    the same cyclic order, and ``_tail``, the tail's code.  ``_fresh``
+    is the next edge id, one more than the largest.
 
-    Construction performs the purely structural checks (each oriented
-    edge occurs at exactly one vertex, both orientations occur, the tail
-    exists).  Connectivity and the valence rules are checked separately
-    by :meth:`validate`, so that degenerate graphs such as trees can
-    still be built and measured.  The internal constructor :meth:`_of`
+    The half-edge index maps each code to the next code in the cyclic
+    order at its head (``_succ``) and to that vertex (``_vert``).  The
+    checked constructor builds it; :func:`flips.flip` copies its
+    parent's and rewrites six entries; a canonical form from
+    :meth:`canonicalize` holds only its rows and builds the index on
+    first use, since a flip-graph search drops most of them unread.
+    The boundary number is counted on first request and kept.
+
+    Construction performs the purely structural checks (edge ids are
+    ints >= 0 and signs are +-1, each oriented edge occurs at exactly
+    one vertex, both orientations occur, the tail exists).
+    Connectivity and the valence rules are checked separately by
+    :meth:`validate`, so that degenerate graphs such as trees can still
+    be built and measured.  The internal constructor :meth:`_from_codes`
     skips the structural checks; only :func:`flips.flip` and
-    :meth:`canonicalize` use it, whose results are valid by construction.
+    :meth:`canonicalize` use it, whose results are valid by
+    construction.
     """
 
-    __slots__ = ("vertices", "tail", "_at")
+    __slots__ = ("_rows", "_tail", "_fresh", "_succ", "_vert",
+                 "_boundaries")
 
     def __init__(self, vertices: Iterable[Iterable[OrientedEdge]],
                  tail: OrientedEdge):
-        verts = tuple(tuple(OrientedEdge(h.edge, h.sign) for h in v)
-                      for v in vertices)
-        at: Dict[OrientedEdge, Tuple[int, int]] = {}
-        for vi, v in enumerate(verts):
-            for pos, h in enumerate(v):
-                if h in at:
+        rows = tuple(tuple([_check_half_edge(h) for h in v])
+                     for v in vertices)
+        vert: Dict[int, int] = {}
+        for vi, row in enumerate(rows):
+            for c in row:
+                if c in vert:
                     raise HalfEdgeStructureError(
                         "half-edge %s occurs at vertices %d and %d"
-                        % (h, at[h][0], vi))
-                at[h] = (vi, pos)
-        for h in at:
-            if h.rev not in at:
+                        % (_decode(c), vert[c], vi))
+                vert[c] = vi
+        for c in vert:
+            if c ^ 1 not in vert:
                 raise HalfEdgeStructureError(
-                    "half-edge %s has no reverse %s" % (h, h.rev))
-        tail = OrientedEdge(tail.edge, tail.sign)
-        if tail not in at:
-            raise HalfEdgeStructureError("tail %s is not a half-edge" % (tail,))
-        self.vertices = verts
-        self.tail = tail
-        self._at = at
+                    "half-edge %s has no reverse %s"
+                    % (_decode(c), _decode(c ^ 1)))
+        t = _code((tail.edge, tail.sign))
+        if t not in vert:
+            raise HalfEdgeStructureError(
+                "tail %s is not a half-edge"
+                % (OrientedEdge(tail.edge, tail.sign),))
+        self._rows = rows
+        self._tail = t
+        self._fresh = max(vert) // 2 + 1
+        self._succ = _successors(rows)
+        self._vert = vert
+        self._boundaries = None
 
     @classmethod
-    def _of(cls, vertices: Tuple[Tuple[OrientedEdge, ...], ...],
-            tail: OrientedEdge,
-            at: Dict[OrientedEdge, Tuple[int, int]]) -> "FatGraph":
-        """Wrap tuples and a half-edge index known to be consistent."""
+    def _from_codes(cls, rows: Tuple[Tuple[int, ...], ...], tail: int,
+                    fresh: int, succ: Optional[Dict[int, int]] = None,
+                    vert: Optional[Dict[int, int]] = None,
+                    boundaries: Optional[int] = None) -> "FatGraph":
+        """Wrap code rows, and optionally their index, known to be
+        consistent; without an index, it is built on first use."""
         graph = object.__new__(cls)
-        graph.vertices = vertices
-        graph.tail = tail
-        graph._at = at
+        graph._rows = rows
+        graph._tail = tail
+        graph._fresh = fresh
+        graph._succ = succ
+        graph._vert = vert
+        graph._boundaries = boundaries
         return graph
+
+    def _index(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The half-edge index (successor, vertex), built on first use."""
+        if self._succ is None:
+            vert: Dict[int, int] = {}
+            for vi, row in enumerate(self._rows):
+                vert.update(dict.fromkeys(row, vi))
+            self._succ, self._vert = _successors(self._rows), vert
+        return self._succ, self._vert
+
+    # -- the oriented-edge view -------------------------------------------
+
+    @property
+    def vertices(self) -> Tuple[Tuple[OrientedEdge, ...], ...]:
+        table = _canonical_edges(2 * self._fresh)
+        return tuple(tuple(map(table.__getitem__, row)) for row in self._rows)
+
+    @property
+    def tail(self) -> OrientedEdge:
+        return _decode(self._tail)
 
     # -- basic counting ------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self._rows)
 
     @property
     def num_edges(self) -> int:
-        return len(self._at) // 2
+        return sum(map(len, self._rows)) // 2
 
     def edge_ids(self) -> List[int]:
-        return sorted({h.edge for h in self._at})
+        return sorted(c >> 1 for row in self._rows for c in row
+                      if not c & 1)
 
     def oriented_edges(self) -> List[OrientedEdge]:
-        return sorted(self._at, key=_edge_key)
+        table = _canonical_edges(2 * self._fresh)
+        return [table[c] for c in sorted(chain.from_iterable(self._rows))]
 
     def vertex_of(self, h: OrientedEdge) -> int:
         """Index of the vertex the oriented edge points to."""
         try:
-            return self._at[h][0]
+            return self._index()[1][_code(h)]
         except KeyError:
             raise HalfEdgeStructureError("no half-edge %s" % (h,)) from None
 
@@ -174,66 +279,72 @@ class FatGraph:
                 self.vertex_of(OrientedEdge(edge, -1)))
 
     def valence(self, vi: int) -> int:
-        return len(self.vertices[vi])
+        return len(self._rows[vi])
 
     def successor(self, h: OrientedEdge) -> OrientedEdge:
         """The next inward half-edge after h in the cyclic order at its head."""
-        vi, pos = self._at[h]
-        v = self.vertices[vi]
-        return v[(pos + 1) % len(v)]
+        return _decode(self._index()[0][_code(h)])
 
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
         """Raise a specific FatGraphError unless all invariants hold."""
-        if not self.vertices:
+        rows = self._rows
+        if not rows:
             raise HalfEdgeStructureError("graph has no vertices")
+        vert = self._index()[1]
         seen = {0}
         queue = [0]
         while queue:
             vi = queue.pop()
-            for h in self.vertices[vi]:
-                other = self.vertex_of(h.rev)
+            for c in rows[vi]:
+                other = vert[c ^ 1]
                 if other not in seen:
                     seen.add(other)
                     queue.append(other)
-        if len(seen) != self.num_vertices:
+        if len(seen) != len(rows):
             raise DisconnectedGraphError(
-                "only %d of %d vertices reachable" % (len(seen),
-                                                      self.num_vertices))
-        univalent = [vi for vi, v in enumerate(self.vertices) if len(v) == 1]
+                "only %d of %d vertices reachable" % (len(seen), len(rows)))
+        univalent = [vi for vi, row in enumerate(rows) if len(row) == 1]
         if len(univalent) != 1:
             raise UnivalentVertexError(
                 "expected exactly one univalent vertex, found %d"
                 % len(univalent))
-        tail_end = self.vertex_of(self.tail.rev)
+        tail_end = vert[self._tail ^ 1]
         if univalent != [tail_end]:
             raise UnivalentVertexError(
                 "tail %s does not point away from the univalent vertex"
                 % (self.tail,))
-        for vi, v in enumerate(self.vertices):
-            if vi != tail_end and len(v) < 3:
+        for vi, row in enumerate(rows):
+            if vi != tail_end and len(row) < 3:
                 raise ValenceError("vertex %d has valence %d < 3"
-                                   % (vi, len(v)))
+                                   % (vi, len(row)))
 
     # -- boundary structure ---------------------------------------------
 
-    def _cycle(self, start: OrientedEdge) -> List[OrientedEdge]:
-        """The boundary cycle through ``start``, beginning there."""
-        at, verts = self._at, self.vertices
+    def _cycle(self, start: int) -> List[int]:
+        """The codes of the boundary cycle through ``start``, from there."""
+        succ = self._index()[0]
         cycle = [start]
-        vi, pos = at[start]
-        for _ in range(len(at)):
-            v = verts[vi]
-            s = v[(pos + 1) % len(v)]
-            # a plain (edge, sign) pair finds the reversal without building it
-            vi, pos = at[(s[0], -s[1])]
-            h = verts[vi][pos]
-            if h == start:
+        c = succ[start] ^ 1
+        for _ in range(len(succ)):
+            if c == start:
                 return cycle
-            cycle.append(h)
+            cycle.append(c)
+            c = succ[c] ^ 1
         raise CorruptedStructureError(
-            "boundary walk from %s does not close" % (start,))
+            "boundary walk from %s does not close" % (_decode(start),))
+
+    def _cycles(self) -> List[List[int]]:
+        """The cycle through the tail first, then the others by their
+        least code."""
+        cycles = [self._cycle(self._tail)]
+        seen = set(cycles[0])
+        for start in sorted(self._index()[0].keys() - seen):
+            if start not in seen:
+                cycles.append(self._cycle(start))
+                seen.update(cycles[-1])
+        return cycles
 
     def boundary_cycles(self) -> Tuple[Tuple[OrientedEdge, ...], ...]:
         """The boundary cycles of the thickened surface.
@@ -243,16 +354,15 @@ class FatGraph:
         tail; every other cycle starts at its least oriented edge, and
         the cycles are sorted by their starting edge.
         """
-        cycles = [self._cycle(self.tail)]
-        seen = set(cycles[0])
-        for start in sorted(self._at.keys() - seen, key=_edge_key):
-            if start not in seen:
-                cycles.append(self._cycle(start))
-                seen.update(cycles[-1])
-        return tuple(tuple(c) for c in cycles)
+        cycles = self._cycles()
+        self._boundaries = len(cycles)
+        table = _canonical_edges(2 * self._fresh)
+        return tuple(tuple([table[c] for c in cycle]) for cycle in cycles)
 
     def boundary_number(self) -> int:
-        return len(self.boundary_cycles())
+        if self._boundaries is None:
+            self._boundaries = len(self._cycles())
+        return self._boundaries
 
     def genus(self) -> int:
         """Genus of the thickened surface, via 2 - 2g - b = V - E."""
@@ -262,10 +372,10 @@ class FatGraph:
                 "Euler characteristic gives 2g = %d" % twice)
         return twice // 2
 
-    def _tail_cycle(self) -> List[OrientedEdge]:
+    def _tail_cycle(self) -> List[int]:
         """The boundary cycle from the tail, which must be the only one."""
-        cycle = self._cycle(self.tail)
-        if len(cycle) != len(self._at):
+        cycle = self._cycle(self._tail)
+        if len(cycle) != len(self._index()[0]):
             raise BoundaryNumberError(
                 "boundary order needs boundary number 1, got %d"
                 % self.boundary_number())
@@ -276,9 +386,34 @@ class FatGraph:
 
         Only defined when there is a single boundary cycle.
         """
-        return {h: i for i, h in enumerate(self._tail_cycle())}
+        table = _canonical_edges(2 * self._fresh)
+        return {table[c]: i for i, c in enumerate(self._tail_cycle())}
 
     # -- canonical form --------------------------------------------------
+
+    def _canonical_codes(self) -> Tuple[List[int], Dict[int, int],
+                                        Tuple[Tuple[int, ...], ...]]:
+        """The tail cycle, its relabeling and the canonical rows."""
+        cycle = self._tail_cycle()
+        # the first orientation of an edge met along the boundary, at
+        # rank i, becomes i+ (code 2i), the other one i- (code 2i + 1)
+        code: Dict[int, int] = {}
+        for i, c in enumerate(cycle):
+            if c not in code:
+                code[c] = 2 * i
+                code[c ^ 1] = 2 * i + 1
+        relabeled = code.__getitem__
+        rows = []
+        for row in self._rows:
+            w = tuple(map(relabeled, row))
+            k = w.index(min(w))
+            rows.append(w[k:] + w[:k] if k else w)
+        rows.sort()
+        if sum(map(len, rows)) != len(cycle):
+            raise CorruptedStructureError(
+                "canonical form has %d half-edges, expected %d"
+                % (sum(map(len, rows)), len(cycle)))
+        return cycle, code, tuple(rows)
 
     def canonicalize(self) -> Tuple["FatGraph", Dict[OrientedEdge, OrientedEdge]]:
         """Relabel by boundary ranks into a canonical representative.
@@ -288,51 +423,31 @@ class FatGraph:
         start at their least half-edge and sorted.  Two graphs have
         equal canonical forms iff some isomorphism preserving the tail
         and all cyclic orders relates them.  Requires boundary number 1.
+        The canonical form holds only its rows; its index is built on
+        first use.
         """
-        cycle = self._tail_cycle()
-        # code 2x (x+) or 2x + 1 (x-) sorts like _edge_key; the first
-        # orientation of an edge met along the boundary becomes x+
-        code: Dict[Tuple[int, int], int] = {}
-        for i, h in enumerate(cycle):
-            if h not in code:
-                code[h] = 2 * i
-                code[(h[0], -h[1])] = 2 * i + 1
-        rows = []
-        for v in self.vertices:
-            w = [code[h] for h in v]
-            k = w.index(min(w))
-            rows.append(w[k:] + w[:k] if k else w)
-        rows.sort()
-        table = _canonical_edges(2 * len(cycle))
-        verts = []
-        at: Dict[OrientedEdge, Tuple[int, int]] = {}
-        for vi, w in enumerate(rows):
-            v = tuple([table[c] for c in w])
-            for pos, h in enumerate(v):
-                at[h] = (vi, pos)
-            verts.append(v)
-        if len(at) != len(cycle):
-            raise CorruptedStructureError(
-                "canonical form has %d half-edges, expected %d"
-                % (len(at), len(cycle)))
-        relabel = {h: table[code[h]] for h in cycle}
-        return FatGraph._of(tuple(verts), table[0], at), relabel
+        cycle, code, rows = self._canonical_codes()
+        fresh = max(code.values()) // 2 + 1
+        old = _canonical_edges(2 * self._fresh)
+        new = _canonical_edges(2 * fresh)
+        relabel = {old[c]: new[code[c]] for c in cycle}
+        return FatGraph._from_codes(rows, 0, fresh, boundaries=1), relabel
 
-    def canonical_key(self):
-        """A hashable complete invariant for tail-preserving isomorphism."""
-        g, _ = self.canonicalize()
-        return (g.vertices, g.tail)
+    def canonical_key(self) -> Tuple[Tuple[int, ...], ...]:
+        """A hashable complete invariant for tail-preserving isomorphism:
+        the code rows of the canonical form, whose tail is always 0+."""
+        return self._canonical_codes()[2]
 
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         """Literal structural equality (same tuples, same order)."""
         return (isinstance(other, FatGraph)
-                and self.vertices == other.vertices
-                and self.tail == other.tail)
+                and self._rows == other._rows
+                and self._tail == other._tail)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.tail))
+        return hash((self._rows, self._tail))
 
     def __repr__(self) -> str:
         return ("FatGraph(%d vertices, %d edges, tail %s)"
@@ -348,18 +463,21 @@ def canonical_iso(src: FatGraph, dst: FatGraph) -> Dict[OrientedEdge, OrientedEd
     the only candidate.  Raises FatGraphError unless that candidate is a
     bijection respecting successor and reversal.
     """
-    iso = {src.tail: dst.tail}
-    todo = [src.tail]
+    src_succ, dst_succ = src._index()[0], dst._index()[0]
+    iso = {src._tail: dst._tail}
+    todo = [src._tail]
     while todo:
         h = todo.pop()
         k = iso[h]
-        for h2, k2 in ((h.rev, k.rev), (src.successor(h), dst.successor(k))):
+        for h2, k2 in ((h ^ 1, k ^ 1), (src_succ[h], dst_succ[k])):
             if h2 not in iso:
                 iso[h2] = k2
                 todo.append(h2)
             elif iso[h2] != k2:
                 raise FatGraphError("graphs are not isomorphic rel tail")
     # the walk must reach all of src (it is connected) and hit all of dst
-    if not len(iso) == len(src._at) == len(dst._at) == len(set(iso.values())):
+    if not len(iso) == len(src_succ) == len(dst_succ) == len(set(iso.values())):
         raise FatGraphError("graphs are not isomorphic rel tail")
-    return iso
+    old = _canonical_edges(2 * src._fresh)
+    new = _canonical_edges(2 * dst._fresh)
+    return {old[h]: new[k] for h, k in iso.items()}

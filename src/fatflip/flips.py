@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .fatgraph import (CorruptedStructureError, FatGraph, FatGraphError,
-                       OrientedEdge, canonical_iso)
+                       OrientedEdge, _canonical_edges, _code, canonical_iso)
 
 EdgeLike = Union[int, OrientedEdge]
 
@@ -91,55 +91,71 @@ def _as_oriented(graph: FatGraph, e: EdgeLike) -> OrientedEdge:
 
 
 def flippable(graph: FatGraph, e: EdgeLike) -> bool:
-    e = _as_oriented(graph, e)
-    if e not in graph._at or e.edge == graph.tail.edge:
+    c = _code(_as_oriented(graph, e))
+    vert = graph._index()[1]
+    if c not in vert or c >> 1 == graph._tail >> 1:
         return False
-    v, w = graph.vertex_of(e), graph.vertex_of(e.rev)
-    return v != w and graph.valence(v) == 3 and graph.valence(w) == 3
+    v, w = vert[c], vert[c ^ 1]
+    return v != w and len(graph._rows[v]) == 3 and len(graph._rows[w]) == 3
 
 
 def flippable_edges(graph: FatGraph) -> List[int]:
-    return [x for x in graph.edge_ids() if flippable(graph, x)]
+    """The flippable edge ids, increasing, from one pass over the index."""
+    tri = [len(row) == 3 for row in graph._rows]
+    vert = graph._index()[1]
+    tail = graph._tail >> 1
+    return sorted(c >> 1 for c, v in vert.items()
+                  if not c & 1 and tri[v] and c >> 1 != tail
+                  and v != vert[c ^ 1] and tri[vert[c ^ 1]])
 
 
 def fresh_edge_id(graph: FatGraph) -> int:
     """The id the next flip of ``graph`` gives its new edge."""
-    return max(graph._at).edge + 1
+    return graph._fresh
 
 
 def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
     """Flip along e, returning the new graph and the move record."""
     e = _as_oriented(graph, e)
-    if e not in graph._at:
+    h = _code(e)
+    old_succ, old_vert = graph._index()
+    if h not in old_vert:
         raise FlipError("no edge %s" % (e,))
-    if e.edge == graph.tail.edge:
+    if h >> 1 == graph._tail >> 1:
         raise FlipError("cannot flip the tail edge")
-    v, w = graph.vertex_of(e), graph.vertex_of(e.rev)
+    v, w = old_vert[h], old_vert[h ^ 1]
     if v == w:
         raise FlipError("edge %d is a loop" % e.edge)
-    if graph.valence(v) != 3 or graph.valence(w) != 3:
+    rows = list(graph._rows)
+    if len(rows[v]) != 3 or len(rows[w]) != 3:
         raise FlipError("endpoints of edge %d are not both trivalent" % e.edge)
 
-    a = graph.successor(e)
-    b = graph.successor(a)
-    c = graph.successor(e.rev)
-    d = graph.successor(c)
-    e2 = OrientedEdge(fresh_edge_id(graph), 1)
-
-    verts = list(graph.vertices)
-    verts[v] = (e2, b, c)
-    verts[w] = (e2.rev, d, a)
-    # only the six half-edges at v and w move; e and ~e give way to e', ~e'
-    at = dict(graph._at)
-    del at[e], at[e.rev]
-    at[e2], at[b], at[c] = (v, 0), (v, 1), (v, 2)
-    at[e2.rev], at[d], at[a] = (w, 0), (w, 1), (w, 2)
-    if len(at) != len(graph._at):
+    a = old_succ[h]
+    b = old_succ[a]
+    c = old_succ[h ^ 1]
+    d = old_succ[c]
+    fresh = graph._fresh
+    n = 2 * fresh
+    rows[v] = (n, b, c)
+    rows[w] = (n + 1, d, a)
+    # only the six half-edges at v and w move; e and ~e give way to e', ~e'.
+    # copy() clones the hash table even after deletions, where dict()
+    # would insert the entries one by one
+    succ, vert = old_succ.copy(), old_vert.copy()
+    del succ[h], succ[h ^ 1], vert[h], vert[h ^ 1]
+    succ[n], succ[b], succ[c] = b, c, n
+    succ[n + 1], succ[d], succ[a] = d, a, n + 1
+    vert[n] = vert[c] = v
+    vert[n + 1] = vert[a] = w
+    if len(succ) != len(old_succ):
         raise CorruptedStructureError(
             "flip of edge %d left %d half-edges, expected %d"
-            % (e.edge, len(at), len(graph._at)))
-    ctx = FlipContext(edge=e, a=a, b=b, c=c, d=d, new_edge=e2)
-    return FatGraph._of(tuple(verts), graph.tail, at), ctx
+            % (e.edge, len(succ), len(old_succ)))
+    table = _canonical_edges(n + 2)
+    ctx = FlipContext(edge=e, a=table[a], b=table[b], c=table[c],
+                      d=table[d], new_edge=table[n])
+    return FatGraph._from_codes(tuple(rows), graph._tail, fresh + 1,
+                                succ, vert), ctx
 
 
 def apply_path(graph: FatGraph, flips: Iterable[EdgeLike]) -> FlipPath:

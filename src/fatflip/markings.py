@@ -154,7 +154,7 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     # by coherence each forest edge's value is an integer combination of
     # the values off the forest (fill the links in from the leaves), so
     # those span the same subgroup, with the same Smith invariants
-    tree = {h.edge for links in _spanning_forest(graph) for h in links}
+    tree = {c >> 1 for links in _spanning_forest(graph) for c in links}
     rows = [list(marking.values[x].coords) for x in graph.edge_ids()
             if x not in tree]
     res = intlinalg.smith(intlinalg.transpose(rows))
@@ -247,25 +247,24 @@ def _pattern(n: int, rows: Sequence[Tuple[int, int]],
     return out
 
 
-def _spanning_forest(graph: FatGraph) -> List[List[OrientedEdge]]:
+def _spanning_forest(graph: FatGraph) -> List[List[int]]:
     """The breadth-first spanning forest, one tree per component, grown
     from the tail vertex first and then from the first vertex not yet
-    reached.  Each tree is listed by its links: the tree edge pointing
-    into each vertex it reached, in the order reached."""
-    vertices, at = graph.vertices, graph._at
+    reached.  Each tree is listed by its links: the code of the tree
+    edge pointing into each vertex it reached, in the order reached."""
+    rows, vert = graph._rows, graph._index()[1]
     seen, forest = set(), []
-    for root in (graph.vertex_of(graph.tail.rev), *range(len(vertices))):
+    for root in (vert[graph._tail ^ 1], *range(len(rows))):
         if root in seen:
             continue
         seen.add(root)
         links, queue = [], [root]
         for vi in queue:  # breadth first: the loop reads what it appends
-            for x, sign in vertices[vi]:
-                # a plain (edge, sign) pair finds the reversal unbuilt
-                other = at[(x, -sign)][0]
+            for c in rows[vi]:
+                other = vert[c ^ 1]
                 if other not in seen:
                     seen.add(other)
-                    links.append(OrientedEdge(x, -sign))
+                    links.append(c ^ 1)
                     queue.append(other)
         forest.append(links)
     return forest
@@ -289,7 +288,7 @@ class _SpanningTree:
             raise PairingError("spanning tree from the tail vertex reaches %d "
                                "of %d vertices" % (len(links) + 1,
                                                    graph.num_vertices))
-        tree = {h.edge for h in links}
+        tree = {c >> 1 for c in links}
         self.graph, self.links = graph, links
         self.basis = [OrientedEdge(x, 1) for x in graph.edge_ids()
                       if x not in tree]
@@ -300,14 +299,14 @@ class _SpanningTree:
         filling the links from the leaves to the root: the other edges
         at the vertex a link points into are known by then."""
         coords = {h.edge: tuple(v) for h, v in zip(self.basis, basis_values)}
-        vertices, vertex_of = self.graph.vertices, self.graph.vertex_of
+        rows, vert = self.graph._rows, self.graph._index()[1]
         for h in reversed(self.links):
             acc = [0] * rank
-            for k in vertices[vertex_of(h)]:
+            for k in rows[vert[h]]:
                 if k != h:  # k's value enters with sign -h.sign * k.sign
-                    acc = list(map(operator.add if k.sign != h.sign
-                                   else operator.sub, acc, coords[k.edge]))
-            coords[h.edge] = tuple(acc)
+                    acc = list(map(operator.add if (k ^ h) & 1
+                                   else operator.sub, acc, coords[k >> 1]))
+            coords[h >> 1] = tuple(acc)
         return {x: KElement._of(c) for x, c in coords.items()}
 
 

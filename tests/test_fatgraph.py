@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
 
+from fatflip import fatgraph
 from fatflip.fatgraph import (BoundaryNumberError, DisconnectedGraphError,
                               FatGraph, FatGraphError, HalfEdgeStructureError,
-                              UnivalentVertexError, ValenceError,
-                              canonical_iso, oe)
-from fatflip.flips import flip, flippable_edges
-from fatflip.randgen import random_flip_path, random_graph
+                              OrientedEdge, UnivalentVertexError,
+                              ValenceError, canonical_iso, oe)
+from fatflip.flips import flip, flippable_edges, fresh_edge_id
+from fatflip.randgen import (random_flip_path, random_graph,
+                             standard_surface_graph)
 
 # hand traversal of the g1 fixture (see conftest), starting at the tail
 G1_BOUNDARY = ["0+", "1-", "2+", "4+", "1+", "3+", "2-", "4-", "3-", "0-"]
@@ -118,6 +121,46 @@ class TestStructure:
         with pytest.raises(DisconnectedGraphError):
             g.validate()
 
+    @pytest.mark.parametrize("bad", [
+        OrientedEdge(0, 2), OrientedEdge(0, 0), OrientedEdge(0, True),
+        OrientedEdge(0, 1.0), OrientedEdge(-1, 1), OrientedEdge(True, 1),
+        OrientedEdge(1.0, 1), OrientedEdge("0", 1)])
+    def test_half_edge_id_and_sign(self, bad):
+        # under int codes a sign of 2 or an id of True would pass for
+        # another half-edge, so the constructor names it instead
+        verts = [[oe(5, -1)], [oe(5, 1), oe(6, 1), oe(6, -1), bad]]
+        with pytest.raises(HalfEdgeStructureError,
+                           match=re.escape("half-edge (%r, %r)" % bad)):
+            FatGraph(verts, oe(5, 1))
+
+    def test_sign_two_names_the_half_edge(self):
+        with pytest.raises(HalfEdgeStructureError, match=r"\(0, 2\)"):
+            FatGraph([[OrientedEdge(0, 2)],
+                      [OrientedEdge(0, -2), OrientedEdge(1, 1),
+                       OrientedEdge(1, -1)]], OrientedEdge(0, 2))
+
+    @pytest.mark.parametrize("tail", [OrientedEdge(0, 2), OrientedEdge(0, 0),
+                                      OrientedEdge(-1, 1), OrientedEdge(7, 1)])
+    def test_tail_not_a_half_edge(self, g1, tail):
+        with pytest.raises(HalfEdgeStructureError, match="not a half-edge"):
+            FatGraph(g1.vertices, tail)
+
+    def test_huge_edge_ids(self, g1):
+        # codes past the interned table are decoded one at a time, so a
+        # huge id costs no table of its size
+        big = 10 ** 12
+        shift = {h: oe(h.edge + big, h.sign) for h in g1.oriented_edges()}
+        g = FatGraph([[shift[h] for h in v] for v in g1.vertices],
+                     shift[g1.tail])
+        assert g.vertices == tuple(tuple(shift[h] for h in v)
+                                   for v in g1.vertices)
+        assert g.tail == oe(big, 1)
+        assert g.canonical_key() == g1.canonical_key()
+        flipped, ctx = flip(g, big + 1)
+        assert ctx.new_edge == oe(big + 5, 1)
+        assert flipped.canonical_key() == flip(g1, 1)[0].canonical_key()
+        assert len(fatgraph._CANONICAL_EDGES) <= fatgraph._INTERNED_CODES
+
     def test_tail_into_wrong_vertex(self):
         g = FatGraph([
             [oe(0, 1)],
@@ -192,6 +235,20 @@ class TestBoundary:
         verts[2] = tuple(reversed(verts[2]))
         with pytest.raises(BoundaryNumberError):
             FatGraph(verts, g1.tail).boundary_order()
+
+    def test_one_walk_for_boundary_number_and_genus(self, g2, monkeypatch):
+        walks = []
+        cycles = FatGraph._cycles
+        monkeypatch.setattr(FatGraph, "_cycles",
+                            lambda self: walks.append(self) or cycles(self))
+        g = FatGraph(g2.vertices, g2.tail)
+        for _ in range(2):
+            assert (g.boundary_number(), g.genus()) == (1, 2)
+        assert len(walks) == 1
+        # the canonical walk covers the one boundary cycle already
+        canon, _ = g.canonicalize()
+        assert (canon.boundary_number(), canon.genus()) == (1, 2)
+        assert len(walks) == 1
 
     def test_genus_bookkeeping_error_on_disconnected(self):
         from fatflip.fatgraph import CorruptedStructureError
@@ -309,7 +366,12 @@ class TestCanonicalOracle:
     def assert_index_rebuilds(graph):
         rebuilt = FatGraph(graph.vertices, graph.tail)
         assert rebuilt == graph
-        assert rebuilt._at == graph._at
+        assert hash(rebuilt) == hash(graph)
+        assert rebuilt._rows == graph._rows
+        assert rebuilt._tail == graph._tail
+        assert rebuilt._index() == graph._index()
+        assert rebuilt._fresh == graph._fresh
+        assert fresh_edge_id(graph) == max(graph.edge_ids()) + 1
 
     def test_random_graphs_and_relabelings(self):
         rng = random.Random(31)
@@ -334,6 +396,38 @@ class TestCanonicalOracle:
             for g in path_graphs(path):
                 self.assert_index_rebuilds(g)
                 self.assert_index_rebuilds(g.canonicalize()[0])
+
+    def test_canonical_form_builds_its_index_on_first_use(self, g2):
+        canon, _ = flip(g2, 1)[0].canonicalize()
+        assert canon._succ is None and canon._vert is None
+        assert canon == FatGraph(canon.vertices, canon.tail)
+        assert canon._succ is None
+        self.assert_index_rebuilds(canon)
+
+    def test_keys_over_the_genus2_flip_graph(self):
+        # the full genus-2 flip graph: the key is distinct per class,
+        # equals the key of the canonical form and splits the graphs
+        # into the same classes as the sort-based oracle
+        start = standard_surface_graph(2)
+        key = start.canonical_key()
+        classes = {key: start.canonicalize()[0]}
+        oracle = {key: sorted_canonicalize(start)[0]}
+        queue = [classes[key]]
+        for g in queue:
+            for e in flippable_edges(g):
+                neighbour, _ = flip(g, e)
+                key = neighbour.canonical_key()
+                canon, _ = neighbour.canonicalize()
+                assert key == canon.canonical_key() == canon._rows
+                want, _ = sorted_canonicalize(neighbour)
+                if key in oracle:
+                    assert oracle[key] == want
+                else:
+                    oracle[key], classes[key] = want, canon
+                    queue.append(canon)
+        assert len(classes) == 105
+        assert len(set(oracle.values())) == len(set(classes.values())) == 105
+        assert all(classes[k] == oracle[k] for k in classes)
 
     def test_several_boundary_cycles_rejected(self, three_boundary):
         with pytest.raises(BoundaryNumberError, match="got 3"):
