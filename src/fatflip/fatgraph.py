@@ -121,25 +121,22 @@ def _is_int(x) -> bool:
 
 
 def _code(h) -> int:
-    """The code of an oriented edge; -1, which no graph holds, for an
-    edge id that is not an int or a sign other than +-1."""
+    """The code of an (edge, sign) pair; -1, which no graph holds, unless
+    the edge id is an int >= 0 and the sign +1 or -1 (a bool is neither)."""
     x, s = h
-    if not _is_int(x) or s not in (1, -1):
+    if not (_is_int(x) and x >= 0 and _is_int(s) and s in (1, -1)):
         return -1
     return 2 * x + (s < 0)
 
 
-def _check_half_edge(h) -> int:
-    """The code of a constructor's half-edge, after its id and sign."""
-    x, s = h.edge, h.sign
-    if not _is_int(x) or x < 0:
+def _checked_code(h) -> int:
+    """The code of a half-edge given to the constructor."""
+    c = _code((h.edge, h.sign))
+    if c < 0:
         raise HalfEdgeStructureError(
-            "half-edge (%r, %r) has edge id %r, expected an int >= 0"
-            % (x, s, x))
-    if not _is_int(s) or s not in (1, -1):
-        raise HalfEdgeStructureError(
-            "half-edge (%r, %r) has sign %r, expected +1 or -1" % (x, s, s))
-    return 2 * x + (s < 0)
+            "half-edge (%r, %r) needs an edge id that is an int >= 0 and "
+            "a sign of +1 or -1" % (h.edge, h.sign))
+    return c
 
 
 def _successors(rows: Iterable[Tuple[int, ...]]) -> Dict[int, int]:
@@ -185,8 +182,7 @@ class FatGraph:
 
     def __init__(self, vertices: Iterable[Iterable[OrientedEdge]],
                  tail: OrientedEdge):
-        rows = tuple(tuple([_check_half_edge(h) for h in v])
-                     for v in vertices)
+        rows = tuple(tuple(map(_checked_code, v)) for v in vertices)
         vert: Dict[int, int] = {}
         for vi, row in enumerate(rows):
             for c in row:
@@ -215,8 +211,7 @@ class FatGraph:
     @classmethod
     def _from_codes(cls, rows: Tuple[Tuple[int, ...], ...], tail: int,
                     fresh: int, succ: Optional[Dict[int, int]] = None,
-                    vert: Optional[Dict[int, int]] = None,
-                    boundaries: Optional[int] = None) -> "FatGraph":
+                    vert: Optional[Dict[int, int]] = None) -> "FatGraph":
         """Wrap code rows, and optionally their index, known to be
         consistent; without an index, it is built on first use."""
         graph = object.__new__(cls)
@@ -225,7 +220,7 @@ class FatGraph:
         graph._fresh = fresh
         graph._succ = succ
         graph._vert = vert
-        graph._boundaries = boundaries
+        graph._boundaries = None
         return graph
 
     def _index(self) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -431,7 +426,7 @@ class FatGraph:
         old = _canonical_edges(2 * self._fresh)
         new = _canonical_edges(2 * fresh)
         relabel = {old[c]: new[code[c]] for c in cycle}
-        return FatGraph._from_codes(rows, 0, fresh, boundaries=1), relabel
+        return FatGraph._from_codes(rows, 0, fresh), relabel
 
     def canonical_key(self) -> Tuple[Tuple[int, ...], ...]:
         """A hashable complete invariant for tail-preserving isomorphism:

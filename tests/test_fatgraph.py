@@ -130,7 +130,7 @@ class TestStructure:
         # another half-edge, so the constructor names it instead
         verts = [[oe(5, -1)], [oe(5, 1), oe(6, 1), oe(6, -1), bad]]
         with pytest.raises(HalfEdgeStructureError,
-                           match=re.escape("half-edge (%r, %r)" % bad)):
+                           match=re.escape("half-edge (%r, %r) needs" % bad)):
             FatGraph(verts, oe(5, 1))
 
     def test_sign_two_names_the_half_edge(self):
@@ -244,10 +244,6 @@ class TestBoundary:
         g = FatGraph(g2.vertices, g2.tail)
         for _ in range(2):
             assert (g.boundary_number(), g.genus()) == (1, 2)
-        assert len(walks) == 1
-        # the canonical walk covers the one boundary cycle already
-        canon, _ = g.canonicalize()
-        assert (canon.boundary_number(), canon.genus()) == (1, 2)
         assert len(walks) == 1
 
     def test_genus_bookkeeping_error_on_disconnected(self):
