@@ -116,15 +116,11 @@ def _decode(c: int) -> OrientedEdge:
     return _canonical_edges(c + 1)[c]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _code(h) -> int:
     """The code of an (edge, sign) pair; -1, which no graph holds, unless
-    the edge id is an int >= 0 and the sign +1 or -1 (a bool is neither)."""
+    the edge id is an int >= 0 and the sign the int +1 or -1."""
     x, s = h
-    if not (_is_int(x) and x >= 0 and _is_int(s) and s in (1, -1)):
+    if type(x) is not int or x < 0 or type(s) is not int or s not in (1, -1):
         return -1
     return 2 * x + (s < 0)
 
@@ -330,17 +326,6 @@ class FatGraph:
         raise CorruptedStructureError(
             "boundary walk from %s does not close" % (_decode(start),))
 
-    def _cycles(self) -> List[List[int]]:
-        """The cycle through the tail first, then the others by their
-        least code."""
-        cycles = [self._cycle(self._tail)]
-        seen = set(cycles[0])
-        for start in sorted(self._index()[0].keys() - seen):
-            if start not in seen:
-                cycles.append(self._cycle(start))
-                seen.update(cycles[-1])
-        return cycles
-
     def boundary_cycles(self) -> Tuple[Tuple[OrientedEdge, ...], ...]:
         """The boundary cycles of the thickened surface.
 
@@ -349,14 +334,18 @@ class FatGraph:
         tail; every other cycle starts at its least oriented edge, and
         the cycles are sorted by their starting edge.
         """
-        cycles = self._cycles()
-        self._boundaries = len(cycles)
+        cycles = [self._cycle(self._tail)]
+        seen = set(cycles[0])
+        for start in sorted(self._index()[0].keys() - seen):
+            if start not in seen:
+                cycles.append(self._cycle(start))
+                seen.update(cycles[-1])
         table = _canonical_edges(2 * self._fresh)
-        return tuple(tuple([table[c] for c in cycle]) for cycle in cycles)
+        return tuple(tuple(map(table.__getitem__, c)) for c in cycles)
 
     def boundary_number(self) -> int:
         if self._boundaries is None:
-            self._boundaries = len(self._cycles())
+            self._boundaries = len(self.boundary_cycles())
         return self._boundaries
 
     def genus(self) -> int:

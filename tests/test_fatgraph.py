@@ -238,8 +238,8 @@ class TestBoundary:
 
     def test_one_walk_for_boundary_number_and_genus(self, g2, monkeypatch):
         walks = []
-        cycles = FatGraph._cycles
-        monkeypatch.setattr(FatGraph, "_cycles",
+        cycles = FatGraph.boundary_cycles
+        monkeypatch.setattr(FatGraph, "boundary_cycles",
                             lambda self: walks.append(self) or cycles(self))
         g = FatGraph(g2.vertices, g2.tail)
         for _ in range(2):
@@ -399,6 +399,7 @@ class TestCanonicalOracle:
         assert canon == FatGraph(canon.vertices, canon.tail)
         assert canon._succ is None
         self.assert_index_rebuilds(canon)
+        assert canon._index()[0] is canon._index()[0] is canon._succ
 
     def test_keys_over_the_genus2_flip_graph(self):
         # the full genus-2 flip graph: the key is distinct per class,
