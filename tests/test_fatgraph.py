@@ -133,12 +133,6 @@ class TestStructure:
                            match=re.escape("half-edge (%r, %r) needs" % bad)):
             FatGraph(verts, oe(5, 1))
 
-    def test_sign_two_names_the_half_edge(self):
-        with pytest.raises(HalfEdgeStructureError, match=r"\(0, 2\)"):
-            FatGraph([[OrientedEdge(0, 2)],
-                      [OrientedEdge(0, -2), OrientedEdge(1, 1),
-                       OrientedEdge(1, -1)]], OrientedEdge(0, 2))
-
     @pytest.mark.parametrize("tail", [OrientedEdge(0, 2), OrientedEdge(0, 0),
                                       OrientedEdge(-1, 1), OrientedEdge(7, 1)])
     def test_tail_not_a_half_edge(self, g1, tail):
