@@ -2,6 +2,7 @@ import contextlib
 import importlib.resources
 import io
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -62,6 +63,35 @@ mark 4+: -1 -1
 """
 
 SHIPPED_G1 = importlib.resources.files("fatflip") / "data" / "g1.fg"
+
+# genus 2, a canonical marking moved by a unimodular map: values with
+# several nonzero coordinates of both signs
+G2_FILE = """\
+fatgraph v1
+vertex 0: 0-
+vertex 1: 15+ 4+ 6+
+vertex 2: 14- 12- 9-
+vertex 3: 16- 11+ 9+
+vertex 4: 6- 3- 8+
+vertex 5: 16+ 0+ 8-
+vertex 6: 12+ 11- 4-
+vertex 7: 15- 14+ 3+
+tail 0+
+marking rank 4
+mark 0+: 0 0 0 0
+mark 3+: -2 0 1 1
+mark 4+: 2 -1 0 0
+mark 6+: -1 1 0 0
+mark 8+: -3 1 1 1
+mark 9+: -2 1 0 1
+mark 11+: -1 0 1 0
+mark 12+: 1 -1 1 0
+mark 14+: 1 0 -1 -1
+mark 15+: -1 0 0 0
+mark 16+: -3 1 1 1
+"""
+G2_FLIPS = "16,4,17,11,3,18,6"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _swap_coordinates(text):
@@ -179,6 +209,34 @@ class TestFlipAndPaths:
                                             path_sum(path, marking, which)[0])
                           for which in "mjs"]
         assert not all(line.endswith(": 0") for line in totals[1:])
+
+    @pytest.mark.parametrize("fmt, expected", [("plain", "path_all_g2.txt"),
+                                               ("tsv", "path_all_g2.tsv")])
+    def test_path_output_pinned(self, capsys, tmp_path, fmt, expected):
+        p = tmp_path / "g2.fg"
+        p.write_text(G2_FILE)
+        status, out, err = run(capsys, "path", str(p), "--flips", G2_FLIPS,
+                               "--cocycle", "all", "--format", fmt)
+        assert (status, err) == (0, "")
+        assert out == (DATA / expected).read_text()
+
+    @pytest.mark.parametrize("old, new, out, err", [
+        # incoherent at head(4-), the second head of step 1
+        ("mark 12+: 1 -1 1 0", "mark 12+: 1 -1 1 1",
+         "m step 0 flip 16+ a 0+ b 8- c 11+ d 9+ new 17+: -1 0 1 0\n",
+         "fatflip: step 1: marking incoherent at the head of 4-\n"),
+        # incoherent at head(16-), the second head of step 0
+        ("mark 9+: -2 1 0 1", "mark 9+: -2 1 1 1", "",
+         "fatflip: step 0: marking incoherent at the head of 16-\n"),
+        ("mark 12+: 1 -1 1 0\n", "",
+         "m step 0 flip 16+ a 0+ b 8- c 11+ d 9+ new 17+: -1 0 1 0\n",
+         "fatflip: step 1: no value on 12+\n"),
+    ], ids=["incoherent-step-1", "incoherent-step-0", "missing-edge"])
+    def test_path_failure_pinned(self, capsys, tmp_path, old, new, out, err):
+        p = tmp_path / "g2.fg"
+        p.write_text(G2_FILE.replace(old, new))
+        assert run(capsys, "path", str(p), "--flips", G2_FLIPS,
+                   "--cocycle", "all") == (1, out, err)
 
     def test_pentagon_asserts_zero(self, capsys, g1_path):
         status, out, _ = run(capsys, "pentagon", g1_path, "--edges", "1,2",
