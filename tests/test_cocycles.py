@@ -17,7 +17,7 @@ from fatflip.intlinalg import identity, mat_eq, solve_transform
 from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
                               canonical_h_marking, propagate, propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
-                             random_graph)
+                             random_gl, random_graph)
 from fatflip.selftest import SelfTestFailure, check_relation_loop
 
 
@@ -117,6 +117,79 @@ class TestPathSums:
         for which in "mjs":
             total, _ = path_sum(full, m, which)
             assert total.is_zero()
+
+
+def _fold_step(ctx, marking, which):
+    """The per-step evaluation of the first path_sum, kept as an oracle:
+    coherence at both heads on the negated values, then the value from
+    the public wedge functions."""
+    value = marking.value
+    for head, h1, h2 in ((ctx.edge, ctx.a, ctx.b),
+                         (ctx.edge.rev, ctx.c, ctx.d)):
+        if not (value(head) + value(h1) + value(h2)).is_zero():
+            raise CoherenceError("marking incoherent at the head of %s"
+                                 % (head,))
+    a, b, c, d = value(ctx.a), value(ctx.b), value(ctx.c), value(ctx.d)
+    if which == "m":
+        return a + c
+    if which == "j":
+        return wedge3(a, b, c)
+    return sym_pair(wedge2(a, c), wedge2(b, d))
+
+
+def _fold_propagate(ctx, marking):
+    """The marking after one flip, rebuilt through the public constructor."""
+    values = {oe(x, 1): k for x, k in marking.values.items()
+              if x != ctx.edge.edge}
+    values[ctx.new_edge] = marking.value(ctx.d) + marking.value(ctx.a)
+    return Marking(marking.rank, values)
+
+
+def fold_path_sum(path, marking, which):
+    total = zero_value(which, marking.rank)
+    for ctx in path.steps:
+        total = total + _fold_step(ctx, marking, which)
+        marking = _fold_propagate(ctx, marking)
+    return total, marking
+
+
+class TestWalkerOracle:
+    """path_sum against the step-by-step fold, totals and end marking."""
+
+    @staticmethod
+    def assert_matches(path, marking):
+        # and the same flips taken along the other orientation of each edge
+        rev = apply_path(path.start, [ctx.edge.rev for ctx in path.steps])
+        for p in (path, rev):
+            for which in "mjs":
+                assert path_sum(p, marking, which) == fold_path_sum(
+                    p, marking, which), which
+
+    @pytest.mark.parametrize("genus", range(1, 9))
+    def test_canonical_markings(self, genus):
+        rng = random.Random(500 + genus)
+        g = random_graph(genus, rng)
+        m, _ = canonical_h_marking(g)
+        self.assert_matches(random_flip_path(g, 60, rng), m)
+
+    @pytest.mark.parametrize("genus", range(1, 5))
+    def test_dense_coherent_markings(self, genus):
+        rng = random.Random(600 + genus)
+        g = random_graph(genus, rng)
+        for rank in range(2, 2 * genus + 1):
+            m = random_coherent_marking(g, rank, rng)
+            self.assert_matches(random_flip_path(g, 30, rng), m)
+
+    @pytest.mark.parametrize("genus", range(1, 5))
+    def test_markings_moved_by_gl(self, genus):
+        rng = random.Random(700 + genus)
+        g = random_graph(genus, rng)
+        m, _ = canonical_h_marking(g)
+        # move until some coordinate is past 64 bits
+        while max(abs(x) for k in m.values.values()
+                  for x in k.coords).bit_length() <= 64:
+            m = m.transform(random_gl(2 * genus, rng))
+        self.assert_matches(random_flip_path(g, 30, rng), m)
 
 
 class TestInducedAutomorphism:
@@ -224,36 +297,57 @@ class TestCocycleCondition:
 class TestLocalCoherence:
     """Each step checks coherence at both heads before it reads a value."""
 
-    STEPS = (cocycle_m, cocycle_j, cocycle_s,
-             lambda ctx, marking: propagate(marking, ctx))
+    STEPS = (lambda path, marking: cocycle_m(path.steps[0], marking),
+             lambda path, marking: cocycle_j(path.steps[0], marking),
+             lambda path, marking: cocycle_s(path.steps[0], marking),
+             lambda path, marking: propagate(marking, path.steps[0]),
+             lambda path, marking: path_sum(path, marking, "s"))
 
     @staticmethod
     def reference(g1):
         # coherent on g1; flipping 1+ gives a = 3-, b = 0+, c = 2-, d = 4+
         values = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
-        _, ctx = flip(g1, 1)
-        return ctx, values
+        return apply_path(g1, [1]), values
+
+    @staticmethod
+    def marking(values, bumped=(), missing=()):
+        for x in bumped:
+            values[x] = (values[x][0] + 1, values[x][1])
+        return Marking(2, {oe(x, 1): KElement(v) for x, v in values.items()
+                           if x not in missing})
 
     @pytest.mark.parametrize("bumped, head", [((0,), "1+"), ((4,), "1-"),
                                               ((0, 4), "1+")])
     def test_incoherent_head_named(self, g1, bumped, head):
-        ctx, values = self.reference(g1)
-        for x in bumped:
-            values[x] = (values[x][0] + 1, values[x][1])
-        bad = Marking(2, {oe(x, 1): KElement(v) for x, v in values.items()})
+        path, values = self.reference(g1)
+        bad = self.marking(values, bumped)
         for step in self.STEPS:
             with pytest.raises(CoherenceError) as err:
-                step(ctx, bad)
+                step(path, bad)
             assert str(err.value) == "marking incoherent at the head of " + head
 
     @pytest.mark.parametrize("missing, name", [(1, "1+"), (3, "3-"),
                                                (4, "4+")])
     def test_missing_edge_named(self, g1, missing, name):
-        ctx, values = self.reference(g1)
-        del values[missing]
-        partial = Marking(2, {oe(x, 1): KElement(v)
-                              for x, v in values.items()})
+        path, values = self.reference(g1)
+        partial = self.marking(values, missing=(missing,))
         for step in self.STEPS:
             with pytest.raises(MarkingDomainError) as err:
-                step(ctx, partial)
+                step(path, partial)
             assert str(err.value) == "no value on " + name
+
+    @pytest.mark.parametrize("bumped, missing, error, message", [
+        # head(1+) is checked before c = 2- and d = 4+ are read
+        ((0,), (2,), CoherenceError, "marking incoherent at the head of 1+"),
+        ((0,), (4,), CoherenceError, "marking incoherent at the head of 1+"),
+        # d = 4+ is read before head(1-) is checked
+        ((2,), (4,), MarkingDomainError, "no value on 4+"),
+    ])
+    def test_first_failure_in_step_order(self, g1, bumped, missing, error,
+                                         message):
+        path, values = self.reference(g1)
+        bad = self.marking(values, bumped, missing)
+        for step in self.STEPS:
+            with pytest.raises(error) as err:
+                step(path, bad)
+            assert str(err.value) == message
