@@ -10,7 +10,9 @@ throughout; there is no overflow to worry about.
 The wedge products iterate over the support of their arguments, the
 indices at which some factor is nonzero: a minor that uses any other
 row has a zero row, so its determinant vanishes.  Their cost follows
-the number of nonzero coordinates, not the rank.
+the number of nonzero coordinates, not the rank.  Each product is an
+``_add_*`` kernel that adds sign * product to a coefficient dict, which
+the flip-path sums of ``cocycles`` call directly.
 
 All values are immutable after construction.
 """
@@ -18,8 +20,8 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import operator
-from itertools import combinations
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from itertools import combinations, compress
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import intlinalg
 
@@ -28,10 +30,15 @@ class RankMismatchError(ValueError):
     """Operands live over bases of different ranks."""
 
 
+def _rank_mismatch(*items) -> RankMismatchError:
+    return RankMismatchError("mixed ranks: %s"
+                             % sorted({x.rank for x in items}))
+
+
 def _common_rank(*items) -> int:
     ranks = {x.rank for x in items}
     if len(ranks) != 1:
-        raise RankMismatchError("mixed ranks: %s" % sorted(ranks))
+        raise _rank_mismatch(*items)
     return ranks.pop()
 
 
@@ -81,12 +88,14 @@ class KElement:
         return KElement(intlinalg.mat_vec(matrix, self.coords))
 
     def __add__(self, other: "KElement") -> "KElement":
-        _common_rank(self, other)
+        if len(other.coords) != len(self.coords):
+            raise _rank_mismatch(self, other)
         return KElement._of(tuple(map(operator.add, self.coords,
                                       other.coords)))
 
     def __sub__(self, other: "KElement") -> "KElement":
-        _common_rank(self, other)
+        if len(other.coords) != len(self.coords):
+            raise _rank_mismatch(self, other)
         return KElement._of(tuple(map(operator.sub, self.coords,
                                       other.coords)))
 
@@ -252,57 +261,71 @@ class SymWedge(_SparseTensor):
         return sym_pair(wp, wedge2(cols[q[0]], cols[q[1]]))
 
 
-def wedge2(x: KElement, y: KElement) -> Wedge2:
-    """The wedge product x ^ y, bilinear and antisymmetric."""
-    r = _common_rank(x, y)
-    xc, yc = x.coords, y.coords
-    support = [i for i, (a, b) in enumerate(zip(xc, yc)) if a or b]
-    coeffs: Dict[Tuple[int, int], int] = {}
-    for i, j in combinations(support, 2):
-        c = xc[i] * yc[j] - xc[j] * yc[i]
+def _support(*coords: Tuple[int, ...]) -> List[int]:
+    """The ascending positions at which some of the tuples is nonzero."""
+    at = range(len(coords[0]))
+    return sorted({i for x in coords for i in compress(at, x)})
+
+
+def _add_wedge2(out: Dict[tuple, int], sign: int, x: Tuple[int, ...],
+                y: Tuple[int, ...]) -> None:
+    """Add sign * x ^ y, for coordinate tuples x and y, to ``out``."""
+    for i, j in combinations(_support(x, y), 2):
+        c = x[i] * y[j] - x[j] * y[i]
         if c:
-            coeffs[(i, j)] = c
-    return Wedge2(r, coeffs)
+            out[(i, j)] = out.get((i, j), 0) + sign * c
 
 
-def wedge3(x: KElement, y: KElement, z: KElement) -> Wedge3:
-    """The wedge product x ^ y ^ z, trilinear and alternating."""
-    r = _common_rank(x, y, z)
-    xc, yc, zc = x.coords, y.coords, z.coords
-    support = [i for i, (a, b, c) in enumerate(zip(xc, yc, zc))
-               if a or b or c]
-    coeffs: Dict[Tuple[int, int, int], int] = {}
-    for i, j, k in combinations(support, 3):
+def _add_wedge3(out: Dict[tuple, int], sign: int, x: Tuple[int, ...],
+                y: Tuple[int, ...], z: Tuple[int, ...]) -> None:
+    """Add sign * x ^ y ^ z, for coordinate tuples, to ``out``."""
+    for i, j, k in combinations(_support(x, y, z), 3):
         # 3x3 determinant of the (i, j, k) minor of the column matrix [x y z]
-        xi, xj, xk = xc[i], xc[j], xc[k]
-        yi, yj, yk = yc[i], yc[j], yc[k]
-        zi, zj, zk = zc[i], zc[j], zc[k]
+        xi, xj, xk = x[i], x[j], x[k]
+        yi, yj, yk = y[i], y[j], y[k]
+        zi, zj, zk = z[i], z[j], z[k]
         c = (xi * (yj * zk - yk * zj)
              - yi * (xj * zk - xk * zj)
              + zi * (xj * yk - xk * yj))
         if c:
-            coeffs[(i, j, k)] = c
-    return Wedge3(r, coeffs)
+            out[(i, j, k)] = out.get((i, j, k), 0) + sign * c
+
+
+def _add_sym(out: Dict[tuple, int], sign: int, u: Mapping[tuple, int],
+             v: Mapping[tuple, int]) -> None:
+    """Add sign * (u (x) v + v (x) u), for the coefficient dicts of two
+    Lambda^2 values, to ``out``."""
+    for p, a in u.items():
+        a *= sign
+        for q, b in v.items():
+            key = (p, q) if p <= q else (q, p)
+            c = a * b if p != q else 2 * a * b
+            out[key] = out.get(key, 0) + c
+
+
+def wedge2(x: KElement, y: KElement) -> Wedge2:
+    """The wedge product x ^ y, bilinear and antisymmetric."""
+    r, out = _common_rank(x, y), {}
+    _add_wedge2(out, 1, x.coords, y.coords)
+    return Wedge2(r, out)
+
+
+def wedge3(x: KElement, y: KElement, z: KElement) -> Wedge3:
+    """The wedge product x ^ y ^ z, trilinear and alternating."""
+    r, out = _common_rank(x, y, z), {}
+    _add_wedge3(out, 1, x.coords, y.coords, z.coords)
+    return Wedge3(r, out)
 
 
 def sym_pair(u: Wedge2, v: Wedge2) -> SymWedge:
     """The symmetrized tensor u (x) v + v (x) u in S^2 Lambda^2."""
-    r = _common_rank(u, v)
-    coeffs: Dict[tuple, int] = {}
-    for p, a in u.coeffs.items():
-        for q, b in v.coeffs.items():
-            key = (p, q) if p <= q else (q, p)
-            c = a * b if p != q else 2 * a * b
-            coeffs[key] = coeffs.get(key, 0) + c
-    return SymWedge(r, coeffs)
+    r, out = _common_rank(u, v), {}
+    _add_sym(out, 1, u.coeffs, v.coeffs)
+    return SymWedge(r, out)
 
 
 def _sym_square(w: Wedge2) -> SymWedge:
-    """The plain square w (x) w (i.e. sym_pair(w, w) / 2)."""
-    coeffs: Dict[tuple, int] = {}
-    items = sorted(w.coeffs.items())
-    for idx, (p, a) in enumerate(items):
-        coeffs[(p, p)] = coeffs.get((p, p), 0) + a * a
-        for q, b in items[idx + 1:]:
-            coeffs[(p, q)] = coeffs.get((p, q), 0) + a * b
-    return SymWedge(w.rank, coeffs)
+    """The plain square w (x) w: sym_pair(w, w) has even coefficients,
+    2ab on (p, q) and 2a^2 on (p, p), and this is its half."""
+    return SymWedge(w.rank, {k: c // 2
+                             for k, c in sym_pair(w, w).coeffs.items()})

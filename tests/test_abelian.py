@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import combinations
 from typing import Dict, Tuple
@@ -36,6 +37,15 @@ class TestKElement:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             KElement((1, 2)) + KElement((1, 2, 3))
+
+    @pytest.mark.parametrize("combine", [operator.add, operator.sub,
+                                         wedge2, lambda x, y: wedge3(x, y, x)])
+    @pytest.mark.parametrize("ranks", [(2, 3), (3, 2)])
+    def test_rank_mismatch_text(self, combine, ranks):
+        x, y = (KElement(range(1, r + 1)) for r in ranks)
+        with pytest.raises(RankMismatchError) as err:
+            combine(x, y)
+        assert str(err.value) == "mixed ranks: [2, 3]"
 
 
 class TestWedge2:
