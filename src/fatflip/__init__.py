@@ -15,7 +15,7 @@ from .markings import (CoherenceError, InversionError, Marking, MarkingError,
                        propagate_path)
 from .cocycles import (CocycleConditionError, cocycle_j, cocycle_m,
                        cocycle_s, compose_closed, induced_k_automorphism,
-                       path_sum, verify_cocycle_condition)
+                       path_sum, path_sums, verify_cocycle_condition)
 from .words import FreeAutomorphism, WordError, parse_word, reduce_word, word_str
 from .earle import (d2, d_surface, d_differences, earle_f, h_str,
                     morita_normal_form, project, reference_bp_automorphism)

@@ -16,15 +16,16 @@ mapping class the path represents.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple, Union
+from itertools import compress
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from . import intlinalg
-from .abelian import KElement, SymWedge, Wedge3, sym_pair, wedge2, wedge3
+from .abelian import (KElement, SymWedge, Wedge3, _add_sym, _add_wedge2,
+                      _add_wedge3)
 from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (ClosureError, FlipContext, FlipPath, concat_paths,
                     replay_path)
-from .markings import (Marking, _check_local_coherence, _propagate,
-                       propagate_path)
+from .markings import Marking, _Walker, propagate_path
 
 COCYCLES = ("m", "j", "s")
 
@@ -39,69 +40,86 @@ class InducedAutomorphismError(CocycleError):
     """No integer automorphism of K is consistent with the path."""
 
 
-def cocycle_m(ctx: FlipContext, marking: Marking) -> KElement:
-    _check_local_coherence(marking, ctx)
-    return marking.value(ctx.a) + marking.value(ctx.c)
+# Step kernels for _Walker.step: each adds one flip's value, from the
+# stored coordinates x and signs s of a, b, c and d, to a dict of
+# coordinates (m) or of coefficients (j, s).
+
+def _add_m(out, xa, sa, xb, sb, xc, sc, xd, sd) -> None:
+    for x, sign in ((xa, sa), (xc, sc)):
+        for i in compress(range(len(x)), x):
+            out[i] = out.get(i, 0) + sign * x[i]
 
 
-def cocycle_j(ctx: FlipContext, marking: Marking) -> Wedge3:
-    _check_local_coherence(marking, ctx)
-    return wedge3(marking.value(ctx.a), marking.value(ctx.b),
-                  marking.value(ctx.c))
+def _add_j(out, xa, sa, xb, sb, xc, sc, xd, sd) -> None:
+    _add_wedge3(out, sa * sb * sc, xa, xb, xc)
 
 
-def cocycle_s(ctx: FlipContext, marking: Marking) -> SymWedge:
-    _check_local_coherence(marking, ctx)
-    return sym_pair(wedge2(marking.value(ctx.a), marking.value(ctx.c)),
-                    wedge2(marking.value(ctx.b), marking.value(ctx.d)))
+def _add_s(out, xa, sa, xb, sb, xc, sc, xd, sd) -> None:
+    ac, bd = {}, {}
+    _add_wedge2(ac, 1, xa, xc)
+    _add_wedge2(bd, 1, xb, xd)
+    _add_sym(out, sa * sb * sc * sd, ac, bd)
 
 
-_COCYCLE_FUNCS = {"m": cocycle_m, "j": cocycle_j, "s": cocycle_s}
+_KERNELS = {"m": _add_m, "j": _add_j, "s": _add_s}
 _VALUE_TYPES = {"m": KElement, "j": Wedge3, "s": SymWedge}
 
 
-def zero_value(which: str, rank: int) -> CocycleValue:
-    if which not in _VALUE_TYPES:
+def _kernel(which: str):
+    if which not in _KERNELS:
         raise CocycleError("unknown cocycle %r" % which)
+    return _KERNELS[which]
+
+
+def _value(which: str, rank: int, terms: Dict) -> CocycleValue:
+    if which == "m":
+        return KElement._of(tuple(terms.get(i, 0) for i in range(rank)))
+    return _VALUE_TYPES[which](rank, terms)
+
+
+def _step_value(walker: _Walker, ctx: FlipContext,
+                which: str) -> CocycleValue:
+    terms: Dict = {}
+    walker.step(ctx, ((_kernel(which), terms),))
+    return _value(which, walker.rank, terms)
+
+
+def cocycle_m(ctx: FlipContext, marking: Marking) -> KElement:
+    return _step_value(_Walker(marking), ctx, "m")
+
+
+def cocycle_j(ctx: FlipContext, marking: Marking) -> Wedge3:
+    return _step_value(_Walker(marking), ctx, "j")
+
+
+def cocycle_s(ctx: FlipContext, marking: Marking) -> SymWedge:
+    return _step_value(_Walker(marking), ctx, "s")
+
+
+def zero_value(which: str, rank: int) -> CocycleValue:
+    _kernel(which)
     return _VALUE_TYPES[which].zero(rank)
 
 
 def walk_values(path: FlipPath, marking: Marking,
-                which: str) -> Iterator[Tuple[CocycleValue, Marking]]:
-    """Yield each step's cocycle value and the marking after that step.
-
-    The cocycle function checks local coherence at the flip, which is
-    the check :func:`propagate` would repeat, so the step propagates
-    unchecked.
-    """
-    func = _COCYCLE_FUNCS[which]
+                which: str) -> Iterator[CocycleValue]:
+    """Yield each step's cocycle value along the path."""
+    walker = _Walker(marking)
     for ctx in path.steps:
-        value = func(ctx, marking)
-        marking = _propagate(marking, ctx)
-        yield value, marking
+        yield _step_value(walker, ctx, which)
 
 
-class RunningTotal:
-    """A sum of cocycle values kept in one dict of coordinates (m) or
-    coefficients (j, s), turned into a value once instead of per step."""
-
-    __slots__ = ("_zero", "_terms")
-
-    def __init__(self, which: str, rank: int):
-        self._zero, self._terms = zero_value(which, rank), {}
-
-    def add(self, value: CocycleValue) -> None:
-        terms = self._terms
-        for key, c in (enumerate(value.coords) if isinstance(value, KElement)
-                       else value.coeffs.items()):
-            terms[key] = terms.get(key, 0) + c
-
-    def value(self) -> CocycleValue:
-        zero, terms = self._zero, self._terms
-        if isinstance(zero, KElement):
-            return KElement._of(tuple(terms.get(i, 0)
-                                      for i in range(zero.rank)))
-        return type(zero)(zero.rank, terms)
+def path_sums(path: FlipPath, marking: Marking,
+              which: Sequence[str] = COCYCLES
+              ) -> Tuple[Tuple[CocycleValue, ...], Marking]:
+    """Sum each named cocycle along the path in one walk; returns the
+    totals in the order of ``which`` and the marking on the end graph."""
+    sums = [(_kernel(w), {}) for w in which]
+    walker = _Walker(marking)
+    for ctx in path.steps:
+        walker.step(ctx, sums)
+    return (tuple(_value(w, marking.rank, terms)
+                  for w, (_, terms) in zip(which, sums)), walker.marking())
 
 
 def path_sum(path: FlipPath, marking: Marking,
@@ -110,10 +128,8 @@ def path_sum(path: FlipPath, marking: Marking,
 
     Returns the total and the marking on the final graph.
     """
-    total = RunningTotal(which, marking.rank)
-    for value, marking in walk_values(path, marking, which):
-        total.add(value)
-    return total.value(), marking
+    (total,), end = path_sums(path, marking, (which,))
+    return total, end
 
 
 def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix:
@@ -129,8 +145,15 @@ def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix
     except FatGraphError as err:
         raise ClosureError(
             "path does not return to its starting graph") from err
-    end_marking = propagate_path(marking, path.steps)
-    edges = path.start.oriented_edges()
+    return _induced_matrix(path.start, psi, marking,
+                           propagate_path(marking, path.steps))
+
+
+def _induced_matrix(start: FatGraph, psi: Dict, marking: Marking,
+                    end_marking: Marking) -> intlinalg.Matrix:
+    """The unimodular T with T * mu(e) = mu_end(psi(e)) on every oriented
+    edge e of ``start``, for a path already walked and closed by psi."""
+    edges = start.oriented_edges()
     xs = [list(marking.value(e).coords) for e in edges]
     ys = [list(end_marking.value(psi[e]).coords) for e in edges]
     try:

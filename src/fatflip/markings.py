@@ -180,15 +180,55 @@ def _vertex_sums(graph: FatGraph,
         yield tuple(map(sum, zip(*(_signed_coords(marking, h) for h in v))))
 
 
-def _check_local_coherence(marking: Marking, ctx: FlipContext) -> None:
-    e = ctx.edge
-    add = operator.add
-    for head, h1, h2 in ((e, ctx.a, ctx.b), (e.rev, ctx.c, ctx.d)):
-        if any(map(add, map(add, _signed_coords(marking, head),
-                            _signed_coords(marking, h1)),
-                   _signed_coords(marking, h2))):
+def _incoherent(xe: Tuple[int, ...], se: int, xa: Tuple[int, ...], sa: int,
+                xb: Tuple[int, ...], sb: int) -> bool:
+    """Is se * xe + sa * xa + sb * xb nonzero?  Read as sa times that
+    sum, so no coordinate is negated."""
+    return any(map(operator.add if sa == sb else operator.sub,
+                   map(operator.add if sa == se else operator.sub, xa, xe),
+                   xb))
+
+
+class _Walker:
+    """A marking carried along flips, under :func:`propagate_path` and
+    the path sums of ``cocycles``.  The values are copied once; a step
+    reads stored ``+`` coordinates and their signs, never negated ones.
+    """
+
+    __slots__ = ("rank", "values")
+
+    def __init__(self, marking: Marking):
+        self.rank, self.values = marking.rank, marking.values.copy()
+
+    def _read(self, h: OrientedEdge) -> Tuple[int, ...]:
+        try:
+            return self.values[h.edge].coords
+        except KeyError:
+            raise MarkingDomainError("no value on %s" % (h,)) from None
+
+    def step(self, ctx: FlipContext, sums=()) -> None:
+        """Check coherence at head(e), then at head(~e); call each
+        kernel(out, xa, sa, xb, sb, xc, sc, xd, sd) of the (kernel, out)
+        pairs in ``sums``; store mu(d) + mu(a) on the new edge."""
+        e, a, b, c, d = ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d
+        xe, xa, xb = self._read(e), self._read(a), self._read(b)
+        if _incoherent(xe, e.sign, xa, a.sign, xb, b.sign):
+            raise CoherenceError("marking incoherent at the head of %s" % (e,))
+        xc, xd = self._read(c), self._read(d)
+        if _incoherent(xe, -e.sign, xc, c.sign, xd, d.sign):
             raise CoherenceError("marking incoherent at the head of %s"
-                                 % (head,))
+                                 % (e.rev,))
+        for kernel, out in sums:
+            kernel(out, xa, a.sign, xb, b.sign, xc, c.sign, xd, d.sign)
+        del self.values[e.edge]
+        # d.sign * (d + a), stored on the + orientation the flip creates
+        new = KElement._of(tuple(map(operator.add if a.sign == d.sign
+                                     else operator.sub, xd, xa)))
+        self.values[ctx.new_edge.edge] = new if d.sign > 0 else -new
+
+    def marking(self) -> Marking:
+        """The marking reached; the walker hands its values over."""
+        return Marking._of_edges(self.rank, self.values)
 
 
 def propagate(marking: Marking, ctx: FlipContext) -> Marking:
@@ -197,23 +237,14 @@ def propagate(marking: Marking, ctx: FlipContext) -> Marking:
     The new edge receives mu(d) + mu(a); everything else is unchanged.
     Coherence at the two vertices involved is required and preserved.
     """
-    _check_local_coherence(marking, ctx)
-    return _propagate(marking, ctx)
-
-
-def _propagate(marking: Marking, ctx: FlipContext) -> Marking:
-    """:func:`propagate` for a marking already checked at the flip."""
-    vals = dict(marking.values)
-    del vals[ctx.edge.edge]
-    # flip creates the new edge in its + orientation
-    vals[ctx.new_edge.edge] = marking.value(ctx.d) + marking.value(ctx.a)
-    return Marking._of_edges(marking.rank, vals)
+    return propagate_path(marking, (ctx,))
 
 
 def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
+    walker = _Walker(marking)
     for ctx in steps:
-        marking = propagate(marking, ctx)
-    return marking
+        walker.step(ctx)
+    return walker.marking()
 
 
 def _pattern(n: int, rows: Sequence[Tuple[int, int]],

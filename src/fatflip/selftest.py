@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 from . import intlinalg
 from .abelian import KElement
-from .cocycles import induced_k_automorphism, path_sum
+from .cocycles import COCYCLES, _induced_matrix, path_sums
 from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (FlipPath, adjacent_flippable_pairs, commuting_loop,
                     disjoint_flippable_pairs, flip, flippable_edges,
@@ -71,20 +71,20 @@ def random_relation_loops(graph: FatGraph,
 
 def check_relation_loop(loop: FlipPath, marking: Marking) -> None:
     """The loop closes, the marking comes back under ``canonical_iso``,
-    the m, j and s totals vanish and the induced automorphism is 1."""
+    the m, j and s totals vanish and the induced automorphism is 1.
+    The loop is walked once."""
     try:
         psi = canonical_iso(loop.start, loop.end)
     except FatGraphError:
         raise SelfTestFailure("relation loop did not close") from None
-    m_end = propagate_path(marking, loop.steps)
+    totals, m_end = path_sums(loop, marking)
     _check(all(m_end.value(psi[e]) == marking.value(e)
                for e in loop.start.oriented_edges()),
            "marking did not return around a relation loop")
-    for which in "mjs":
-        total, _ = path_sum(loop, marking, which)
+    for which, total in zip(COCYCLES, totals):
         _check(total.is_zero(),
                "cocycle %s nonzero on a relation loop" % which)
-    t_mat = induced_k_automorphism(loop, marking)
+    t_mat = _induced_matrix(loop.start, psi, marking, m_end)
     _check(intlinalg.mat_eq(t_mat, intlinalg.identity(marking.rank)),
            "relation loop induced a nontrivial automorphism")
 
@@ -108,9 +108,9 @@ def check_equivariance(path: FlipPath, marking: Marking,
     """Moving the marking by T moves each of the m, j and s path sums
     by the induced map of T."""
     m_t = marking.transform(t_mat)
-    for which in "mjs":
-        total, _ = path_sum(path, marking, which)
-        total_t, _ = path_sum(path, m_t, which)
+    totals, _ = path_sums(path, marking)
+    moved, _ = path_sums(path, m_t)
+    for which, total, total_t in zip(COCYCLES, totals, moved):
         _check(total_t == total.transform(t_mat),
                "cocycle %s is not equivariant" % which)
 

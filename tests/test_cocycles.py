@@ -85,7 +85,7 @@ class TestPathSums:
         m = random_coherent_marking(g, 3, rng)
         path = random_flip_path(g, 6, rng)
         for which in "mjs":
-            values = [value for value, _ in walk_values(path, m, which)]
+            values = list(walk_values(path, m, which))
             assert len(values) == len(path)
             total = values[0]
             for value in values[1:]:
@@ -100,7 +100,7 @@ class TestPathSums:
         end = propagate_path(m, path.steps)
         for which in "mjs":
             fold = reduce(operator.add,
-                          (value for value, _ in walk_values(path, m, which)),
+                          walk_values(path, m, which),
                           zero_value(which, m.rank))
             total, out = path_sum(path, m, which)
             assert total == fold
