@@ -164,12 +164,18 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
             % (res.rank, res.invariants, marking.rank))
 
 
-def _signed_coords(marking: Marking, h: OrientedEdge) -> Iterable[int]:
-    """The coordinates of mu(h), read from the stored ``+`` value."""
+def _coords(values: Mapping[int, KElement],
+            h: OrientedEdge) -> Tuple[int, ...]:
+    """The stored ``+`` coordinates of the edge of h."""
     try:
-        coords = marking.values[h.edge].coords
+        return values[h.edge].coords
     except KeyError:
         raise MarkingDomainError("no value on %s" % (h,)) from None
+
+
+def _signed_coords(marking: Marking, h: OrientedEdge) -> Iterable[int]:
+    """The coordinates of mu(h), read from the stored ``+`` value."""
+    coords = _coords(marking.values, h)
     return coords if h.sign > 0 else map(operator.neg, coords)
 
 
@@ -200,31 +206,26 @@ class _Walker:
     def __init__(self, marking: Marking):
         self.rank, self.values = marking.rank, marking.values.copy()
 
-    def _read(self, h: OrientedEdge) -> Tuple[int, ...]:
-        try:
-            return self.values[h.edge].coords
-        except KeyError:
-            raise MarkingDomainError("no value on %s" % (h,)) from None
-
     def step(self, ctx: FlipContext, sums=()) -> None:
         """Check coherence at head(e), then at head(~e); call each
         kernel(out, xa, sa, xb, sb, xc, sc, xd, sd) of the (kernel, out)
         pairs in ``sums``; store mu(d) + mu(a) on the new edge."""
         e, a, b, c, d = ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d
-        xe, xa, xb = self._read(e), self._read(a), self._read(b)
+        values = self.values
+        xe, xa, xb = _coords(values, e), _coords(values, a), _coords(values, b)
         if _incoherent(xe, e.sign, xa, a.sign, xb, b.sign):
             raise CoherenceError("marking incoherent at the head of %s" % (e,))
-        xc, xd = self._read(c), self._read(d)
+        xc, xd = _coords(values, c), _coords(values, d)
         if _incoherent(xe, -e.sign, xc, c.sign, xd, d.sign):
             raise CoherenceError("marking incoherent at the head of %s"
                                  % (e.rev,))
         for kernel, out in sums:
             kernel(out, xa, a.sign, xb, b.sign, xc, c.sign, xd, d.sign)
-        del self.values[e.edge]
+        del values[e.edge]
         # d.sign * (d + a), stored on the + orientation the flip creates
         new = KElement._of(tuple(map(operator.add if a.sign == d.sign
                                      else operator.sub, xd, xa)))
-        self.values[ctx.new_edge.edge] = new if d.sign > 0 else -new
+        values[ctx.new_edge.edge] = new if d.sign > 0 else -new
 
     def marking(self) -> Marking:
         """The marking reached; the walker hands its values over."""
