@@ -16,6 +16,7 @@ mapping class the path represents.
 
 from __future__ import annotations
 
+import operator
 from itertools import compress
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
@@ -25,7 +26,7 @@ from .abelian import (KElement, SymWedge, Wedge3, _add_sym, _add_wedge2,
 from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (ClosureError, FlipContext, FlipPath, concat_paths,
                     replay_path)
-from .markings import Marking, _Walker, propagate_path
+from .markings import CoherenceError, Marking, _coords, propagate_path
 
 COCYCLES = ("m", "j", "s")
 
@@ -38,6 +39,52 @@ class CocycleError(ValueError):
 
 class InducedAutomorphismError(CocycleError):
     """No integer automorphism of K is consistent with the path."""
+
+
+def _incoherent(xe: Tuple[int, ...], se: int, xa: Tuple[int, ...], sa: int,
+                xb: Tuple[int, ...], sb: int) -> bool:
+    """Is se * xe + sa * xa + sb * xb nonzero?  Read as sa times that
+    sum, so no coordinate is negated."""
+    return any(map(operator.add if sa == sb else operator.sub,
+                   map(operator.add if sa == se else operator.sub, xa, xe),
+                   xb))
+
+
+class _Walker:
+    """A marking carried along flips, under the path sums below and
+    ``markings.propagate_path``.  The values are copied once; a step
+    reads stored ``+`` coordinates and their signs, never negated ones.
+    """
+
+    __slots__ = ("rank", "values")
+
+    def __init__(self, marking: Marking):
+        self.rank, self.values = marking.rank, marking.values.copy()
+
+    def step(self, ctx: FlipContext, sums=()) -> None:
+        """Check coherence at head(e), then at head(~e); call each
+        kernel(out, xa, sa, xb, sb, xc, sc, xd, sd) of the (kernel, out)
+        pairs in ``sums``; store mu(d) + mu(a) on the new edge."""
+        e, a, b, c, d = ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d
+        values = self.values
+        xe, xa, xb = _coords(values, e), _coords(values, a), _coords(values, b)
+        if _incoherent(xe, e.sign, xa, a.sign, xb, b.sign):
+            raise CoherenceError("marking incoherent at the head of %s" % (e,))
+        xc, xd = _coords(values, c), _coords(values, d)
+        if _incoherent(xe, -e.sign, xc, c.sign, xd, d.sign):
+            raise CoherenceError("marking incoherent at the head of %s"
+                                 % (e.rev,))
+        for kernel, out in sums:
+            kernel(out, xa, a.sign, xb, b.sign, xc, c.sign, xd, d.sign)
+        del values[e.edge]
+        # d.sign * (d + a), stored on the + orientation the flip creates
+        new = KElement._of(tuple(map(operator.add if a.sign == d.sign
+                                     else operator.sub, xd, xa)))
+        values[ctx.new_edge.edge] = new if d.sign > 0 else -new
+
+    def marking(self) -> Marking:
+        """The marking reached; the walker hands its values over."""
+        return Marking._of_edges(self.rank, self.values)
 
 
 # Step kernels for _Walker.step: each adds one flip's value, from the

@@ -186,52 +186,6 @@ def _vertex_sums(graph: FatGraph,
         yield tuple(map(sum, zip(*(_signed_coords(marking, h) for h in v))))
 
 
-def _incoherent(xe: Tuple[int, ...], se: int, xa: Tuple[int, ...], sa: int,
-                xb: Tuple[int, ...], sb: int) -> bool:
-    """Is se * xe + sa * xa + sb * xb nonzero?  Read as sa times that
-    sum, so no coordinate is negated."""
-    return any(map(operator.add if sa == sb else operator.sub,
-                   map(operator.add if sa == se else operator.sub, xa, xe),
-                   xb))
-
-
-class _Walker:
-    """A marking carried along flips, under :func:`propagate_path` and
-    the path sums of ``cocycles``.  The values are copied once; a step
-    reads stored ``+`` coordinates and their signs, never negated ones.
-    """
-
-    __slots__ = ("rank", "values")
-
-    def __init__(self, marking: Marking):
-        self.rank, self.values = marking.rank, marking.values.copy()
-
-    def step(self, ctx: FlipContext, sums=()) -> None:
-        """Check coherence at head(e), then at head(~e); call each
-        kernel(out, xa, sa, xb, sb, xc, sc, xd, sd) of the (kernel, out)
-        pairs in ``sums``; store mu(d) + mu(a) on the new edge."""
-        e, a, b, c, d = ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d
-        values = self.values
-        xe, xa, xb = _coords(values, e), _coords(values, a), _coords(values, b)
-        if _incoherent(xe, e.sign, xa, a.sign, xb, b.sign):
-            raise CoherenceError("marking incoherent at the head of %s" % (e,))
-        xc, xd = _coords(values, c), _coords(values, d)
-        if _incoherent(xe, -e.sign, xc, c.sign, xd, d.sign):
-            raise CoherenceError("marking incoherent at the head of %s"
-                                 % (e.rev,))
-        for kernel, out in sums:
-            kernel(out, xa, a.sign, xb, b.sign, xc, c.sign, xd, d.sign)
-        del values[e.edge]
-        # d.sign * (d + a), stored on the + orientation the flip creates
-        new = KElement._of(tuple(map(operator.add if a.sign == d.sign
-                                     else operator.sub, xd, xa)))
-        values[ctx.new_edge.edge] = new if d.sign > 0 else -new
-
-    def marking(self) -> Marking:
-        """The marking reached; the walker hands its values over."""
-        return Marking._of_edges(self.rank, self.values)
-
-
 def propagate(marking: Marking, ctx: FlipContext) -> Marking:
     """Transport a marking across one flip.
 
@@ -242,6 +196,7 @@ def propagate(marking: Marking, ctx: FlipContext) -> Marking:
 
 
 def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
+    from .cocycles import _Walker  # cocycles imports this module
     walker = _Walker(marking)
     for ctx in steps:
         walker.step(ctx)
