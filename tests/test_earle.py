@@ -97,6 +97,45 @@ class TestDSurface:
             assert d_surface(gen(name), 2) == 0
 
 
+def _omega(x, y):
+    """The standard form on exponent sums: a_i . b_i = 1, and a . b = 1
+    for bare words."""
+    def sums(w):
+        out = {}
+        for name, sign in w:
+            out[name] = out.get(name, 0) + sign
+        return out
+
+    u, v = sums(x), sums(y)
+    a_names = {n for n in list(u) + list(v) if n.startswith("a")}
+    return sum(u.get(a, 0) * v.get("b" + a[1:], 0)
+               - u.get("b" + a[1:], 0) * v.get(a, 0) for a in a_names)
+
+
+def surface_words(genus):
+    names = ["%s%d" % (k, i) for i in range(1, genus + 1) for k in "ab"]
+    return st.lists(st.tuples(st.sampled_from(names),
+                              st.sampled_from([1, -1])),
+                    max_size=16).map(reduce_word)
+
+
+class TestMoritaIdentity:
+    """d(xy) = d(x) + d(y) + omega([x], [y]), which makes the
+    d-difference of phi additive exactly when phi's action on H
+    preserves omega."""
+
+    @given(st.integers(1, 4).flatmap(
+        lambda g: st.tuples(st.just(g), surface_words(g), surface_words(g))))
+    def test_d_surface(self, case):
+        genus, x, y = case
+        assert d_surface(concat(x, y), genus) == \
+            d_surface(x, genus) + d_surface(y, genus) + _omega(x, y)
+
+    @given(rank2_words, rank2_words)
+    def test_d2(self, x, y):
+        assert d2(concat(x, y)) == d2(x) + d2(y) + _omega(x, y)
+
+
 class TestReferenceMap:
     def test_image_of_a2(self):
         phi = reference_bp_automorphism(2)
