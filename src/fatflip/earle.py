@@ -10,19 +10,20 @@ pairing.  The reference bounding-pair automorphism evaluates to -2*B2.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Tuple
+from itertools import product
+from typing import Dict, List, Tuple
 
+from . import intlinalg
 from .abelian import KElement
 from .words import (FreeAutomorphism, Word, WordError, abelianized_matrix,
                     commutator, concat, gen, gen_info, inverse,
-                    reduce_word, surface_generators, word_str)
+                    reduce_word, surface_generators)
 
 NormalForm = List[Tuple[int, int]]
 
 
 class NotAHomomorphismError(ValueError):
-    """The d-difference of the supplied map failed the additivity probe."""
+    """The d-difference of the supplied map is not additive."""
 
 
 def morita_normal_form(word: Word) -> NormalForm:
@@ -105,32 +106,28 @@ def d_differences(phi: FreeAutomorphism, genus: int) -> Dict[str, int]:
     return out
 
 
-def _random_word(rng: random.Random, genus: int, length: int) -> Word:
-    gens = surface_generators(genus)
-    letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
-    return reduce_word(letters)
+def check_d_difference_additive(phi: FreeAutomorphism,
+                                genus: int) -> intlinalg.Matrix:
+    """Raise unless lambda = d(phi(.)) - d is additive; return T, the
+    action of phi on H.
 
-
-def check_d_difference_additive(phi: FreeAutomorphism, genus: int,
-                                trials: int = 32,
-                                rng: Optional[random.Random] = None) -> None:
-    """Probe lambda(xy) = lambda(x) + lambda(y) on random word pairs.
-
-    A failure means the supplied map does not induce a topological
-    automorphism, so the homology class below would be meaningless.
+    As d(xy) = d(x) + d(y) + omega([x], [y]), lambda(xy) - lambda(x) -
+    lambda(y) = omega(Tx, Ty) - omega(x, y): lambda is additive exactly
+    when T^T J T = J, and it fails on x_i, x_j for an unequal entry
+    (i, j).  Such a map induces no topological automorphism, so the
+    homology class below would be meaningless.
     """
-    rng = rng or random.Random(0)
-
-    def lam(w: Word) -> int:
-        return d_surface(phi(w), genus) - d_surface(w, genus)
-
-    for _ in range(trials):
-        x = _random_word(rng, genus, rng.randint(0, 12))
-        y = _random_word(rng, genus, rng.randint(0, 12))
-        if lam(concat(x, y)) != lam(x) + lam(y):
+    t_mat = abelianized_matrix(phi, genus)
+    j_mat = intlinalg.standard_symplectic(genus)
+    form = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.transpose(t_mat),
+                                               j_mat), t_mat)
+    gens = surface_generators(genus)
+    for i, j in product(range(2 * genus), repeat=2):
+        if form[i][j] != j_mat[i][j]:
             raise NotAHomomorphismError(
                 "d-difference is not additive on %s and %s"
-                % (word_str(x), word_str(y)))
+                % (gens[i], gens[j]))
+    return t_mat
 
 
 def h_str(h: KElement) -> str:
@@ -156,9 +153,7 @@ def d_difference_class(phi: FreeAutomorphism, genus: int) -> KElement:
 
 
 def earle_f(phi: FreeAutomorphism, genus: int, *,
-            inverse_supplied: bool = False,
-            probe_trials: int = 32,
-            rng: Optional[random.Random] = None) -> KElement:
+            inverse_supplied: bool = False) -> KElement:
     """Evaluate the Earle cocycle on the mapping class of ``phi``.
 
     The cocycle pairs against d-differences of the *inverse* map.  With
@@ -167,11 +162,11 @@ def earle_f(phi: FreeAutomorphism, genus: int, *,
     and the value is corrected through its homology action, which never
     requires inverting phi symbolically.
     """
-    check_d_difference_additive(phi, genus, trials=probe_trials, rng=rng)
+    t_mat = check_d_difference_additive(phi, genus)
     h = d_difference_class(phi, genus)
     if inverse_supplied:
         return h
-    return -h.transform(abelianized_matrix(phi, genus))
+    return -h.transform(t_mat)
 
 
 def reference_bp_automorphism(genus: int = 2, *,

@@ -172,7 +172,7 @@ def _section_words(rng: random.Random, trials: int, log) -> None:
                "normal form does not reconstruct %s" % word_str(w))
     _check(d2(parse_word("b a b' a'")) == -2, "d(b a b' a') must be -2")
     phi = reference_bp_automorphism(2)
-    _check(earle_f(phi, 2, rng=rng) == -2 * KElement.basis(4, 3),
+    _check(earle_f(phi, 2) == -2 * KElement.basis(4, 3),
            "reference bounding-pair value is not -2*B2")
     totals, grand = bp_m_phase_sums()
     _check(grand.coords == (4, 0, 0, 0), "bounding-pair grand total is not 4a")

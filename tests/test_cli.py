@@ -282,7 +282,11 @@ class TestExitStatus:
          "boundary number 1"),
         (BP_AUTO, ["earle", "eval", "--genus", "0", "--auto", "{file}"], 2,
          "--genus must be at least 1"),
-    ], ids=["path-incoherent", "pentagon-three-boundaries", "eval-genus-0"])
+        ("a1 -> a1 a1\nb1 -> b1\na2 -> a2\nb2 -> b2\n",
+         ["earle", "eval", "--genus", "2", "--auto", "{file}"], 1,
+         "fatflip: d-difference is not additive on a1 and b1\n"),
+    ], ids=["path-incoherent", "pentagon-three-boundaries", "eval-genus-0",
+            "eval-not-additive"])
     def test_no_traceback(self, capsys, tmp_path, text, argv, status,
                           message):
         p = tmp_path / "input"

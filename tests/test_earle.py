@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,8 @@ from fatflip.earle import (NotAHomomorphismError, bp_m_phase_sums,
                            d_surface, earle_f, h_str, morita_normal_form,
                            project, reconstruct, reference_bp_automorphism)
 from fatflip.words import (FreeAutomorphism, WordError, commutator, concat,
-                           gen, parse_word, reduce_word, word_str)
+                           gen, inverse, parse_word, reduce_word,
+                           surface_generators, word_str)
 
 rank2_words = st.lists(
     st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([1, -1])),
@@ -159,8 +161,7 @@ class TestReferenceMap:
         assert earle_f(phi, 3) == -2 * KElement.basis(6, 3)
 
     def test_additivity_probe(self):
-        check_d_difference_additive(reference_bp_automorphism(2), 2,
-                                    trials=200, rng=random.Random(1))
+        check_d_difference_additive(reference_bp_automorphism(2), 2)
 
     def test_non_homomorphism_detected(self):
         # squaring one generator is not induced by any boundary-fixing
@@ -172,8 +173,7 @@ class TestReferenceMap:
             "b2": gen("b2"),
         })
         with pytest.raises(NotAHomomorphismError):
-            check_d_difference_additive(broken, 2, trials=300,
-                                        rng=random.Random(5))
+            check_d_difference_additive(broken, 2)
 
     def test_inverse_supplied_direction(self):
         # for this bounding pair phi^-1 has the opposite value, so the
@@ -187,6 +187,102 @@ class TestReferenceMap:
         phi = reference_bp_automorphism(2, text_variant=True)
         assert d_differences(phi, 2) != \
             d_differences(reference_bp_automorphism(2), 2)
+
+
+def _lam(phi, genus):
+    return lambda w: d_surface(phi(w), genus) - d_surface(w, genus)
+
+
+def _random_word(rng, genus, length):
+    gens = surface_generators(genus)
+    letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
+    return reduce_word(letters)
+
+
+def _probe_rejects(phi, genus, rng, trials=32):
+    """The sampled additivity probe that the exact check replaced."""
+    lam = _lam(phi, genus)
+    for _ in range(trials):
+        x = _random_word(rng, genus, rng.randint(0, 12))
+        y = _random_word(rng, genus, rng.randint(0, 12))
+        if lam(concat(x, y)) != lam(x) + lam(y):
+            return True
+    return False
+
+
+def _symplectic_map(genus, rng):
+    """A product of two moves that act symplectically on H: conjugation
+    by a short word, a transvection a_i -> a_i b_i or b_i -> b_i a_i,
+    or the reference bounding-pair map."""
+    phi = FreeAutomorphism.identity(genus)
+    for _ in range(2):
+        images = {n: gen(n) for n in surface_generators(genus)}
+        kind = rng.choice(["conj", "twist"] + ["bp"] * (genus >= 2))
+        if kind == "conj":
+            w = _random_word(rng, genus, rng.randint(1, 3))
+            images = {n: concat(w, x, inverse(w)) for n, x in images.items()}
+        elif kind == "twist":
+            i = rng.randint(1, genus)
+            x, y = rng.choice([("a%d", "b%d"), ("b%d", "a%d")])
+            images[x % i] = concat(gen(x % i), gen(y % i))
+        else:
+            images = reference_bp_automorphism(genus).images
+        phi = FreeAutomorphism({n: phi(w) for n, w in images.items()})
+    return phi
+
+
+def _squared_image(phi, genus, rng):
+    """phi with one image x -> phi(x) phi(x): T loses symplecticity."""
+    name = rng.choice(surface_generators(genus))
+    images = dict(phi.images)
+    images[name] = concat(images[name], images[name])
+    return FreeAutomorphism(images)
+
+
+class TestExactAdditivity:
+    BROKEN = FreeAutomorphism({"a1": parse_word("a1 a1"), "b1": gen("b1"),
+                               "a2": gen("a2"), "b2": gen("b2")})
+
+    def test_agrees_with_sampled_probe(self):
+        for seed in range(10):
+            rng = random.Random(seed)
+            genus = 1 + seed % 3
+            phi = _symplectic_map(genus, rng)
+            for candidate, symplectic in [
+                    (phi, True), (_squared_image(phi, genus, rng), False)]:
+                try:
+                    check_d_difference_additive(candidate, genus)
+                    exact_rejects = False
+                except NotAHomomorphismError as err:
+                    exact_rejects = True
+                    x, y = (gen(n) for n in
+                            re.fullmatch(r".* on (\w+) and (\w+)",
+                                         str(err)).groups())
+                    lam = _lam(candidate, genus)
+                    assert lam(concat(x, y)) != lam(x) + lam(y)
+                assert exact_rejects == (not symplectic)
+                assert _probe_rejects(candidate, genus,
+                                      random.Random(seed)) == exact_rejects
+
+    def test_names_a_failing_pair(self):
+        with pytest.raises(NotAHomomorphismError) as err:
+            check_d_difference_additive(self.BROKEN, 2)
+        assert str(err.value) == "d-difference is not additive on a1 and b1"
+        lam = _lam(self.BROKEN, 2)
+        a1, b1 = gen("a1"), gen("b1")
+        assert lam(concat(a1, b1)) != lam(a1) + lam(b1)
+
+    @pytest.mark.parametrize("images, message", [
+        ({"a1": gen("a1"), "b1": gen("b1")}, "no image for generator a2"),
+        ({"a1": gen("a1"), "b1": gen("b1"), "a2": gen("a3"), "b2": gen("b2")},
+         "image of a2 uses a3, outside genus 2"),
+        ({"a1": gen("a"), "b1": gen("b1"), "a2": gen("a2"), "b2": gen("b2")},
+         "image of a1 uses a, outside genus 2"),
+    ], ids=["missing", "outside-genus", "bare"])
+    def test_malformed_maps(self, images, message):
+        with pytest.raises(WordError) as err:
+            earle_f(FreeAutomorphism(images), 2)
+        assert str(err.value) == message
 
 
 class TestHStr:
