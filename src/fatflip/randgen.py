@@ -83,10 +83,10 @@ def random_graph(genus: int, rng: Rng, *, extra_flips: int = 6) -> FatGraph:
     return g
 
 
-def random_gl(rank: int, rng: Rng, *, steps: int = 12) -> intlinalg.Matrix:
-    """A random element of GL(rank, Z) as a product of elementary moves."""
+def random_gl(rank: int, rng: Rng) -> intlinalg.Matrix:
+    """A random element of GL(rank, Z): a product of 12 elementary moves."""
     m = intlinalg.identity(rank)
-    for _ in range(steps):
+    for _ in range(12):
         kind = rng.randrange(3)
         i = rng.randrange(rank)
         j = rng.randrange(rank)

@@ -22,11 +22,11 @@ from .abelian import KElement
 from .cocycles import COCYCLES, _induced_matrix, path_sums
 from .fatgraph import FatGraph, FatGraphError, canonical_iso
 from .flips import (FlipPath, adjacent_flippable_pairs, commuting_loop,
-                    disjoint_flippable_pairs, flip, flippable_edges,
+                    disjoint_flippable_pairs, flippable_edges,
                     involution_pair, pentagon_path)
 from .markings import (Marking, MarkingError, SymplecticForm,
                        canonical_h_marking, check_marking, is_topological_h,
-                       propagate, propagate_path)
+                       propagate_path)
 from .randgen import (random_coherent_marking, random_flip_path, random_gl,
                       random_graph)
 from .words import parse_word, reduce_word, word_str
@@ -116,18 +116,16 @@ def check_equivariance(path: FlipPath, marking: Marking,
 
 
 def _section_structural(rng: random.Random, trials: int, log) -> None:
-    flips_done = 0
     for t in range(trials):
         genus = rng.randint(1, 3)
         g = random_graph(genus, rng, extra_flips=0)
         m = random_coherent_marking(g, rng.randint(2, 2 * genus), rng)
         for _ in range(10):
-            g2, ctx = flip(g, rng.choice(flippable_edges(g)))
-            m = propagate(m, ctx)
-            check_flip_step(g, g2, m)
-            g = g2
-            flips_done += 1
-    log("ok structural invariance (%d flips)" % flips_done)
+            path = random_flip_path(g, 1, rng)
+            m = propagate_path(m, path.steps)
+            check_flip_step(g, path.end, m)
+            g = path.end
+    log("ok structural invariance (%d flips)" % (10 * trials))
 
 
 def _section_relation_loops(rng: random.Random, trials: int, log) -> None:

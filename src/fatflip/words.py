@@ -142,9 +142,6 @@ class FreeAutomorphism:
             letters.extend(image)
         return reduce_word(letters)
 
-    def generators(self) -> List[str]:
-        return sorted(self.images)
-
     def __repr__(self) -> str:
         body = ", ".join("%s -> %s" % (n, word_str(w))
                          for n, w in sorted(self.images.items()))
