@@ -23,8 +23,6 @@ import operator
 from itertools import combinations, compress
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from . import intlinalg
-
 
 class RankMismatchError(ValueError):
     """Operands live over bases of different ranks."""
@@ -84,8 +82,14 @@ class KElement:
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "KElement":
         """Apply the linear map given by an integer matrix."""
-        _check_width(matrix, self.rank)
-        return KElement(intlinalg.mat_vec(matrix, self.coords))
+        return self._apply(_columns(matrix, self.rank))
+
+    def _apply(self, cols: Sequence[Tuple[int, ...]]) -> "KElement":
+        """The sum of c * cols[i] over the nonzero coordinates c of self."""
+        acc = (0,) * len(cols[0])
+        for c, col in compress(zip(self.coords, cols), self.coords):
+            acc = tuple(map(operator.add, acc, map(c.__mul__, col)))
+        return KElement._of(acc)
 
     def __add__(self, other: "KElement") -> "KElement":
         if len(other.coords) != len(self.coords):
@@ -123,12 +127,17 @@ class KElement:
         return "KElement(%r)" % (self.coords,)
 
 
-def _check_width(matrix: Sequence[Sequence[int]], rank: int) -> None:
-    """A matrix applied to a value of rank ``rank`` has ``rank`` columns."""
+def _columns(matrix: Sequence[Sequence[int]],
+             rank: int) -> List[Tuple[int, ...]]:
+    """The columns of a matrix, with ``rank`` columns and a row or more,
+    as Python ints: index() first, as numpy.int64 would wrap in a product."""
     for i, row in enumerate(matrix):
         if len(row) != rank:
             raise RankMismatchError("matrix row %d has %d columns, value has "
                                     "rank %d" % (i, len(row), rank))
+    if rank and not len(matrix):
+        raise ValueError("rank must be at least 1")
+    return list(zip(*[map(operator.index, row) for row in matrix]))
 
 
 def _add_into(out: Dict[tuple, int], c: int, value: _SparseTensor) -> None:
@@ -161,9 +170,7 @@ class _SparseTensor:
 
     def transform(self, matrix: Sequence[Sequence[int]]):
         """Apply the functor of the linear map given by an integer matrix."""
-        _check_width(matrix, self.rank)
-        cols = [KElement(tuple(row[c] for row in matrix))
-                for c in range(self.rank)]
+        cols = list(map(KElement._of, _columns(matrix, self.rank)))
         out: Dict[tuple, int] = {}
         for key, c in self.coeffs.items():
             _add_into(out, c, self._image(key, cols))

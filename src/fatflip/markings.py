@@ -11,12 +11,13 @@ markings that come from the surface's homology.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import (Dict, Iterable, Iterator, List, Mapping, Sequence,
                     Tuple)
 
 from . import intlinalg
-from .abelian import KElement
-from .fatgraph import FatGraph, OrientedEdge
+from .abelian import KElement, _columns
+from .fatgraph import FatGraph, OrientedEdge, _decode
 from .flips import FlipContext
 
 
@@ -84,7 +85,8 @@ class Marking:
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Marking":
         """Post-compose with the integer linear map given by ``matrix``."""
-        return Marking._of_edges(len(matrix), {x: k.transform(matrix)
+        cols = _columns(matrix, self.rank)
+        return Marking._of_edges(len(matrix), {x: k._apply(cols)
                                                for x, k in self.values.items()})
 
     def __eq__(self, other) -> bool:
@@ -111,28 +113,41 @@ class SymplecticForm:
                     raise MarkingError("form matrix is not skew-symmetric")
         if not intlinalg.is_unimodular(m):
             raise MarkingError("form matrix is not unimodular")
+        self._set(m)
+
+    def _set(self, m: intlinalg.Matrix) -> None:
         self.matrix = tuple(tuple(row) for row in m)
-        # the nonzero entries m[i][j] as the parallel tuples of their i,
-        # j and values, so pairing skips the zeros
-        self._entries = tuple(zip(*((i, j, x) for i, row in enumerate(m)
-                                    for j, x in enumerate(row) if x)))
+        # (i, j, m[i][j]) for the nonzero entries, so gram skips the zeros
+        self._entries = tuple((i, j, x) for i, row in enumerate(m)
+                              for j, x in enumerate(row) if x)
 
     @classmethod
     def standard(cls, g: int) -> "SymplecticForm":
-        return cls(intlinalg.standard_symplectic(g))
-
-    @property
-    def genus(self) -> int:
-        return len(self.matrix) // 2
+        """J, skew and unimodular by construction, so left unchecked."""
+        form = cls.__new__(cls)
+        form._set(intlinalg.standard_symplectic(g))
+        return form
 
     def pairing(self, x: KElement, y: KElement) -> int:
-        if x.rank != len(self.matrix) or y.rank != len(self.matrix):
+        return self.gram((x, y))[0][1]
+
+    def gram(self, values: Sequence[KElement]) -> intlinalg.Matrix:
+        """The pairings [[x . y for y in values] for x in values]: each
+        nonzero entry f = m[r][c] adds f * x[r] * y[c] for the values x
+        nonzero at r and y nonzero at c, so zeros cost nothing."""
+        n = len(self.matrix)
+        if any(v.rank != n for v in values):
             raise MarkingError("vector rank does not match the form")
-        rows, cols, values = self._entries
-        return sum(map(operator.mul,
-                       map(operator.mul, map(x.coords.__getitem__, rows),
-                           values),
-                       map(y.coords.__getitem__, cols)))
+        at = [[] for _ in range(n)]  # (i, x) for each values[i][k] = x != 0
+        for i, v in enumerate(values):
+            for k in compress(range(n), v.coords):
+                at[k].append((i, v.coords[k]))
+        out = [[0] * len(values) for _ in values]
+        for r, c, f in self._entries:
+            for i, x in at[r]:
+                for j, y in at[c]:
+                    out[i][j] += f * x * y
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix
@@ -150,7 +165,7 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     for vi, sums in enumerate(_vertex_sums(graph, marking)):
         if any(sums):
             raise CoherenceError("vertex %d sums to %s"
-                                 % (vi, KElement._of(sums)))
+                                 % (vi, KElement._of(tuple(sums))))
     # by coherence each forest edge's value is an integer combination of
     # the values off the forest (fill the links in from the leaves), so
     # those span the same subgroup, with the same Smith invariants
@@ -173,17 +188,16 @@ def _coords(values: Mapping[int, KElement],
         raise MarkingDomainError("no value on %s" % (h,)) from None
 
 
-def _signed_coords(marking: Marking, h: OrientedEdge) -> Iterable[int]:
-    """The coordinates of mu(h), read from the stored ``+`` value."""
-    coords = _coords(marking.values, h)
-    return coords if h.sign > 0 else map(operator.neg, coords)
-
-
-def _vertex_sums(graph: FatGraph,
-                 marking: Marking) -> Iterator[Tuple[int, ...]]:
-    """The coordinate-wise sums of the inward values at each vertex."""
-    for v in graph.vertices:
-        yield tuple(map(sum, zip(*(_signed_coords(marking, h) for h in v))))
+def _vertex_sums(graph: FatGraph, marking: Marking) -> Iterator[List[int]]:
+    """The coordinate-wise sums of the inward values at each vertex, read
+    from the stored ``+`` values: code c is an edge's ``-`` if c is odd."""
+    for row in graph._rows:
+        acc = [0] * marking.rank
+        for c in row:
+            coords = _coords(marking.values, _decode(c))
+            for k in compress(range(marking.rank), coords):
+                acc[k] += -coords[k] if c & 1 else coords[k]
+        yield acc
 
 
 def propagate(marking: Marking, ctx: FlipContext) -> Marking:
@@ -334,7 +348,7 @@ def is_topological_h(graph: FatGraph, marking: Marking,
         kills the coherence relations, and the form is unimodular, so
         every vertex sum would be zero.
     So an incoherent marking is rejected before any pairing is read,
-    and at most g(2g - 1) pairings are computed.
+    and the pairings come from one :meth:`SymplecticForm.gram` product.
     """
     tree, want = _basis_pairing(graph)
     if marking.rank != len(tree.basis):
@@ -344,13 +358,7 @@ def is_topological_h(graph: FatGraph, marking: Marking,
         raise MarkingError("form size does not match the marking rank")
     if any(map(any, _vertex_sums(graph, marking))):
         return False
-
-    value = [marking.value(h) for h in tree.basis]
-    for i in range(len(value)):
-        for j in range(i + 1, len(value)):
-            if form.pairing(value[i], value[j]) != want[i][j]:
-                return False
-    return True
+    return form.gram([marking.value(h) for h in tree.basis]) == want
 
 
 def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:

@@ -163,4 +163,8 @@ def abelianized_matrix(phi: FreeAutomorphism, genus: int):
                                 % (name, g_name, genus))
             col[pos[g_name]] += sign
         cols.append(col)
+    for name in phi.images:
+        if name not in pos:
+            raise WordError("map gives an image for %s, outside genus %d"
+                            % (name, genus))
     return [[cols[j][i] for j in range(2 * genus)] for i in range(2 * genus)]

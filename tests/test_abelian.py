@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from fatflip.abelian import (KElement, RankMismatchError, Wedge2, Wedge3,
                              _common_rank, sym_pair, wedge2, wedge3)
+from fatflip.fatgraph import oe
+from fatflip.markings import Marking
 
 
 def e(i, rank=4):
@@ -248,6 +250,23 @@ class TestExactScaling:
                 == KElement((2 ** 64, 4)))
         assert (Wedge3(3, {(0, 1, 2): 2 ** 62}) * np.int64(4)
                 == Wedge3(3, {(0, 1, 2): 2 ** 64}))
+
+    def test_numpy_integer_transform_does_not_wrap(self):
+        np = pytest.importorskip("numpy")
+        matrix = [[np.int64(4), np.int64(0)], [np.int64(0), np.int64(1)]]
+        moved = KElement((2 ** 62, 1)).transform(matrix)
+        assert moved == KElement((2 ** 64, 1))
+        assert all(type(c) is int for c in moved.coords)
+        assert (Wedge2(2, {(0, 1): 2 ** 62}).transform(matrix)
+                == Wedge2(2, {(0, 1): 2 ** 64}))
+
+    def test_numpy_integer_marking_transform_does_not_wrap(self):
+        np = pytest.importorskip("numpy")
+        marking = Marking(2, {oe(1, 1): KElement((2 ** 62, 1)),
+                              oe(2, -1): KElement((1, -2 ** 62))})
+        moved = marking.transform(np.array([[4, 0], [0, 1]], dtype=np.int64))
+        assert moved.values == {1: KElement((2 ** 64, 1)),
+                                2: KElement((-4, 2 ** 62))}
 
     def test_arithmetic_results_hold_python_ints(self):
         np = pytest.importorskip("numpy")

@@ -285,8 +285,11 @@ class TestExitStatus:
         ("a1 -> a1 a1\nb1 -> b1\na2 -> a2\nb2 -> b2\n",
          ["earle", "eval", "--genus", "2", "--auto", "{file}"], 1,
          "fatflip: d-difference is not additive on a1 and b1\n"),
+        ("a1 -> a1\nb1 -> b1\na2 -> a2\nb2 -> b2\na3 -> a3 a3\n",
+         ["earle", "eval", "--genus", "2", "--auto", "{file}"], 1,
+         "fatflip: map gives an image for a3, outside genus 2\n"),
     ], ids=["path-incoherent", "pentagon-three-boundaries", "eval-genus-0",
-            "eval-not-additive"])
+            "eval-not-additive", "eval-image-outside-genus"])
     def test_no_traceback(self, capsys, tmp_path, text, argv, status,
                           message):
         p = tmp_path / "input"

@@ -278,7 +278,10 @@ class TestExactAdditivity:
          "image of a2 uses a3, outside genus 2"),
         ({"a1": gen("a"), "b1": gen("b1"), "a2": gen("a2"), "b2": gen("b2")},
          "image of a1 uses a, outside genus 2"),
-    ], ids=["missing", "outside-genus", "bare"])
+        ({"a1": gen("a1"), "b1": gen("b1"), "a2": gen("a2"), "b2": gen("b2"),
+          "a3": parse_word("a3 a3")},
+         "map gives an image for a3, outside genus 2"),
+    ], ids=["missing", "outside-genus", "bare", "image-outside-genus"])
     def test_malformed_maps(self, images, message):
         with pytest.raises(WordError) as err:
             earle_f(FreeAutomorphism(images), 2)
