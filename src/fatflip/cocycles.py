@@ -23,7 +23,7 @@ from typing import Dict, Iterator, Sequence, Tuple, Union
 from . import intlinalg
 from .abelian import (KElement, SymWedge, Wedge3, _add_sym, _add_wedge2,
                       _add_wedge3)
-from .fatgraph import FatGraph, FatGraphError, canonical_iso
+from .fatgraph import FatGraph, FatGraphError, OrientedEdge, canonical_iso
 from .flips import (ClosureError, FlipContext, FlipPath, concat_paths,
                     replay_path)
 from .markings import CoherenceError, Marking, _coords, propagate_path
@@ -199,8 +199,10 @@ def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix
 def _induced_matrix(start: FatGraph, psi: Dict, marking: Marking,
                     end_marking: Marking) -> intlinalg.Matrix:
     """The unimodular T with T * mu(e) = mu_end(psi(e)) on every oriented
-    edge e of ``start``, for a path already walked and closed by psi."""
-    edges = start.oriented_edges()
+    edge e of ``start``, for a path already walked and closed by psi.
+    Both sides negate under reversal, so the ``+`` orientations carry
+    every condition."""
+    edges = [OrientedEdge(x, 1) for x in start.edge_ids()]
     xs = [list(marking.value(e).coords) for e in edges]
     ys = [list(end_marking.value(psi[e]).coords) for e in edges]
     try:

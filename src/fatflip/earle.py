@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 
 from . import intlinalg
 from .abelian import KElement
+from .markings import SymplecticForm
 from .words import (FreeAutomorphism, Word, WordError, abelianized_matrix,
                     commutator, concat, gen, gen_info, inverse,
                     reduce_word, surface_generators)
@@ -113,17 +114,17 @@ def check_d_difference_additive(phi: FreeAutomorphism,
 
     As d(xy) = d(x) + d(y) + omega([x], [y]), lambda(xy) - lambda(x) -
     lambda(y) = omega(Tx, Ty) - omega(x, y): lambda is additive exactly
-    when T^T J T = J, and it fails on x_i, x_j for an unequal entry
-    (i, j).  Such a map induces no topological automorphism, so the
-    homology class below would be meaningless.
+    when T^T J T, the Gram matrix of T's columns under J, equals J, and
+    it fails on x_i, x_j for an unequal entry (i, j).  Such a map
+    induces no topological automorphism, so the homology class below
+    would be meaningless.
     """
     t_mat = abelianized_matrix(phi, genus)
-    j_mat = intlinalg.standard_symplectic(genus)
-    form = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.transpose(t_mat),
-                                               j_mat), t_mat)
+    form = SymplecticForm.standard(genus)
+    gram = form.gram([KElement._of(col) for col in zip(*t_mat)])
     gens = surface_generators(genus)
     for i, j in product(range(2 * genus), repeat=2):
-        if form[i][j] != j_mat[i][j]:
+        if gram[i][j] != form.matrix[i][j]:
             raise NotAHomomorphismError(
                 "d-difference is not additive on %s and %s"
                 % (gens[i], gens[j]))
@@ -169,22 +170,18 @@ def earle_f(phi: FreeAutomorphism, genus: int, *,
     return -h.transform(t_mat)
 
 
-def reference_bp_automorphism(genus: int = 2, *,
-                              text_variant: bool = False) -> FreeAutomorphism:
+def reference_bp_automorphism(genus: int = 2) -> FreeAutomorphism:
     """The bounding-pair map used for the -2*B2 evaluation.
 
     Conjugates the first handle by gamma = a2 b2' a2' [b1, a1] and sends
-    a2 to gamma a2 b2, fixing b2 and all higher handles.  The
-    ``text_variant`` flag swaps in the commutator [b1, a2] instead; the
-    two published forms of gamma disagree and only the default
-    reproduces the -2*B2 value.
+    a2 to gamma a2 b2, fixing b2 and all higher handles.  The published
+    form of gamma with [b1, a2] in place of [b1, a1] does not give -2*B2.
     """
     if genus < 2:
         raise WordError("the bounding-pair map needs genus >= 2")
     a1, b1 = gen("a1"), gen("b1")
     a2, b2 = gen("a2"), gen("b2")
-    comm = commutator(b1, a2 if text_variant else a1)
-    gamma = concat(a2, inverse(b2), inverse(a2), comm)
+    gamma = concat(a2, inverse(b2), inverse(a2), commutator(b1, a1))
     images = {
         "a1": concat(gamma, a1, inverse(gamma)),
         "b1": concat(gamma, b1, inverse(gamma)),

@@ -283,19 +283,11 @@ class FatGraph:
         rows = self._rows
         if not rows:
             raise HalfEdgeStructureError("graph has no vertices")
+        links, *rest = self._spanning_forest()
+        if rest:
+            raise DisconnectedGraphError("only %d of %d vertices reachable"
+                                         % (len(links) + 1, len(rows)))
         vert = self._index()[1]
-        seen = {0}
-        queue = [0]
-        while queue:
-            vi = queue.pop()
-            for c in rows[vi]:
-                other = vert[c ^ 1]
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        if len(seen) != len(rows):
-            raise DisconnectedGraphError(
-                "only %d of %d vertices reachable" % (len(seen), len(rows)))
         univalent = [vi for vi, row in enumerate(rows) if len(row) == 1]
         if len(univalent) != 1:
             raise UnivalentVertexError(
@@ -310,6 +302,28 @@ class FatGraph:
             if vi != tail_end and len(row) < 3:
                 raise ValenceError("vertex %d has valence %d < 3"
                                    % (vi, len(row)))
+
+    def _spanning_forest(self) -> List[List[int]]:
+        """The breadth-first spanning forest, one tree per component, grown
+        from the tail vertex first and then from the first vertex not yet
+        reached.  Each tree is listed by its links: the code of the tree
+        edge pointing into each vertex it reached, in the order reached."""
+        rows, vert = self._rows, self._index()[1]
+        seen, forest = set(), []
+        for root in (vert[self._tail ^ 1], *range(len(rows))):
+            if root in seen:
+                continue
+            seen.add(root)
+            links, queue = [], [root]
+            for vi in queue:  # breadth first: the loop reads what it appends
+                for c in rows[vi]:
+                    other = vert[c ^ 1]
+                    if other not in seen:
+                        seen.add(other)
+                        links.append(c ^ 1)
+                        queue.append(other)
+            forest.append(links)
+        return forest
 
     # -- boundary structure ---------------------------------------------
 

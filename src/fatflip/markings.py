@@ -104,15 +104,12 @@ class SymplecticForm:
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         m = [list(map(int, row)) for row in matrix]
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise MarkingError("form matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] != -m[j][i]:
-                    raise MarkingError("form matrix is not skew-symmetric")
-        if not intlinalg.is_unimodular(m):
-            raise MarkingError("form matrix is not unimodular")
+        if not m or any(len(row) != len(m) for row in m):
+            raise MarkingError("form matrix must be square and nonempty")
+        try:  # decides skew, alternating, even size and unimodular
+            intlinalg.symplectic_basis(m)
+        except intlinalg.LinAlgError as err:
+            raise MarkingError("form matrix: %s" % err) from err
         self._set(m)
 
     def _set(self, m: intlinalg.Matrix) -> None:
@@ -169,7 +166,7 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     # by coherence each forest edge's value is an integer combination of
     # the values off the forest (fill the links in from the leaves), so
     # those span the same subgroup, with the same Smith invariants
-    tree = {c >> 1 for links in _spanning_forest(graph) for c in links}
+    tree = {c >> 1 for links in graph._spanning_forest() for c in links}
     rows = [list(marking.values[x].coords) for x in graph.edge_ids()
             if x not in tree]
     res = intlinalg.smith(intlinalg.transpose(rows))
@@ -248,29 +245,6 @@ def _pattern(n: int, rows: Sequence[Tuple[int, int]],
     return out
 
 
-def _spanning_forest(graph: FatGraph) -> List[List[int]]:
-    """The breadth-first spanning forest, one tree per component, grown
-    from the tail vertex first and then from the first vertex not yet
-    reached.  Each tree is listed by its links: the code of the tree
-    edge pointing into each vertex it reached, in the order reached."""
-    rows, vert = graph._rows, graph._index()[1]
-    seen, forest = set(), []
-    for root in (vert[graph._tail ^ 1], *range(len(rows))):
-        if root in seen:
-            continue
-        seen.add(root)
-        links, queue = [], [root]
-        for vi in queue:  # breadth first: the loop reads what it appends
-            for c in rows[vi]:
-                other = vert[c ^ 1]
-                if other not in seen:
-                    seen.add(other)
-                    links.append(c ^ 1)
-                    queue.append(other)
-        forest.append(links)
-    return forest
-
-
 class _SpanningTree:
     """The breadth-first spanning tree grown from the tail vertex.
 
@@ -284,7 +258,7 @@ class _SpanningTree:
     __slots__ = ("graph", "links", "basis")
 
     def __init__(self, graph: FatGraph):
-        links, *rest = _spanning_forest(graph)
+        links, *rest = graph._spanning_forest()
         if rest:
             raise PairingError("spanning tree from the tail vertex reaches %d "
                                "of %d vertices" % (len(links) + 1,
@@ -393,8 +367,9 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
         s = intlinalg.symplectic_basis(pair_m)
     except intlinalg.LinAlgError as err:
         raise PairingError(str(err)) from err
-    # the columns of S^-1 = J^T S^T P are the rows of P^T S J
-    values = intlinalg.mat_mul(intlinalg.transpose(pair_m), intlinalg.mat_mul(
-        s, intlinalg.standard_symplectic(g)))
+    # the columns of S^-1 = J^T S^T P are the rows of P^T S J = -P S J,
+    # and -J sends a row (x1, y1, x2, y2, ...) to (y1, -x1, y2, -x2, ...)
+    values = [[z for x, y in zip(row[::2], row[1::2]) for z in (y, -x)]
+              for row in intlinalg.mat_mul(pair_m, s)]
     return (Marking._of_edges(2 * g, tree.fill(2 * g, values)),
             SymplecticForm.standard(g))

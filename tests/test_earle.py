@@ -184,7 +184,16 @@ class TestReferenceMap:
         assert direct == -flipped
 
     def test_text_variant_differs(self):
-        phi = reference_bp_automorphism(2, text_variant=True)
+        # the published gamma with the commutator [b1, a2] in place of
+        # [b1, a1], in the reference map
+        a1, b1, a2, b2 = map(gen, ("a1", "b1", "a2", "b2"))
+        gamma = concat(a2, inverse(b2), inverse(a2), commutator(b1, a2))
+        phi = FreeAutomorphism({
+            "a1": concat(gamma, a1, inverse(gamma)),
+            "b1": concat(gamma, b1, inverse(gamma)),
+            "a2": concat(gamma, a2, b2),
+            "b2": b2,
+        })
         assert d_differences(phi, 2) != \
             d_differences(reference_bp_automorphism(2), 2)
 

@@ -118,8 +118,9 @@ class TestStructure:
             [oe(0, 1), oe(1, 1), oe(1, -1)],
             [oe(2, 1), oe(2, -1), oe(3, 1), oe(3, -1)],
         ], oe(0, 1))
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError) as err:
             g.validate()
+        assert str(err.value) == "only 2 of 3 vertices reachable"
 
     @pytest.mark.parametrize("bad", [
         OrientedEdge(0, 2), OrientedEdge(0, 0), OrientedEdge(0, True),

@@ -9,9 +9,9 @@ from fatflip.fatgraph import BoundaryNumberError, FatGraph, canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingError, SurjectivityError, SymplecticForm,
-                              _pattern, _SpanningTree, canonical_h_marking,
-                              check_marking, is_topological_h, propagate,
-                              propagate_path)
+                              _basis_pairing, _pattern, _SpanningTree,
+                              canonical_h_marking, check_marking,
+                              is_topological_h, propagate, propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
                              random_gl, random_graph)
 from fatflip.selftest import SelfTestFailure, check_topological_path
@@ -249,9 +249,13 @@ class TestSymplecticForm:
         checked = [SymplecticForm(intlinalg.standard_symplectic(g))
                    for g in range(1, 9)]
 
-        def smith(a):
-            raise AssertionError("smith called on the standard form")
-        monkeypatch.setattr(intlinalg, "smith", smith)
+        def checked_by(name):
+            def fail(*args):
+                raise AssertionError("%s called on the standard form" % name)
+            return fail
+        monkeypatch.setattr(intlinalg, "smith", checked_by("smith"))
+        monkeypatch.setattr(intlinalg, "symplectic_basis",
+                            checked_by("symplectic_basis"))
         rng = random.Random(36)
         for g, want in enumerate(checked, start=1):
             form = SymplecticForm.standard(g)
@@ -261,6 +265,20 @@ class TestSymplecticForm:
             pairs = dense_gram(want.matrix, vectors)
             assert [[form.pairing(x, y) for y in vectors]
                     for x in vectors] == pairs
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 1, 0], [-1, 0, 0]],
+        [],
+        [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+        [[1, 1], [-1, 0]],
+        [[0, 1], [1, 0]],
+        [[0, 2], [-2, 0]],
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ], ids=["non-square", "empty", "odd", "diagonal", "non-skew",
+            "not-unimodular", "rank-2"])
+    def test_rejects_non_symplectic(self, matrix):
+        with pytest.raises(MarkingError):
+            SymplecticForm(matrix)
 
     def test_gram_matches_dense_product(self):
         rng = random.Random(37)
@@ -455,6 +473,19 @@ class TestCanonicalHMarking:
             check_topological_path(path, moved, form)
         assert str(err.value) == ("start marking fails the intersection "
                                   "criterion")
+
+
+@pytest.mark.parametrize("genus", [12, 16, 24, 32])
+def test_basis_values_match_dense_product(genus):
+    # the basis edges carry the rows of P^T (S J), beyond the golden
+    # records' genus 8
+    graph = random_graph(genus, random.Random("dense/%d" % genus))
+    marking, _ = canonical_h_marking(graph)
+    tree, pair_m = _basis_pairing(graph)
+    s = intlinalg.symplectic_basis(pair_m)
+    want = intlinalg.mat_mul(intlinalg.transpose(pair_m), intlinalg.mat_mul(
+        s, intlinalg.standard_symplectic(genus)))
+    assert [list(marking.value(h).coords) for h in tree.basis] == want
 
 
 def cokernel_classes(graph):
