@@ -249,13 +249,10 @@ class TestSymplecticForm:
         checked = [SymplecticForm(intlinalg.standard_symplectic(g))
                    for g in range(1, 9)]
 
-        def checked_by(name):
-            def fail(*args):
-                raise AssertionError("%s called on the standard form" % name)
-            return fail
-        monkeypatch.setattr(intlinalg, "smith", checked_by("smith"))
-        monkeypatch.setattr(intlinalg, "symplectic_basis",
-                            checked_by("symplectic_basis"))
+        def fail(*args):
+            raise AssertionError("the standard form was checked")
+        monkeypatch.setattr(intlinalg, "smith", fail)
+        monkeypatch.setattr(intlinalg, "symplectic_basis", fail)
         rng = random.Random(36)
         for g, want in enumerate(checked, start=1):
             form = SymplecticForm.standard(g)
@@ -474,18 +471,18 @@ class TestCanonicalHMarking:
         assert str(err.value) == ("start marking fails the intersection "
                                   "criterion")
 
-
-@pytest.mark.parametrize("genus", [12, 16, 24, 32])
-def test_basis_values_match_dense_product(genus):
-    # the basis edges carry the rows of P^T (S J), beyond the golden
-    # records' genus 8
-    graph = random_graph(genus, random.Random("dense/%d" % genus))
-    marking, _ = canonical_h_marking(graph)
-    tree, pair_m = _basis_pairing(graph)
-    s = intlinalg.symplectic_basis(pair_m)
-    want = intlinalg.mat_mul(intlinalg.transpose(pair_m), intlinalg.mat_mul(
-        s, intlinalg.standard_symplectic(genus)))
-    assert [list(marking.value(h).coords) for h in tree.basis] == want
+    @pytest.mark.parametrize("genus", [12, 16, 24, 32])
+    def test_basis_values_match_dense_product(self, genus):
+        # the basis edges carry the rows of P^T (S J), beyond the golden
+        # records' genus 8
+        graph = random_graph(genus, random.Random("dense/%d" % genus))
+        marking, _ = canonical_h_marking(graph)
+        tree, pair_m = _basis_pairing(graph)
+        s = intlinalg.symplectic_basis(pair_m)
+        j = intlinalg.standard_symplectic(genus)
+        want = intlinalg.mat_mul(intlinalg.transpose(pair_m),
+                                 intlinalg.mat_mul(s, j))
+        assert [list(marking.value(h).coords) for h in tree.basis] == want
 
 
 def cokernel_classes(graph):
