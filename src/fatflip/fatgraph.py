@@ -389,29 +389,39 @@ class FatGraph:
 
     # -- canonical form --------------------------------------------------
 
-    def _canonical_codes(self) -> Tuple[List[int], Dict[int, int],
-                                        Tuple[Tuple[int, ...], ...]]:
-        """The tail cycle, its relabeling and the canonical rows."""
+    def _canonical_codes(self) -> Tuple[Dict[int, int],
+                                        Tuple[Tuple[int, ...], ...], int]:
+        """The relabeling by boundary ranks, the canonical rows and the
+        canonical form's fresh edge id."""
         cycle = self._tail_cycle()
         # the first orientation of an edge met along the boundary, at
-        # rank i, becomes i+ (code 2i), the other one i- (code 2i + 1)
+        # rank i, becomes i+ (code 2i), the other one i- (code 2i + 1);
+        # so the last such rank is the largest new edge id
         code: Dict[int, int] = {}
         for i, c in enumerate(cycle):
             if c not in code:
                 code[c] = 2 * i
                 code[c ^ 1] = 2 * i + 1
-        relabeled = code.__getitem__
+                last = i
         rows = []
         for row in self._rows:
-            w = tuple(map(relabeled, row))
-            k = w.index(min(w))
-            rows.append(w[k:] + w[:k] if k else w)
+            if len(row) == 3:  # every vertex but the tail's, in a flip graph
+                x, y, z = row
+                x, y, z = code[x], code[y], code[z]
+                if x < y:
+                    rows.append((x, y, z) if x < z else (z, x, y))
+                else:
+                    rows.append((y, z, x) if y < z else (z, x, y))
+            else:
+                w = tuple(map(code.__getitem__, row))
+                k = w.index(min(w))
+                rows.append(w[k:] + w[:k] if k else w)
         rows.sort()
         if sum(map(len, rows)) != len(cycle):
             raise CorruptedStructureError(
                 "canonical form has %d half-edges, expected %d"
                 % (sum(map(len, rows)), len(cycle)))
-        return cycle, code, tuple(rows)
+        return code, tuple(rows), last + 1
 
     def canonicalize(self) -> Tuple["FatGraph", Dict[OrientedEdge, OrientedEdge]]:
         """Relabel by boundary ranks into a canonical representative.
@@ -424,17 +434,16 @@ class FatGraph:
         The canonical form holds only its rows; its index is built on
         first use.
         """
-        cycle, code, rows = self._canonical_codes()
-        fresh = max(code.values()) // 2 + 1
+        code, rows, fresh = self._canonical_codes()
         old = _canonical_edges(2 * self._fresh)
         new = _canonical_edges(2 * fresh)
-        relabel = {old[c]: new[code[c]] for c in cycle}
+        relabel = {old[c]: new[k] for c, k in code.items()}
         return FatGraph._from_codes(rows, 0, fresh), relabel
 
     def canonical_key(self) -> Tuple[Tuple[int, ...], ...]:
         """A hashable complete invariant for tail-preserving isomorphism:
         the code rows of the canonical form, whose tail is always 0+."""
-        return self._canonical_codes()[2]
+        return self._canonical_codes()[1]
 
     # -- misc -----------------------------------------------------------
 

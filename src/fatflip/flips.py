@@ -22,7 +22,7 @@ n + 2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .fatgraph import (CorruptedStructureError, FatGraph, FatGraphError,
                        OrientedEdge, _canonical_edges, _code, canonical_iso)
@@ -47,13 +47,13 @@ class ClosureError(FatGraphError):
     """A loop that must return to its starting graph failed to do so."""
 
 
-@dataclass(frozen=True)
-class FlipContext:
+class FlipContext(NamedTuple):
     """Everything recorded about one flip.
 
     ``edge`` and the four neighbor labels a, b, c, d are oriented edges
     of the graph *before* the flip; ``new_edge`` lives in the graph
-    after it.
+    after it.  A named tuple, so it compares equal to the plain 6-tuple
+    of its fields.
     """
 
     edge: OrientedEdge
@@ -152,8 +152,7 @@ def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
             "flip of edge %d left %d half-edges, expected %d"
             % (e.edge, len(succ), len(old_succ)))
     table = _canonical_edges(n + 2)
-    ctx = FlipContext(edge=e, a=table[a], b=table[b], c=table[c],
-                      d=table[d], new_edge=table[n])
+    ctx = FlipContext(e, table[a], table[b], table[c], table[d], table[n])
     return FatGraph._from_codes(tuple(rows), graph._tail, fresh + 1,
                                 succ, vert), ctx
 

@@ -4,8 +4,9 @@ import re
 import pytest
 
 from fatflip import fatgraph
-from fatflip.fatgraph import (BoundaryNumberError, DisconnectedGraphError,
-                              FatGraph, FatGraphError, HalfEdgeStructureError,
+from fatflip.fatgraph import (BoundaryNumberError, CorruptedStructureError,
+                              DisconnectedGraphError, FatGraph, FatGraphError,
+                              HalfEdgeStructureError,
                               OrientedEdge, UnivalentVertexError,
                               ValenceError, canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges, fresh_edge_id
@@ -68,6 +69,34 @@ def sorted_canonicalize(graph):
         verts.append(w[k:] + w[:k])
     verts.sort(key=lambda w: tuple(edge_key(h) for h in w))
     return FatGraph(verts, relabel[graph.tail]), relabel
+
+
+def rose(genus):
+    """The tailed rose: the tail vertex and one vertex (0+, x1, y1, ~x1,
+    ~y1, ...) of valence 4g + 1, with x_k = 2k - 1 and y_k = 2k."""
+    row = [oe(0, 1)]
+    for k in range(1, genus + 1):
+        x, y = 2 * k - 1, 2 * k
+        row += [oe(x, 1), oe(y, 1), oe(x, -1), oe(y, -1)]
+    return FatGraph([[oe(0, -1)], row], oe(0, 1))
+
+
+def split_roses():
+    """One-boundary graphs with a 4- or 5-valent vertex, each a rose whose
+    big vertex is split by hand into two or three along new edges."""
+    return [
+        FatGraph([[oe(0, -1)], [oe(0, 1), oe(1, 1), oe(3, 1)],
+                  [oe(3, -1), oe(2, 1), oe(1, -1), oe(2, -1)]], oe(0, 1)),
+        FatGraph([[oe(0, -1)], [oe(0, 1), oe(1, 1), oe(2, 1), oe(3, 1)],
+                  [oe(3, -1), oe(1, -1), oe(2, -1)]], oe(0, 1)),
+        FatGraph([[oe(0, -1)],
+                  [oe(0, 1), oe(1, 1), oe(2, 1), oe(1, -1), oe(5, 1)],
+                  [oe(5, -1), oe(2, -1), oe(3, 1), oe(4, 1), oe(3, -1),
+                   oe(4, -1)]], oe(0, 1)),
+        FatGraph([[oe(0, -1)], [oe(0, 1), oe(1, 1), oe(2, 1), oe(5, 1)],
+                  [oe(5, -1), oe(1, -1), oe(2, -1), oe(3, 1), oe(6, 1)],
+                  [oe(6, -1), oe(4, 1), oe(3, -1), oe(4, -1)]], oe(0, 1)),
+    ]
 
 
 def path_graphs(path):
@@ -424,3 +453,30 @@ class TestCanonicalOracle:
     def test_several_boundary_cycles_rejected(self, three_boundary):
         with pytest.raises(BoundaryNumberError, match="got 3"):
             three_boundary.canonicalize()
+
+    def test_general_rows(self):
+        # every other input here is trivalent apart from the tail vertex
+        rng = random.Random(34)
+        graphs = [rose(genus) for genus in (1, 2, 3, 4)] + split_roses()
+        assert {len(v) for g in graphs for v in g.vertices} >= {4, 5, 17}
+        for g in graphs:
+            g.validate()
+            assert g.boundary_number() == 1
+            for h in [g] + [shuffle_graph(g, rng) for _ in range(4)]:
+                self.assert_matches_oracle(h)
+                assert h.canonical_key() == sorted_canonicalize(h)[0]._rows
+
+    def test_several_boundary_cycles_have_no_key(self, three_boundary):
+        with pytest.raises(BoundaryNumberError, match="got 3"):
+            three_boundary.canonical_key()
+
+    @pytest.mark.parametrize("method", ["canonicalize", "canonical_key"])
+    def test_open_tail_walk(self, g1, method):
+        graph = FatGraph(g1.vertices, g1.tail)
+        succ = graph._index()[0]
+        # the walk from the tail 0+ goes on to c; from then on it stays at c
+        c = succ[graph._tail] ^ 1
+        succ[c] = c ^ 1
+        with pytest.raises(CorruptedStructureError,
+                           match=r"^boundary walk from 0\+ does not close$"):
+            getattr(graph, method)()

@@ -4,11 +4,11 @@ from math import factorial
 import pytest
 
 from fatflip.fatgraph import FatGraph, OrientedEdge, canonical_iso, oe
-from fatflip.flips import (FlipError, PathStepError, adjacent_flippable_pairs,
-                           apply_path, commuting_loop,
-                           disjoint_flippable_pairs, flip, flippable,
-                           flippable_edges, involution_pair, pentagon_path,
-                           reverse_path)
+from fatflip.flips import (FlipContext, FlipError, PathStepError,
+                           adjacent_flippable_pairs, apply_path,
+                           commuting_loop, disjoint_flippable_pairs, flip,
+                           flippable, flippable_edges, involution_pair,
+                           pentagon_path, reverse_path)
 from fatflip.randgen import random_graph, standard_surface_graph
 
 
@@ -179,6 +179,46 @@ class TestPaths:
         corr_b = correspondence(back)
         for h in g.oriented_edges():
             assert iso_inv[corr_b[corr_f[h]]].edge == h.edge
+
+
+class TestFlipContext:
+    def test_fields_in_order(self):
+        assert FlipContext._fields == ("edge", "a", "b", "c", "d",
+                                       "new_edge")
+
+    def test_positional_and_keyword_construction_agree(self, g1):
+        _, ctx = flip(g1, 1)
+        by_keyword = FlipContext(edge=ctx.edge, a=ctx.a, b=ctx.b, c=ctx.c,
+                                 d=ctx.d, new_edge=ctx.new_edge)
+        by_position = FlipContext(ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d,
+                                  ctx.new_edge)
+        assert by_keyword == by_position == ctx
+        # a named tuple: equal to the plain tuple of its fields
+        assert ctx == (oe(1, 1), oe(3, -1), oe(0, 1), oe(2, -1), oe(4, 1),
+                       oe(5, 1))
+
+    def test_immutable_and_hashable(self, g1):
+        _, ctx = flip(g1, 1)
+        for field in FlipContext._fields:
+            with pytest.raises(AttributeError):
+                setattr(ctx, field, oe(7, 1))
+        again = flip(g1, 1)[1]
+        assert hash(again) == hash(ctx)
+        assert {ctx, again} == {ctx}
+
+    def test_apply_path_records_equal_single_flips(self):
+        rng = random.Random(36)
+        for genus in (1, 2, 3):
+            start = random_graph(genus, rng)
+            cur, edges, records = start, [], []
+            for _ in range(20):
+                e = rng.choice(flippable_edges(cur))
+                cur, ctx = flip(cur, e)
+                edges.append(e)
+                records.append(ctx)
+            path = apply_path(start, edges)
+            assert path.steps == tuple(records)
+            assert path.end == cur
 
 
 class TestFlipGraph:
