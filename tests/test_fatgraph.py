@@ -6,9 +6,9 @@ import pytest
 from fatflip import fatgraph
 from fatflip.fatgraph import (BoundaryNumberError, CorruptedStructureError,
                               DisconnectedGraphError, FatGraph, FatGraphError,
-                              HalfEdgeStructureError,
-                              OrientedEdge, UnivalentVertexError,
-                              ValenceError, canonical_iso, oe)
+                              HalfEdgeStructureError, OrientedEdge,
+                              UnivalentVertexError, ValenceError,
+                              canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges, fresh_edge_id
 from fatflip.randgen import (random_flip_path, random_graph,
                              standard_surface_graph)
@@ -455,7 +455,8 @@ class TestCanonicalOracle:
             three_boundary.canonicalize()
 
     def test_general_rows(self):
-        # every other input here is trivalent apart from the tail vertex
+        # the other tests of this class feed graphs that are trivalent
+        # apart from the tail vertex
         rng = random.Random(34)
         graphs = [rose(genus) for genus in (1, 2, 3, 4)] + split_roses()
         assert {len(v) for g in graphs for v in g.vertices} >= {4, 5, 17}
