@@ -1,15 +1,17 @@
 """Exact integer linear algebra helpers.
 
-Small matrices only (a few dozen rows), so the plain quadratic Smith
-reduction with full transform tracking is entirely adequate.  Matrices
-are lists of lists of Python ints; nothing here ever leaves Z.
+Small matrices only (a few dozen rows).  Smith reduction is the plain
+quadratic one; ``gram`` and ``symplectic_basis``, which keeps the Gram
+matrix of its working basis as sparse rows, cost only the nonzeros of
+the sparse intersection pairings.  Matrices are lists of lists of
+Python ints; nothing here ever leaves Z.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import add, mul
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -244,73 +246,96 @@ def standard_symplectic(g: int) -> Matrix:
     return j
 
 
+def gram(entries: Iterable[Tuple[int, int, int]],
+         vectors: Sequence[Iterable[Tuple[int, int]]]) -> Matrix:
+    """The pairings [[x^T F y for y in vectors] for x in vectors], from
+    the nonzero entries (r, c, f) of F and the nonzero (coordinate,
+    value) pairs of each vector: an entry adds f * x[r] * y[c] for the x
+    nonzero at r and the y nonzero at c, so zeros cost nothing."""
+    at: Dict[int, List[Tuple[int, int]]] = {}  # coordinate -> (i, value)
+    for i, v in enumerate(vectors):
+        for k, x in v:
+            at.setdefault(k, []).append((i, x))
+    out = [[0] * len(vectors) for _ in vectors]
+    for r, c, f in entries:
+        for i, x in at.get(r, ()):
+            for j, y in at.get(c, ()):
+                out[i][j] += f * x * y
+    return out
+
+
 def symplectic_basis(pairing: Sequence[Sequence[int]]) -> Matrix:
     """Integer change of basis S with S^T * pairing * S standard.
 
-    ``pairing`` must be skew-symmetric and unimodular; the columns of
-    the returned S are a symplectic basis ordered (A1, B1, A2, B2, ...).
-    Raises LinAlgError otherwise.
+    ``pairing`` must be square, skew-symmetric and unimodular; the
+    columns of S are a symplectic basis ordered (A1, B1, A2, B2, ...).
+    Raises LinAlgError otherwise.  The basis vectors b_a are sparse dicts
+    with Gram matrix pair[a][b] = pairing(b_a, b_b) in sparse skew rows:
+    a step b_k += q * b_j updates b_k and row and column k from the
+    nonzeros of b_j and of row j, so pairings are read, not recomputed.
+    The closing check S^T * pairing * S == J is a separate gram product.
     """
     n = len(pairing)
+    if any(len(row) != n for row in pairing):
+        raise LinAlgError("pairing must be square, got %d rows of lengths %s"
+                          % (n, sorted({len(row) for row in pairing})))
     if n % 2:
         raise LinAlgError("skew unimodular forms have even rank")
-    for i in range(n):
-        if pairing[i][i] != 0:
+    for i, (row, col) in enumerate(zip(pairing, zip(*pairing))):
+        if row[i]:
             raise LinAlgError("pairing is not alternating")
-        for j in range(n):
-            if pairing[i][j] != -pairing[j][i]:
-                raise LinAlgError("pairing is not skew-symmetric")
+        if any(map(add, row, col)):
+            raise LinAlgError("pairing is not skew-symmetric")
 
-    def dot(x, y):
-        return sum(map(mul, x, y))
+    pair = [dict(zip(compress(range(n), row), filter(None, row)))
+            for row in pairing]
+    entries = [(i, j, x) for i, row in enumerate(pair) for j, x in row.items()]
+    basis: List[Dict[int, int]] = [{i: 1} for i in range(n)]
 
-    def add_multiple(w, q, x):  # w + q * x
-        return list(map(add, w, map(mul, repeat(q), x)))
+    def add_multiple(k, q, j):  # b_k += q * b_j
+        bk, pk = basis[k], pair[k]
+        for i, x in basis[j].items():
+            bk[i] = bk.get(i, 0) + q * x
+            if not bk[i]:
+                del bk[i]
+        for i, x in pair[j].items():
+            if i != k:  # pair[k][k] stays 0
+                pk[i] = y = pk.get(i, 0) + q * x
+                pair[i][k] = -y
+                if not y:
+                    del pk[i], pair[i][k]
 
-    remaining = [list(col) for col in identity(n)]
-    columns: List[List[int]] = []
-    while remaining:
-        u = remaining.pop(0)
-        up = mat_mul([u], pairing)[0]  # u^T * pairing, so pair(u, w) = up.w
-        vals = [dot(up, w) for w in remaining]
-        if all(x == 0 for x in vals):
+    columns: List[Dict[int, int]] = []
+    for u in range(n):  # the unpaired basis vectors in index order
+        row = pair[u]
+        if row is None:
+            continue
+        if not row:
             raise LinAlgError("degenerate pairing: isotropic leftover vector")
-        # integer column ops on `remaining` until a single pairing value +-1
-        # survives; this preserves the lattice they span.
-        while True:
-            nz = [k for k, x in enumerate(vals) if x]
-            if len(nz) == 1 and abs(vals[nz[0]]) == 1:
-                break
-            if len(nz) == 1:
-                raise LinAlgError("pairing is not unimodular (gcd %d)"
-                                  % abs(vals[nz[0]]))
-            k_small = min(nz, key=lambda k: abs(vals[k]))
+        # integer column ops on the unpaired vectors until a single
+        # pairing value with u survives; this preserves their lattice
+        while len(row) > 1:
+            nz = sorted(row)
+            k_small = min(nz, key=lambda k: abs(row[k]))
             for k in nz:
-                if k == k_small:
-                    continue
-                q = vals[k] // vals[k_small]
-                vals[k] -= q * vals[k_small]
-                remaining[k] = add_multiple(remaining[k], -q,
-                                            remaining[k_small])
-        k = nz[0]
-        v = remaining.pop(k)
-        if vals[k] == -1:
-            v = [-x for x in v]
-        vp = mat_mul([v], pairing)[0]
-        # make the rest orthogonal to the hyperbolic pair (u, v):
-        # w - pair(u, w) * v + pair(v, w) * u
-        for idx, w in enumerate(remaining):
-            pu, pv = dot(up, w), dot(vp, w)
-            if pu:
-                w = add_multiple(w, -pu, v)
-            if pv:
-                w = add_multiple(w, pv, u)
-            remaining[idx] = w
-        columns.append(u)
-        columns.append(v)
+                if k != k_small:
+                    add_multiple(k, -(row[k] // row[k_small]), k_small)
+        [(v, e)] = row.items()
+        if abs(e) != 1:
+            raise LinAlgError("pairing is not unimodular (gcd %d)" % abs(e))
+        # pairing(u, w) is now 0 for every unpaired w but v, so
+        # w + pairing(e * v, w) * u is orthogonal to u and e * v
+        for w, x in list(pair[v].items()):
+            if w != u:
+                add_multiple(w, e * x, u)
+        pair[u] = pair[v] = None
+        columns += basis[u], {i: e * x for i, x in basis[v].items()}
 
-    s = [[columns[j][i] for j in range(n)] for i in range(n)]
-    check = mat_mul(transpose(s), mat_mul([list(r) for r in pairing], s))
-    if not mat_eq(check, standard_symplectic(n // 2)):
+    s = zeros(n, n)
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            s[i][j] = x
+    if gram(entries, [col.items() for col in columns]) \
+            != standard_symplectic(n // 2):
         raise LinAlgError("symplectic reduction failed to reach standard form")
     return s

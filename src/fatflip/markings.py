@@ -129,22 +129,14 @@ class SymplecticForm:
         return self.gram((x, y))[0][1]
 
     def gram(self, values: Sequence[KElement]) -> intlinalg.Matrix:
-        """The pairings [[x . y for y in values] for x in values]: each
-        nonzero entry f = m[r][c] adds f * x[r] * y[c] for the values x
-        nonzero at r and y nonzero at c, so zeros cost nothing."""
+        """The pairings [[x . y for y in values] for x in values], from
+        :func:`intlinalg.gram` on the nonzero entries and coordinates."""
         n = len(self.matrix)
         if any(v.rank != n for v in values):
             raise MarkingError("vector rank does not match the form")
-        at = [[] for _ in range(n)]  # (i, x) for each values[i][k] = x != 0
-        for i, v in enumerate(values):
-            for k in compress(range(n), v.coords):
-                at[k].append((i, v.coords[k]))
-        out = [[0] * len(values) for _ in values]
-        for r, c, f in self._entries:
-            for i, x in at[r]:
-                for j, y in at[c]:
-                    out[i][j] += f * x * y
-        return out
+        return intlinalg.gram(self._entries, [
+            zip(compress(range(n), v.coords), filter(None, v.coords))
+            for v in values])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from fatflip import intlinalg as la
+from fatflip.markings import _basis_pairing
+from fatflip.randgen import random_graph
 
 
 def random_matrix(rng, m, n, lo=-5, hi=5):
@@ -158,25 +161,162 @@ class TestUnimodular:
         assert not la.is_unimodular([])
 
 
+def dense_symplectic_basis(pairing):
+    """The dense symplectic reduction, which recomputes each pairing as a
+    row product: the reference for the S and the LinAlgError text of
+    ``symplectic_basis``, which follows the same steps on Gram rows."""
+    n = len(pairing)
+    if n % 2:
+        raise la.LinAlgError("skew unimodular forms have even rank")
+    for i in range(n):
+        if pairing[i][i] != 0:
+            raise la.LinAlgError("pairing is not alternating")
+        for j in range(n):
+            if pairing[i][j] != -pairing[j][i]:
+                raise la.LinAlgError("pairing is not skew-symmetric")
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    def add_multiple(w, q, x):  # w + q * x
+        return [a + q * b for a, b in zip(w, x)]
+
+    remaining = [list(col) for col in la.identity(n)]
+    columns = []
+    while remaining:
+        u = remaining.pop(0)
+        up = la.mat_mul([u], pairing)[0]
+        vals = [dot(up, w) for w in remaining]
+        if all(x == 0 for x in vals):
+            raise la.LinAlgError(
+                "degenerate pairing: isotropic leftover vector")
+        while True:
+            nz = [k for k, x in enumerate(vals) if x]
+            if len(nz) == 1 and abs(vals[nz[0]]) == 1:
+                break
+            if len(nz) == 1:
+                raise la.LinAlgError("pairing is not unimodular (gcd %d)"
+                                     % abs(vals[nz[0]]))
+            k_small = min(nz, key=lambda k: abs(vals[k]))
+            for k in nz:
+                if k == k_small:
+                    continue
+                q = vals[k] // vals[k_small]
+                vals[k] -= q * vals[k_small]
+                remaining[k] = add_multiple(remaining[k], -q,
+                                            remaining[k_small])
+        k = nz[0]
+        v = remaining.pop(k)
+        if vals[k] == -1:
+            v = [-x for x in v]
+        vp = la.mat_mul([v], pairing)[0]
+        for idx, w in enumerate(remaining):
+            pu, pv = dot(up, w), dot(vp, w)
+            if pu:
+                w = add_multiple(w, -pu, v)
+            if pv:
+                w = add_multiple(w, pv, u)
+            remaining[idx] = w
+        columns.append(u)
+        columns.append(v)
+
+    s = [[columns[j][i] for j in range(n)] for i in range(n)]
+    check = la.mat_mul(la.transpose(s),
+                       la.mat_mul([list(r) for r in pairing], s))
+    if not la.mat_eq(check, la.standard_symplectic(n // 2)):
+        raise la.LinAlgError(
+            "symplectic reduction failed to reach standard form")
+    return s
+
+
+def conjugated(rng, form, moves):
+    """S^T * form * S for a random product S of elementary moves."""
+    n = len(form)
+    s = la.identity(n)
+    for _ in range(moves):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.choice((-2, -1, 1, 2))
+            s[i] = [x + q * y for x, y in zip(s[i], s[j])]
+    return la.mat_mul(la.transpose(s), la.mat_mul(form, s))
+
+
+def conjugated_standard_forms():
+    rng = random.Random(21)
+    for _ in range(40):
+        g = rng.randint(1, 3)
+        yield g, conjugated(rng, la.standard_symplectic(g), 20)
+
+
+def graph_block(genus):
+    return _basis_pairing(random_graph(genus, random.Random(genus)))[1]
+
+
+def random_skew_form(rng):
+    """A skew form that symplectic_basis accepts, finds degenerate or
+    finds of gcd d > 1, now and then with one entry broken."""
+    n = 2 * rng.randint(1, 4)
+    if rng.random() < 0.5:  # blocks d * J_1, d in {0, 1, 2, 3}, conjugated
+        form = la.zeros(n, n)
+        for i in range(0, n, 2):
+            d = rng.choice((0, 1, 1, 1, 1, 2, 3))
+            form[i][i + 1], form[i + 1][i] = d, -d
+        form = conjugated(rng, form, rng.randint(0, 12))
+    else:  # sparse random entries above the diagonal
+        form = la.zeros(n, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = rng.choice((0, 0, 0, 1, -1, 2, -3))
+                form[i][j], form[j][i] = d, -d
+    if rng.random() < 0.05:
+        form[rng.randrange(n)][rng.randrange(n)] += 1
+    return form
+
+
+def outcome(basis, pairing):
+    try:
+        return basis(pairing)
+    except la.LinAlgError as err:
+        return str(err)
+
+
 class TestSymplecticBasis:
     def test_standard_form_output(self):
-        rng = random.Random(21)
-        for _ in range(40):
-            g = rng.randint(1, 3)
-            n = 2 * g
-            # conjugate the standard form by a random unimodular matrix
-            s = la.identity(n)
-            for _ in range(20):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i != j:
-                    q = rng.choice((-2, -1, 1, 2))
-                    s[i] = [x + q * y for x, y in zip(s[i], s[j])]
-            pairing = la.mat_mul(la.transpose(s),
-                                 la.mat_mul(la.standard_symplectic(g), s))
+        for g, pairing in conjugated_standard_forms():
             basis = la.symplectic_basis(pairing)
             grams = la.mat_mul(la.transpose(basis),
                                la.mat_mul(pairing, basis))
             assert la.mat_eq(grams, la.standard_symplectic(g))
+
+    def test_same_basis_as_the_dense_reduction(self):
+        blocks = [graph_block(g) for g in range(1, 33)]
+        blocks += [pairing for _, pairing in conjugated_standard_forms()]
+        for pairing in blocks:
+            assert la.symplectic_basis(pairing) \
+                == dense_symplectic_basis(pairing)
+
+    def test_same_verdict_as_the_dense_reduction(self):
+        rng = random.Random(23)
+        kinds = Counter()
+        for _ in range(1200):
+            pairing = random_skew_form(rng)
+            got = outcome(la.symplectic_basis, pairing)
+            assert got == outcome(dense_symplectic_basis, pairing)
+            kinds[got if isinstance(got, str) else "accepted"] += 1
+        assert kinds["accepted"] >= 200
+        assert kinds["degenerate pairing: isotropic leftover vector"] >= 200
+        assert sum(n for text, n in kinds.items() if "gcd" in text) >= 200
+        assert kinds["pairing is not skew-symmetric"] >= 10
+
+    def test_no_dense_products(self, monkeypatch):
+        pairing = graph_block(16)
+        want = dense_symplectic_basis(pairing)
+
+        def fail(*args):
+            raise AssertionError("symplectic_basis made a dense product")
+        monkeypatch.setattr(la, "mat_mul", fail)
+        monkeypatch.setattr(la, "transpose", fail)
+        assert la.symplectic_basis(pairing) == want
 
     def test_reject_non_unimodular(self):
         with pytest.raises(la.LinAlgError):
@@ -185,3 +325,12 @@ class TestSymplecticBasis:
     def test_reject_odd_rank(self):
         with pytest.raises(la.LinAlgError):
             la.symplectic_basis([[0]])
+
+    @pytest.mark.parametrize("pairing, shape", [
+        ([[0, 1, 0], [-1, 0, 0]], "got 2 rows of lengths [3]"),
+        ([[0, 1], [-1]], "got 2 rows of lengths [1, 2]"),
+    ], ids=["wide", "ragged"])
+    def test_reject_non_square(self, pairing, shape):
+        with pytest.raises(la.LinAlgError) as err:
+            la.symplectic_basis(pairing)
+        assert str(err.value) == "pairing must be square, " + shape
