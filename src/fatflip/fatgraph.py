@@ -26,6 +26,7 @@ view, ``FatGraph.vertices`` and ``FatGraph.tail``, is in
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from itertools import chain
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -370,39 +371,42 @@ class FatGraph:
                 "Euler characteristic gives 2g = %d" % twice)
         return twice // 2
 
-    def _tail_cycle(self) -> List[int]:
-        """The boundary cycle from the tail, which must be the only one."""
-        cycle = self._cycle(self._tail)
-        if len(cycle) != len(self._index()[0]):
-            raise BoundaryNumberError(
-                "boundary order needs boundary number 1, got %d"
-                % self.boundary_number())
-        return cycle
-
     def boundary_order(self) -> Dict[OrientedEdge, int]:
         """Rank of first appearance along the boundary, starting at the tail.
 
         Only defined when there is a single boundary cycle.
         """
+        cycle = self._cycle(self._tail)
+        if len(cycle) != len(self._index()[0]):
+            raise BoundaryNumberError(
+                "boundary order needs boundary number 1, got %d"
+                % self.boundary_number())
         table = _canonical_edges(2 * self._fresh)
-        return {table[c]: i for i, c in enumerate(self._tail_cycle())}
+        return {table[c]: i for i, c in enumerate(cycle)}
 
     # -- canonical form --------------------------------------------------
 
     def _canonical_codes(self) -> Tuple[Dict[int, int],
                                         Tuple[Tuple[int, ...], ...], int]:
         """The relabeling by boundary ranks, the canonical rows and the
-        canonical form's fresh edge id."""
-        cycle = self._tail_cycle()
+        canonical form's fresh edge id, from one walk from the tail."""
+        succ = self._index()[0]
+        n = len(succ)
         # the first orientation of an edge met along the boundary, at
         # rank i, becomes i+ (code 2i), the other one i- (code 2i + 1);
         # so the last such rank is the largest new edge id
         code: Dict[int, int] = {}
-        for i, c in enumerate(cycle):
+        c = t = self._tail
+        for i in range(n):
             if c not in code:
                 code[c] = 2 * i
                 code[c ^ 1] = 2 * i + 1
                 last = i
+            c = succ[c] ^ 1
+            if c == t:
+                break
+        if c != t or i + 1 != n:  # open, or closed early: walk again,
+            self.boundary_order()  # to raise the error that says which
         rows = []
         for row in self._rows:
             if len(row) == 3:  # every vertex but the tail's, in a flip graph
@@ -417,13 +421,13 @@ class FatGraph:
                 k = w.index(min(w))
                 rows.append(w[k:] + w[:k] if k else w)
         rows.sort()
-        if sum(map(len, rows)) != len(cycle):
+        if sum(map(len, rows)) != n:
             raise CorruptedStructureError(
                 "canonical form has %d half-edges, expected %d"
-                % (sum(map(len, rows)), len(cycle)))
+                % (sum(map(len, rows)), n))
         return code, tuple(rows), last + 1
 
-    def canonicalize(self) -> Tuple["FatGraph", Dict[OrientedEdge, OrientedEdge]]:
+    def canonicalize(self) -> Tuple["FatGraph", Mapping[OrientedEdge, OrientedEdge]]:
         """Relabel by boundary ranks into a canonical representative.
 
         Edge x becomes the rank of its smaller-ranked orientation, which
@@ -432,13 +436,11 @@ class FatGraph:
         equal canonical forms iff some isomorphism preserving the tail
         and all cyclic orders relates them.  Requires boundary number 1.
         The canonical form holds only its rows; its index is built on
-        first use.
+        first use.  The relabeling is a read-only view, decoded on each
+        read like :attr:`vertices`; ``dict(...)`` of it is a plain dict.
         """
         code, rows, fresh = self._canonical_codes()
-        old = _canonical_edges(2 * self._fresh)
-        new = _canonical_edges(2 * fresh)
-        relabel = {old[c]: new[k] for c, k in code.items()}
-        return FatGraph._from_codes(rows, 0, fresh), relabel
+        return FatGraph._from_codes(rows, 0, fresh), _Relabel(code)
 
     def canonical_key(self) -> Tuple[Tuple[int, ...], ...]:
         """A hashable complete invariant for tail-preserving isomorphism:
@@ -459,6 +461,29 @@ class FatGraph:
     def __repr__(self) -> str:
         return ("FatGraph(%d vertices, %d edges, tail %s)"
                 % (self.num_vertices, self.num_edges, self.tail))
+
+
+class _Relabel(Mapping):
+    """The relabeling of :meth:`FatGraph.canonicalize`: a read-only view
+    of a code-to-code table that decodes each key and value on read."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: Dict[int, int]):
+        self._codes = codes
+
+    def __getitem__(self, h) -> OrientedEdge:
+        # anything but an (edge, sign) pair is a missing key, as in a dict
+        c = _code(h) if isinstance(h, tuple) and len(h) == 2 else -1
+        if c not in self._codes:
+            raise KeyError(h)
+        return _decode(self._codes[c])
+
+    def __iter__(self) -> Iterator[OrientedEdge]:
+        return map(_decode, self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes)
 
 
 def canonical_iso(src: FatGraph, dst: FatGraph) -> Dict[OrientedEdge, OrientedEdge]:

@@ -110,19 +110,19 @@ class SymplecticForm:
             intlinalg.symplectic_basis(m)
         except intlinalg.LinAlgError as err:
             raise MarkingError("form matrix: %s" % err) from err
-        self._set(m)
-
-    def _set(self, m: intlinalg.Matrix) -> None:
-        self.matrix = tuple(tuple(row) for row in m)
+        self.matrix = tuple(map(tuple, m))
         # (i, j, m[i][j]) for the nonzero entries, so gram skips the zeros
         self._entries = tuple((i, j, x) for i, row in enumerate(m)
                               for j, x in enumerate(row) if x)
 
     @classmethod
     def standard(cls, g: int) -> "SymplecticForm":
-        """J, skew and unimodular by construction, so left unchecked."""
+        """J, skew and unimodular by construction, so left unchecked; its
+        nonzero entries are (2i, 2i + 1, 1) and (2i + 1, 2i, -1)."""
         form = cls.__new__(cls)
-        form._set(intlinalg.standard_symplectic(g))
+        form.matrix = tuple(map(tuple, intlinalg.standard_symplectic(g)))
+        form._entries = tuple(e for i in range(0, 2 * g, 2)
+                              for e in ((i, i + 1, 1), (i + 1, i, -1)))
         return form
 
     def pairing(self, x: KElement, y: KElement) -> int:

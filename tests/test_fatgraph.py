@@ -380,7 +380,8 @@ class TestCanonicalOracle:
         got, relabel = graph.canonicalize()
         want, want_relabel = sorted_canonicalize(graph)
         assert got == want
-        assert relabel == want_relabel
+        assert relabel == want_relabel == canonical_iso(graph, got)
+        assert dict(relabel) == want_relabel
 
     @staticmethod
     def assert_index_rebuilds(graph):
@@ -481,3 +482,58 @@ class TestCanonicalOracle:
         with pytest.raises(CorruptedStructureError,
                            match=r"^boundary walk from 0\+ does not close$"):
             getattr(graph, method)()
+
+
+class TestRelabelView:
+    """The relabeling from ``canonicalize`` is a read-only mapping over the
+    code table; the oracle tests above compare it with the dict."""
+
+    def test_reads_like_a_dict(self):
+        rng = random.Random(35)
+        for genus in (1, 2, 3, 4):
+            g = shuffle_graph(random_graph(genus, rng), rng)
+            canon, relabel = g.canonicalize()
+            assert len(relabel) == 2 * g.num_edges
+            assert sorted(relabel) == sorted(g.oriented_edges())
+            assert sorted(relabel.values()) == sorted(canon.oriented_edges())
+            assert relabel[g.tail] == relabel.get(g.tail) == oe(0, 1)
+            h = g.oriented_edges()[-1]
+            assert relabel.get(tuple(h)) == relabel[h.rev].rev
+            assert dict(relabel.items()) == dict(relabel)
+
+    def test_foreign_keys_are_missing(self, g1):
+        _, relabel = g1.canonicalize()
+        assert oe(1, -1) in relabel and (1, -1) in relabel
+        for key in (1, (1, 2), (1, 0), (1, "+"), (-1, 1), (5, 1), oe(99),
+                    (1, 1, 1), "1+", None):
+            assert key not in relabel
+            assert relabel.get(key) is None
+            with pytest.raises(KeyError):
+                relabel[key]
+
+    def test_read_only(self, g1):
+        _, relabel = g1.canonicalize()
+        with pytest.raises(TypeError):
+            relabel[oe(1)] = oe(2)
+        with pytest.raises(TypeError):
+            del relabel[oe(1)]
+        with pytest.raises(AttributeError):
+            relabel.update({})
+
+    def test_canonicalize_decodes_nothing(self, monkeypatch):
+        # the relabeling is decoded when it is read, not by canonicalize
+        rng = random.Random(36)
+        graphs = [random_graph(genus, rng) for genus in (1, 2, 3, 4)]
+        graphs += [shuffle_graph(g, rng) for g in graphs]
+        wants = [sorted_canonicalize(g) for g in graphs]
+
+        def fail(*args):
+            raise AssertionError("canonicalize decoded an oriented edge")
+        monkeypatch.setattr(fatgraph, "_canonical_edges", fail)
+        got = [g.canonicalize() for g in graphs]
+        assert [canon._rows for canon, _ in got] == \
+            [g.canonical_key() for g in graphs]
+        monkeypatch.undo()
+        for (canon, relabel), (want, want_relabel) in zip(got, wants):
+            assert canon == want
+            assert dict(relabel) == want_relabel
