@@ -82,14 +82,15 @@ class KElement:
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "KElement":
         """Apply the linear map given by an integer matrix."""
-        return self._apply(_columns(matrix, self.rank))
+        return self._apply(_sparse_columns(matrix, self.rank), len(matrix))
 
-    def _apply(self, cols: Sequence[Tuple[int, ...]]) -> "KElement":
-        """The sum of c * cols[i] over the nonzero coordinates c of self."""
-        acc = (0,) * len(cols[0])
+    def _apply(self, cols: Sequence[list], width: int) -> "KElement":
+        """The sum of c * cols[i] in Z^width over the nonzero c in self."""
+        acc = [0] * width
         for c, col in compress(zip(self.coords, cols), self.coords):
-            acc = tuple(map(operator.add, acc, map(c.__mul__, col)))
-        return KElement._of(acc)
+            for i, x in col:
+                acc[i] += c * x
+        return KElement._of(tuple(acc))
 
     def __add__(self, other: "KElement") -> "KElement":
         if len(other.coords) != len(self.coords):
@@ -138,6 +139,11 @@ def _columns(matrix: Sequence[Sequence[int]],
     if rank and not len(matrix):
         raise ValueError("rank must be at least 1")
     return list(zip(*[map(operator.index, row) for row in matrix]))
+
+
+def _sparse_columns(matrix: Sequence[Sequence[int]], rank: int) -> list:
+    """The nonzero (row, entry) pairs of each column of :func:`_columns`."""
+    return [list(compress(enumerate(c), c)) for c in _columns(matrix, rank)]
 
 
 def _add_into(out: Dict[tuple, int], c: int, value: _SparseTensor) -> None:

@@ -32,13 +32,16 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":  # strict UTF-8, as a file is, if stdin gives bytes
+            stdin = getattr(sys.stdin, "buffer", None)
+            return stdin.read().decode("utf-8") if stdin else sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as err:
         raise CliError(str(err), USAGE_ERROR)
+    except UnicodeDecodeError as err:
+        raise CliError("parse error: %s: %s" % (path, err), USAGE_ERROR)
 
 
 def _load(path: str):

@@ -1,14 +1,16 @@
 """Exact integer linear algebra helpers.
 
 Small matrices only (a few dozen rows).  Smith reduction is the plain
-quadratic one; ``gram`` and ``symplectic_basis``, which keeps the Gram
-matrix of its working basis as sparse rows, cost only the nonzeros of
-the sparse intersection pairings.  Matrices are lists of lists of
-Python ints; nothing here ever leaves Z.
+quadratic one on the matrix alone; it records its moves and builds each
+transform from them when it is read.  ``gram`` and ``symplectic_basis``,
+which keeps the Gram matrix of its working basis as sparse rows, cost
+only the nonzeros of the sparse intersection pairings.  Matrices are
+lists of lists of Python ints; nothing here ever leaves Z.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -55,17 +57,39 @@ def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
     return [list(r) for r in a] == [list(r) for r in b]
 
 
-class SmithResult(NamedTuple):
-    s: Matrix        # the diagonal form, u * a * v == s
-    u: Matrix
-    v: Matrix
-    u_inv: Matrix
-    v_inv: Matrix
-    rank: int
+class SmithResult:
+    """u * a * v == s, diagonal with nonnegative entries, each dividing
+    the next.  :func:`smith` keeps u = E_k ... E_1 and v = F_1 ... F_k as
+    their moves, and each transform is built on its first read, so a
+    caller pays only for what it reads."""
+
+    def __init__(self, s: Matrix, rank: int, n: int, rows: list, cols: list):
+        self.s, self.rank, self._m, self._n = s, rank, len(s), n  # m x n
+        self._rows, self._cols = rows, cols
 
     @property
     def invariants(self) -> List[int]:
         return [self.s[i][i] for i in range(self.rank)]
+
+    u = cached_property(lambda r: _moved(identity(r._m), r._rows))
+    u_inv = cached_property(lambda r: _moved(identity(r._m), r._rows[::-1], -1))
+    v = cached_property(lambda r: _moved(identity(r._n), r._cols[::-1]))
+    v_inv = cached_property(lambda r: _moved(identity(r._n), r._cols, -1))
+
+
+def _moved(rows: Matrix, moves: Iterable[tuple], sign: int = 1) -> Matrix:
+    """``rows`` multiplied on the left by each move in turn, or with sign
+    -1 by its inverse: (i, j, q) is row_i += sign * q * row_j, (i, j,
+    None) swaps rows i and j and (i, i, -1) negates row i."""
+    for i, j, q in moves:
+        if q is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q *= sign
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return rows
 
 
 def _least_entry(m: Matrix, t: int, nrows: int, ncols: int):
@@ -86,48 +110,26 @@ def _least_entry(m: Matrix, t: int, nrows: int, ncols: int):
 
 
 def smith(a: Sequence[Sequence[int]]) -> SmithResult:
-    """Smith normal form with unimodular transforms.
-
-    Returns (s, u, v, u_inv, v_inv, rank) with u*a*v == s diagonal,
-    nonnegative diagonal entries, each dividing the next.
+    """Smith normal form with unimodular transforms: a :class:`SmithResult`
+    with u*a*v == s diagonal, nonnegative diagonal entries, each dividing
+    the next.  Only the matrix is reduced here; its moves are recorded.
     """
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    u, u_inv = identity(nrows), identity(nrows)
-    v, v_inv = identity(ncols), identity(ncols)
+    row_moves, col_moves = [], []
 
-    def row_add(i, j, q):  # row_i += q * row_j
-        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in range(nrows):  # u_inv: col_j -= q * col_i
-            u_inv[r][j] -= q * u_inv[r][i]
+    def row_move(i, j, q):  # m = E m for the move E, see _moved
+        row_moves.append((i, j, q))
+        _moved(m, row_moves[-1:])
 
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(nrows):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
-
-    def row_neg(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(nrows):
-            u_inv[r][i] = -u_inv[r][i]
-
-    def col_add(j, i, q):  # col_j += q * col_i
-        for r in range(nrows):
-            m[r][j] += q * m[r][i]
-        for r in range(ncols):
-            v[r][j] += q * v[r][i]
-        v_inv[i] = [x - q * y for x, y in zip(v_inv[i], v_inv[j])]
-
-    def col_swap(i, j):
-        for r in range(nrows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(ncols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+    def col_move(i, j, q):  # m = m E: col_j += q * col_i, or a swap
+        col_moves.append((i, j, q))
+        for row in m:
+            if q is None:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[j] += q * row[i]
 
     t = 0
     while t < min(nrows, ncols):
@@ -136,23 +138,23 @@ def smith(a: Sequence[Sequence[int]]) -> SmithResult:
             break
         if pivot != (t, t):
             if pivot[0] != t:
-                row_swap(t, pivot[0])
+                row_move(t, pivot[0], None)
             if pivot[1] != t:
-                col_swap(t, pivot[1])
+                col_move(t, pivot[1], None)
         if m[t][t] < 0:
-            row_neg(t)
+            row_move(t, t, -1)
 
         dirty = False
         for i in range(t + 1, nrows):
             if m[i][t]:
                 q = m[i][t] // m[t][t]
-                row_add(i, t, -q)
+                row_move(i, t, -q)
                 if m[i][t]:
                     dirty = True
         for j in range(t + 1, ncols):
             if m[t][j]:
                 q = m[t][j] // m[t][t]
-                col_add(j, t, -q)
+                col_move(t, j, -q)
                 if m[t][j]:
                     dirty = True
         if dirty:
@@ -164,12 +166,12 @@ def smith(a: Sequence[Sequence[int]]) -> SmithResult:
             offender = next((i for i in range(t + 1, nrows)
                              if any(x % m[t][t] for x in m[i][t + 1:])), None)
             if offender is not None:
-                row_add(t, offender, 1)
+                row_move(t, offender, 1)
                 continue
         t += 1
 
     rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i])
-    return SmithResult(m, u, v, u_inv, v_inv, rank)
+    return SmithResult(m, rank, ncols, row_moves, col_moves)
 
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:

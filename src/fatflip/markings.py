@@ -16,7 +16,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Sequence,
                     Tuple)
 
 from . import intlinalg
-from .abelian import KElement, _columns
+from .abelian import KElement, _sparse_columns
 from .fatgraph import FatGraph, OrientedEdge, _decode
 from .flips import FlipContext
 
@@ -85,9 +85,9 @@ class Marking:
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Marking":
         """Post-compose with the integer linear map given by ``matrix``."""
-        cols = _columns(matrix, self.rank)
-        return Marking._of_edges(len(matrix), {x: k._apply(cols)
-                                               for x, k in self.values.items()})
+        cols, width = _sparse_columns(matrix, self.rank), len(matrix)
+        return Marking._of_edges(width, {x: k._apply(cols, width)
+                                         for x, k in self.values.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Marking) and self.rank == other.rank
@@ -159,8 +159,7 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     # the values off the forest (fill the links in from the leaves), so
     # those span the same subgroup, with the same Smith invariants
     tree = {c >> 1 for links in graph._spanning_forest() for c in links}
-    rows = [list(marking.values[x].coords) for x in graph.edge_ids()
-            if x not in tree]
+    rows = [marking.values[x].coords for x in graph.edge_ids() if x not in tree]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
         raise SurjectivityError(
@@ -183,7 +182,9 @@ def _vertex_sums(graph: FatGraph, marking: Marking) -> Iterator[List[int]]:
     for row in graph._rows:
         acc = [0] * marking.rank
         for c in row:
-            coords = _coords(marking.values, _decode(c))
+            if c >> 1 not in marking.values:
+                raise MarkingDomainError("no value on %s" % (_decode(c),))
+            coords = marking.values[c >> 1].coords
             for k in compress(range(marking.rank), coords):
                 acc[k] += -coords[k] if c & 1 else coords[k]
         yield acc
@@ -284,10 +285,13 @@ def _basis_pairing(graph: FatGraph) -> Tuple[_SpanningTree, intlinalg.Matrix]:
     Needs boundary number 1.  Then V - E = 2 - 2g - 1 gives
     E - V + 1 = 2g basis edges, so the block is 2g x 2g.
     """
-    rank = graph.boundary_order()
+    cycle = graph._cycle(graph._tail)
+    if len(cycle) != len(graph._index()[0]):
+        graph.boundary_order()  # raises BoundaryNumberError
+    rank = dict(zip(cycle, range(len(cycle))))  # by code
     tree = _SpanningTree(graph)
-    ranks = [(rank[h], rank[h.rev]) for h in tree.basis]
-    return tree, _pattern(len(rank), ranks, ranks)
+    ranks = [(rank[2 * h.edge], rank[2 * h.edge + 1]) for h in tree.basis]
+    return tree, _pattern(len(cycle), ranks, ranks)
 
 
 def is_topological_h(graph: FatGraph, marking: Marking,

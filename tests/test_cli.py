@@ -136,6 +136,30 @@ class TestBasics:
         assert status == 2
         assert "parse error" in err
 
+    # a byte that no UTF-8 text holds, after a valid header line
+    NOT_UTF8 = b"fatgraph v1\n# \xff\n"
+    NOT_UTF8_ERROR = ("'utf-8' codec can't decode byte 0xff in position 14: "
+                      "invalid start byte\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "{file}"],
+        ["earle", "eval", "--genus", "2", "--auto", "{file}"],
+    ], ids=["graph-file", "auto-file"])
+    def test_not_utf8_file_exit_2(self, capsys, tmp_path, argv):
+        p = tmp_path / "input"
+        p.write_bytes(self.NOT_UTF8)
+        status, out, err = run(capsys, *[a.format(file=p) for a in argv])
+        assert (status, out) == (2, "")
+        assert err == "fatflip: parse error: %s: %s" % (p, self.NOT_UTF8_ERROR)
+
+    def test_not_utf8_stdin_exit_2(self, capsys):
+        # stdin is read as UTF-8 like a file, whatever its own encoding
+        stdin = io.TextIOWrapper(io.BytesIO(self.NOT_UTF8), encoding="latin-1")
+        with mock.patch.object(sys, "stdin", stdin):
+            status, out, err = run(capsys, "info", "-")
+        assert (status, out) == (2, "")
+        assert err == "fatflip: parse error: -: %s" % self.NOT_UTF8_ERROR
+
     @pytest.mark.parametrize("command", ["validate", "info"])
     @pytest.mark.parametrize("bad_mark", ["mark 9+: 0 0", "mark 1+: 0 1",
                                           "mark 1-: 5 5"])

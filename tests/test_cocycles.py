@@ -5,7 +5,8 @@ from functools import reduce
 import pytest
 
 from fatflip.abelian import KElement, sym_pair, wedge2, wedge3
-from fatflip.cocycles import (cocycle_j, cocycle_m, cocycle_s,
+from fatflip.cocycles import (InducedAutomorphismError, _induced_matrix,
+                              cocycle_j, cocycle_m, cocycle_s,
                               compose_closed, induced_k_automorphism,
                               path_sum, verify_cocycle_condition, walk_values,
                               zero_value)
@@ -216,6 +217,30 @@ class TestInducedAutomorphism:
         ys = [list(x) for x in xs]
         ys[-1][0] += 1
         assert solve_transform(xs, ys) is None
+
+    @pytest.mark.parametrize("end, message", [
+        ("deficient", "sample vectors span rank 1 < 2"),
+        ("bumped", "end marking is not an integer transform of the start "
+                   "marking"),
+        ("doubled", "induced transform [[2, 0], [0, 1]] is not invertible "
+                    "over Z"),
+    ])
+    def test_induced_matrix_errors(self, g1, end, message):
+        # the identity closes the path, so the ends are compared directly
+        psi = {h: h for h in g1.oriented_edges()}
+        start, _ = canonical_h_marking(g1)
+        if end == "deficient":  # values (x, 0) span rank 1
+            start = end_marking = Marking(2, {oe(x, 1): KElement((x, 0))
+                                              for x in g1.edge_ids()})
+        elif end == "bumped":  # one value off any linear image
+            values = dict(start.values)
+            values[4] += KElement((1, 0))
+            end_marking = Marking(2, {oe(x, 1): v for x, v in values.items()})
+        else:  # T = diag(2, 1), an integer matrix of determinant 2
+            end_marking = start.transform([[2, 0], [0, 1]])
+        with pytest.raises(InducedAutomorphismError) as err:
+            _induced_matrix(g1, psi, start, end_marking)
+        assert str(err.value) == message
 
     def test_open_path_rejected(self, g2):
         m, _ = canonical_h_marking(g2)

@@ -6,7 +6,8 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from fatflip import intlinalg as la
-from fatflip.markings import _basis_pairing
+from fatflip.markings import (_basis_pairing, canonical_h_marking,
+                              check_marking)
 from fatflip.randgen import random_graph
 
 
@@ -99,6 +100,151 @@ class TestSmith:
         inv = res.invariants
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
+
+
+def eager_least_entry(m, t, nrows, ncols):
+    pivot, best = None, None
+    for i in range(t, nrows):
+        row = m[i]
+        for j in range(t, ncols):
+            x = abs(row[j])
+            if x and (best is None or x < best):
+                if x == 1:
+                    return i, j
+                best, pivot = x, (i, j)
+    return pivot
+
+
+def eager_smith(a):
+    """The Smith reduction that updates all four transforms on every
+    move, kept as the oracle for the one that records its moves."""
+    m = [list(row) for row in a]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    u, u_inv = la.identity(nrows), la.identity(nrows)
+    v, v_inv = la.identity(ncols), la.identity(ncols)
+
+    def row_add(i, j, q):
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for r in range(nrows):
+            u_inv[r][j] -= q * u_inv[r][i]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+        for r in range(nrows):
+            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
+
+    def row_neg(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+        for r in range(nrows):
+            u_inv[r][i] = -u_inv[r][i]
+
+    def col_add(j, i, q):
+        for r in range(nrows):
+            m[r][j] += q * m[r][i]
+        for r in range(ncols):
+            v[r][j] += q * v[r][i]
+        v_inv[i] = [x - q * y for x, y in zip(v_inv[i], v_inv[j])]
+
+    def col_swap(i, j):
+        for r in range(nrows):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        for r in range(ncols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = eager_least_entry(m, t, nrows, ncols)
+        if pivot is None:
+            break
+        if pivot != (t, t):
+            if pivot[0] != t:
+                row_swap(t, pivot[0])
+            if pivot[1] != t:
+                col_swap(t, pivot[1])
+        if m[t][t] < 0:
+            row_neg(t)
+        dirty = False
+        for i in range(t + 1, nrows):
+            if m[i][t]:
+                q = m[i][t] // m[t][t]
+                row_add(i, t, -q)
+                if m[i][t]:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if m[t][j]:
+                q = m[t][j] // m[t][t]
+                col_add(j, t, -q)
+                if m[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        if m[t][t] != 1:
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(x % m[t][t] for x in m[i][t + 1:])), None)
+            if offender is not None:
+                row_add(t, offender, 1)
+                continue
+        t += 1
+    rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i])
+    return m, u, v, u_inv, v_inv, rank
+
+
+def oracle_matrices():
+    """Seeded matrices of every shape the reduction meets: 1 x n, n x 1,
+    zero, rank-deficient, non-square, sparse and with large entries."""
+    rng = random.Random(20)
+    out = [[[0]], [[0, 0, 0]], [[0], [0]], [[]], [], [[7]], [[-3, 6, 9]]]
+    for _ in range(120):
+        out.append(random_matrix(rng, 1, rng.randint(1, 7)))
+        out.append(random_matrix(rng, rng.randint(1, 7), 1))
+        out.append(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        k = rng.randint(1, min(m, n) - 1)  # rank at most k < min(m, n)
+        out.append(la.mat_mul(random_matrix(rng, m, k, -3, 3),
+                              random_matrix(rng, k, n, -3, 3)))
+        out.append(sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    for _ in range(30):
+        out.append(random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5),
+                                 -10 ** 12, 10 ** 12))
+        out.append(la.zeros(rng.randint(1, 5), rng.randint(1, 5)))
+    return out
+
+
+class TestRecordedMoves:
+    def test_fields_equal_the_eager_reduction(self):
+        matrices = oracle_matrices()
+        assert len(matrices) >= 500
+        for a in matrices:
+            res = la.smith(a)
+            got = (res.s, res.u, res.v, res.u_inv, res.v_inv, res.rank)
+            assert got == eager_smith(a), a
+            for field in got[:5]:
+                assert all(type(x) is int for row in field for x in row)
+
+    def test_transforms_are_read_once(self):
+        res = la.smith([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        assert res.u is res.u and res.v_inv is res.v_inv
+
+    def test_rank_and_invariants_build_no_transform(self, monkeypatch):
+        # check_marking and is_unimodular read only the rank and the
+        # invariants, so no transform is replayed for them
+        graph = random_graph(4, random.Random("identity/4"))
+        marking, _ = canonical_h_marking(graph)
+        unimodular = la.identity(6)
+        unimodular[0][3] = 2
+
+        def refuse(n):
+            raise AssertionError("a transform was built")
+
+        monkeypatch.setattr(la, "identity", refuse)
+        check_marking(graph, marking)
+        assert la.is_unimodular(unimodular)
+        assert not la.is_unimodular([[2, 0], [0, 1]])
 
 
 class TestCokernel:

@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 import random
 
@@ -7,8 +8,10 @@ from fatflip import intlinalg
 from fatflip.abelian import KElement, RankMismatchError
 from fatflip.fatgraph import BoundaryNumberError, FatGraph, canonical_iso, oe
 from fatflip.flips import flip, flippable_edges, involution_pair
+from fatflip.graphio import parse_graph
 from fatflip.markings import (CoherenceError, InversionError, Marking,
-                              MarkingError, SurjectivityError, SymplecticForm,
+                              MarkingDomainError, MarkingError,
+                              SurjectivityError, SymplecticForm,
                               _basis_pairing, _pattern, _SpanningTree,
                               canonical_h_marking, check_marking,
                               is_topological_h, propagate, propagate_path)
@@ -302,6 +305,18 @@ class TestTopologicalH:
         # still coherent? not necessarily; only the criterion matters here
         broken = Marking(2, vals)
         assert not is_topological_h(g1, broken, SymplecticForm.standard(1))
+
+    def test_missing_edge_named(self):
+        # the shipped g1.fg marking without edge 2: the coherence sums
+        # meet 2+ first and name it
+        text = (importlib.resources.files("fatflip") / "data" / "g1.fg") \
+            .read_text()
+        graph, marking = parse_graph(text)
+        m = Marking(2, {oe(x, 1): v for x, v in marking.values.items()
+                        if x != 2})
+        with pytest.raises(MarkingDomainError) as err:
+            is_topological_h(graph, m, SymplecticForm.standard(1))
+        assert str(err.value) == "no value on 2+"
 
     def test_rank_check(self, g1):
         m = random_coherent_marking(g1, 1, random.Random(0))
