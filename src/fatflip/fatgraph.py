@@ -21,15 +21,19 @@ Euler characteristic of the thickening.
 
 Graphs are immutable; every operation returns fresh objects.  The public
 view, ``FatGraph.vertices`` and ``FatGraph.tail``, is in
-:class:`OrientedEdge` and is decoded from the codes on each read.
+:class:`OrientedEdge` and is decoded from the codes on each read.  This
+module is the one codec: :func:`_code` encodes a caller's ``(edge,
+sign)``, a 2-tuple of an int id >= 0 and +-1, and anything else names
+no half-edge; :func:`_decode`, one bounded cache, turns a code back into
+an :class:`OrientedEdge`.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Mapping
 from itertools import chain
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class FatGraphError(ValueError):
@@ -80,46 +84,21 @@ def oe(edge: int, sign: int = 1) -> OrientedEdge:
         sign = 1 if sign == "+" else -1
     if sign not in (1, -1):
         raise ValueError("direction flag must be +1 or -1")
-    return OrientedEdge(int(edge), sign)
+    return OrientedEdge(edge, sign)
 
 
-# interned oriented edges by code, shared by all graphs: entry c is the
-# oriented edge with code c, so an entry depends only on its index
-_CANONICAL_EDGES: List[OrientedEdge] = []
-# codes past this are decoded one read at a time, so that a graph with a
-# huge edge id does not intern a table of that size
-_INTERNED_CODES = 1 << 15
-
-
-class _DecodedEdges:
-    """The table's stand-in for codes too large to intern."""
-
-    __slots__ = ()
-
-    def __getitem__(self, c: int) -> OrientedEdge:
-        return OrientedEdge(c >> 1, -1 if c & 1 else 1)
-
-
-def _canonical_edges(size: int) -> Sequence[OrientedEdge]:
-    """A table whose entry c is the oriented edge with code c, c < size."""
-    table = _CANONICAL_EDGES
-    if len(table) < size:
-        if size > _INTERNED_CODES:
-            return _DecodedEdges()
-        # grow geometrically; extend gets the new entries in one step
-        size = min(max(size, 2 * len(table)), _INTERNED_CODES)
-        table.extend([OrientedEdge(c >> 1, -1 if c & 1 else 1)
-                      for c in range(len(table), size)])
-    return table
-
-
+@functools.lru_cache(maxsize=1 << 15)
 def _decode(c: int) -> OrientedEdge:
-    return _canonical_edges(c + 1)[c]
+    """The oriented edge with code c.  Graphs share one object per cached
+    code; the bound keeps a huge edge id from costing a table its size."""
+    return OrientedEdge(c >> 1, -1 if c & 1 else 1)
 
 
 def _code(h) -> int:
-    """The code of an (edge, sign) pair; -1, which no graph holds, unless
-    the edge id is an int >= 0 and the sign the int +1 or -1."""
+    """The code of an (edge, sign) pair; -1, which no graph holds, for
+    anything but a 2-tuple of an int id >= 0 and the int sign +1 or -1."""
+    if not isinstance(h, tuple) or len(h) != 2:
+        return -1
     x, s = h
     if type(x) is not int or x < 0 or type(s) is not int or s not in (1, -1):
         return -1
@@ -150,10 +129,13 @@ class FatGraph:
     ``vertices`` is a tuple of cyclically ordered tuples of inward
     pointing oriented edges (one tuple per vertex, considered up to
     rotation); ``tail`` is the oriented tail edge, pointing away from
-    its univalent endpoint.  Both are views, decoded on each read from
-    what the graph stores: ``_rows``, one tuple of codes per vertex in
-    the same cyclic order, and ``_tail``, the tail's code.  ``_fresh``
-    is the next edge id, one more than the largest.
+    its univalent endpoint.  Both are views, decoded by :func:`_decode`
+    on each read from what the graph stores: ``_rows``, one tuple of
+    codes per vertex in the same cyclic order, and ``_tail``, the tail's
+    code.  ``_fresh`` is the next edge id, one more than the largest.
+    :meth:`vertex_of` and :meth:`successor` read their argument with
+    :func:`_code` and raise HalfEdgeStructureError for any argument
+    that is not a half-edge of the graph.
 
     The half-edge index maps each code to the next code in the cyclic
     order at its head (``_succ``) and to that vertex (``_vert``).  The
@@ -233,8 +215,7 @@ class FatGraph:
 
     @property
     def vertices(self) -> Tuple[Tuple[OrientedEdge, ...], ...]:
-        table = _canonical_edges(2 * self._fresh)
-        return tuple(tuple(map(table.__getitem__, row)) for row in self._rows)
+        return tuple(tuple(map(_decode, row)) for row in self._rows)
 
     @property
     def tail(self) -> OrientedEdge:
@@ -255,15 +236,20 @@ class FatGraph:
                       if not c & 1)
 
     def oriented_edges(self) -> List[OrientedEdge]:
-        table = _canonical_edges(2 * self._fresh)
-        return [table[c] for c in sorted(chain.from_iterable(self._rows))]
+        return list(map(_decode, sorted(chain.from_iterable(self._rows))))
+
+    def _look_up(self, which: int, h) -> int:
+        """Entry h of index table ``which``: 0 successor, 1 vertex."""
+        c = _code(h)
+        try:
+            return self._index()[which][c]
+        except KeyError:
+            raise HalfEdgeStructureError("no half-edge %s" % (
+                _decode(c) if c >= 0 else repr(h),)) from None
 
     def vertex_of(self, h: OrientedEdge) -> int:
         """Index of the vertex the oriented edge points to."""
-        try:
-            return self._index()[1][_code(h)]
-        except KeyError:
-            raise HalfEdgeStructureError("no half-edge %s" % (h,)) from None
+        return self._look_up(1, h)
 
     def endpoints(self, edge: int) -> Tuple[int, int]:
         """Vertex indices of the two ends of an unoriented edge."""
@@ -275,7 +261,7 @@ class FatGraph:
 
     def successor(self, h: OrientedEdge) -> OrientedEdge:
         """The next inward half-edge after h in the cyclic order at its head."""
-        return _decode(self._index()[0][_code(h)])
+        return _decode(self._look_up(0, h))
 
     # -- validation ----------------------------------------------------
 
@@ -355,8 +341,7 @@ class FatGraph:
             if start not in seen:
                 cycles.append(self._cycle(start))
                 seen.update(cycles[-1])
-        table = _canonical_edges(2 * self._fresh)
-        return tuple(tuple(map(table.__getitem__, c)) for c in cycles)
+        return tuple(tuple(map(_decode, c)) for c in cycles)
 
     def boundary_number(self) -> int:
         if self._boundaries is None:
@@ -381,8 +366,7 @@ class FatGraph:
             raise BoundaryNumberError(
                 "boundary order needs boundary number 1, got %d"
                 % self.boundary_number())
-        table = _canonical_edges(2 * self._fresh)
-        return {table[c]: i for i, c in enumerate(cycle)}
+        return {_decode(c): i for i, c in enumerate(cycle)}
 
     # -- canonical form --------------------------------------------------
 
@@ -473,8 +457,7 @@ class _Relabel(Mapping):
         self._codes = codes
 
     def __getitem__(self, h) -> OrientedEdge:
-        # anything but an (edge, sign) pair is a missing key, as in a dict
-        c = _code(h) if isinstance(h, tuple) and len(h) == 2 else -1
+        c = _code(h)  # anything but a half-edge is a missing key
         if c not in self._codes:
             raise KeyError(h)
         return _decode(self._codes[c])
@@ -510,6 +493,4 @@ def canonical_iso(src: FatGraph, dst: FatGraph) -> Dict[OrientedEdge, OrientedEd
     # the walk must reach all of src (it is connected) and hit all of dst
     if not len(iso) == len(src_succ) == len(dst_succ) == len(set(iso.values())):
         raise FatGraphError("graphs are not isomorphic rel tail")
-    old = _canonical_edges(2 * src._fresh)
-    new = _canonical_edges(2 * dst._fresh)
-    return {old[h]: new[k] for h, k in iso.items()}
+    return {_decode(h): _decode(k) for h, k in iso.items()}

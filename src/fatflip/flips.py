@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .fatgraph import (CorruptedStructureError, FatGraph, FatGraphError,
-                       OrientedEdge, _canonical_edges, _code, canonical_iso)
+                       OrientedEdge, _code, _decode, canonical_iso)
 
+# an edge argument: an int id, standing for its + orientation, or an
+# (edge, sign) pair of ints; anything else names no edge and raises
 EdgeLike = Union[int, OrientedEdge]
 
 
@@ -84,19 +86,23 @@ class FlipPath:
         return True
 
 
-def _as_oriented(graph: FatGraph, e: EdgeLike) -> OrientedEdge:
-    if isinstance(e, OrientedEdge):
-        return e
-    return OrientedEdge(int(e), 1)
+def _edge_code(graph: FatGraph, e: EdgeLike) -> int:
+    """The code of edge argument e; FlipError unless it is in graph."""
+    c = _code((e, 1) if type(e) is int else e)
+    if c not in graph._index()[1]:
+        raise FlipError("no edge %s" % (_decode(c) if c >= 0 else repr(e),))
+    return c
 
 
 def flippable(graph: FatGraph, e: EdgeLike) -> bool:
-    c = _code(_as_oriented(graph, e))
-    vert = graph._index()[1]
-    if c not in vert or c >> 1 == graph._tail >> 1:
+    try:
+        c = _edge_code(graph, e)
+    except FlipError:
         return False
+    vert = graph._index()[1]
     v, w = vert[c], vert[c ^ 1]
-    return v != w and len(graph._rows[v]) == 3 and len(graph._rows[w]) == 3
+    return (c >> 1 != graph._tail >> 1 and v != w
+            and len(graph._rows[v]) == 3 and len(graph._rows[w]) == 3)
 
 
 def flippable_edges(graph: FatGraph) -> List[int]:
@@ -116,19 +122,17 @@ def fresh_edge_id(graph: FatGraph) -> int:
 
 def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
     """Flip along e, returning the new graph and the move record."""
-    e = _as_oriented(graph, e)
-    h = _code(e)
+    h = _edge_code(graph, e)
+    x = h >> 1
     old_succ, old_vert = graph._index()
-    if h not in old_vert:
-        raise FlipError("no edge %s" % (e,))
-    if h >> 1 == graph._tail >> 1:
+    if x == graph._tail >> 1:
         raise FlipError("cannot flip the tail edge")
     v, w = old_vert[h], old_vert[h ^ 1]
     if v == w:
-        raise FlipError("edge %d is a loop" % e.edge)
+        raise FlipError("edge %d is a loop" % x)
     rows = list(graph._rows)
     if len(rows[v]) != 3 or len(rows[w]) != 3:
-        raise FlipError("endpoints of edge %d are not both trivalent" % e.edge)
+        raise FlipError("endpoints of edge %d are not both trivalent" % x)
 
     a = old_succ[h]
     b = old_succ[a]
@@ -150,9 +154,9 @@ def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
     if len(succ) != len(old_succ):
         raise CorruptedStructureError(
             "flip of edge %d left %d half-edges, expected %d"
-            % (e.edge, len(succ), len(old_succ)))
-    table = _canonical_edges(n + 2)
-    ctx = FlipContext(e, table[a], table[b], table[c], table[d], table[n])
+            % (x, len(succ), len(old_succ)))
+    ctx = FlipContext(_decode(h), _decode(a), _decode(b), _decode(c),
+                      _decode(d), _decode(n))
     return FatGraph._from_codes(tuple(rows), graph._tail, fresh + 1,
                                 succ, vert), ctx
 
@@ -221,13 +225,11 @@ def involution_pair(graph: FatGraph, e: EdgeLike) -> FlipPath:
 
 def commuting_loop(graph: FatGraph, e1: EdgeLike, e2: EdgeLike) -> FlipPath:
     """The length-4 loop flipping two disjoint edges and then undoing both."""
-    e1 = _as_oriented(graph, e1)
-    e2 = _as_oriented(graph, e2)
-    ends1 = set(graph.endpoints(e1.edge))
-    ends2 = set(graph.endpoints(e2.edge))
+    x1, x2 = _edge_code(graph, e1) >> 1, _edge_code(graph, e2) >> 1
+    ends1 = set(graph.endpoints(x1))
+    ends2 = set(graph.endpoints(x2))
     if ends1 & ends2:
-        raise FlipError("edges %d and %d share an endpoint"
-                        % (e1.edge, e2.edge))
+        raise FlipError("edges %d and %d share an endpoint" % (x1, x2))
     n = fresh_edge_id(graph)
     path = apply_path(graph, [e1, e2, n, n + 1])
     return _require_closed(path, "commuting square")
@@ -241,14 +243,13 @@ def pentagon_path(graph: FatGraph, f: EdgeLike, g: EdgeLike) -> FlipPath:
     flip immediately undoes the previous one.  The result is a closed
     loop.
     """
-    f = _as_oriented(graph, f)
-    g = _as_oriented(graph, g)
-    if f.edge == g.edge:
+    x, y = _edge_code(graph, f) >> 1, _edge_code(graph, g) >> 1
+    if x == y:
         raise FlipError("pentagon needs two distinct edges")
-    shared = set(graph.endpoints(f.edge)) & set(graph.endpoints(g.edge))
+    shared = set(graph.endpoints(x)) & set(graph.endpoints(y))
     if len(shared) != 1:
         raise FlipError("edges %d and %d share %d endpoints, need exactly 1"
-                        % (f.edge, g.edge, len(shared)))
+                        % (x, y, len(shared)))
     n = fresh_edge_id(graph)
     path = apply_path(graph, [f, g, n, n + 1, n + 2])
     return _require_closed(path, "pentagon loop")

@@ -17,7 +17,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Sequence,
 
 from . import intlinalg
 from .abelian import KElement, _sparse_columns
-from .fatgraph import FatGraph, OrientedEdge, _decode
+from .fatgraph import FatGraph, OrientedEdge, _code, _decode
 from .flips import FlipContext
 
 
@@ -51,7 +51,8 @@ class Marking:
     ``values`` holds one vector per edge id, the value on the edge's
     ``+`` orientation; the ``-`` orientation carries its negative.  The
     constructor accepts either orientation of an edge or both, and
-    checks that both agree.
+    checks that both agree; a key that is not an (edge, sign) pair of an
+    int id >= 0 and +-1 raises MarkingDomainError.
     """
 
     __slots__ = ("rank", "values")
@@ -60,13 +61,16 @@ class Marking:
         self.rank = int(rank)
         vals: Dict[int, KElement] = {}
         for e, k in values.items():
+            c = _code(e)
+            if c < 0:
+                raise MarkingDomainError("key %r is not a half-edge" % (e,))
             if k.rank != self.rank:
                 raise MarkingError("value on %s has rank %d, marking has %d"
                                    % (e, k.rank, self.rank))
-            k = k if e.sign > 0 else -k
-            if vals.setdefault(e.edge, k) != k:
-                raise InversionError(
-                    "values on %s and %s are not opposite" % (e.rev, e))
+            k = -k if c & 1 else k
+            if vals.setdefault(c >> 1, k) != k:
+                raise InversionError("values on %s and %s are not opposite"
+                                     % (_decode(c ^ 1), _decode(c)))
         self.values = vals
 
     @classmethod

@@ -15,8 +15,6 @@ from typing import Iterable, List, Mapping, Optional, Tuple
 Letter = Tuple[str, int]
 Word = Tuple[Letter, ...]
 
-EMPTY: Word = ()
-
 _NAME_RE = re.compile(r"^([ab])([1-9][0-9]*)?$")
 
 

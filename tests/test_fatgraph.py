@@ -170,8 +170,8 @@ class TestStructure:
             FatGraph(g1.vertices, tail)
 
     def test_huge_edge_ids(self, g1):
-        # codes past the interned table are decoded one at a time, so a
-        # huge id costs no table of its size
+        # decoding goes through a bounded cache, so a huge id costs no
+        # table of its size
         big = 10 ** 12
         shift = {h: oe(h.edge + big, h.sign) for h in g1.oriented_edges()}
         g = FatGraph([[shift[h] for h in v] for v in g1.vertices],
@@ -183,7 +183,20 @@ class TestStructure:
         flipped, ctx = flip(g, big + 1)
         assert ctx.new_edge == oe(big + 5, 1)
         assert flipped.canonical_key() == flip(g1, 1)[0].canonical_key()
-        assert len(fatgraph._CANONICAL_EDGES) <= fatgraph._INTERNED_CODES
+        info = fatgraph._decode.cache_info()
+        assert info.currsize <= info.maxsize == 1 << 15
+
+    @pytest.mark.parametrize("h, text", [
+        (oe(99, 1), "99+"), (oe(99, -1), "99-"), ((99, 1), "99+"),
+        (OrientedEdge(1, 2), "OrientedEdge(edge=1, sign=2)"),
+        (OrientedEdge("x", 1), "OrientedEdge(edge='x', sign=1)"),
+        ((1.5, 1), "(1.5, 1)"), (1, "1")])
+    def test_accessors_name_what_is_not_a_half_edge(self, g1, h, text):
+        # a well-formed half-edge is named x+ or x-, anything else as given
+        for accessor in (g1.vertex_of, g1.successor):
+            with pytest.raises(HalfEdgeStructureError,
+                               match=re.escape("no half-edge %s" % text)):
+                accessor(h)
 
     def test_tail_into_wrong_vertex(self):
         g = FatGraph([
@@ -192,6 +205,24 @@ class TestStructure:
         ], oe(0, 1))
         with pytest.raises(UnivalentVertexError):
             g.validate()
+
+
+class TestDecodeCache:
+    def test_bounded_exact_and_shared(self):
+        decode, size = fatgraph._decode, 1 << 15
+        codes = [*range(size + 100), *range(2 * 10 ** 12, 2 * 10 ** 12 + 10)]
+        for c in codes:
+            assert decode(c) == OrientedEdge(c >> 1, -1 if c & 1 else 1)
+        assert decode.cache_info().currsize <= size
+        # code 0 has been evicted: it is decoded afresh, to an equal value
+        misses = decode.cache_info().misses
+        assert decode(0) == OrientedEdge(0, 1)
+        assert decode.cache_info().misses == misses + 1
+        # two reads of a graph share their oriented edges
+        g = random_graph(4, random.Random(4))
+        first, second = g.vertices, g.vertices
+        assert all(h is k for v, w in zip(first, second)
+                   for h, k in zip(v, w))
 
 
 class TestBoundary:
@@ -529,7 +560,7 @@ class TestRelabelView:
 
         def fail(*args):
             raise AssertionError("canonicalize decoded an oriented edge")
-        monkeypatch.setattr(fatgraph, "_canonical_edges", fail)
+        monkeypatch.setattr(fatgraph, "_decode", fail)
         got = [g.canonicalize() for g in graphs]
         assert [canon._rows for canon, _ in got] == \
             [g.canonical_key() for g in graphs]

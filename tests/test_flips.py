@@ -1,4 +1,5 @@
 import random
+import re
 from math import factorial
 
 import pytest
@@ -46,11 +47,19 @@ class TestFlip:
             flip(loopy, 1)  # 4-valent endpoint
 
     def test_rejects_edges_not_in_graph(self, g1):
-        # a negative id and a sign other than +-1 name no half-edge
-        for bad in (-1, oe(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0)):
-            with pytest.raises(FlipError, match="no edge"):
+        # a negative id, a sign other than +-1 and an id that is not an
+        # int name no half-edge; the error shows the argument as given
+        for bad in (-1, oe(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0),
+                    1.5, "1", True, OrientedEdge("x", 1)):
+            with pytest.raises(FlipError,
+                               match=re.escape("no edge %r" % (bad,))):
                 flip(g1, bad)
             assert not flippable(g1, bad)
+
+    def test_missing_edge_named_by_orientation(self, g1):
+        for bad, text in ((99, "99+"), (oe(99, -1), "99-")):
+            with pytest.raises(FlipError, match=re.escape("no edge " + text)):
+                flip(g1, bad)
 
     def test_all_reference_edges_flippable(self, g1):
         assert flippable_edges(g1) == [1, 2, 3, 4]
@@ -117,6 +126,18 @@ class TestRelationLoops:
     def test_commuting_rejects_adjacent(self, g1):
         with pytest.raises(FlipError):
             commuting_loop(g1, 1, 3)
+
+    def test_loops_reject_ids_that_are_not_ints(self, g1, g2):
+        # int(1.5) would be edge 1, an edge of both graphs
+        _, y = disjoint_flippable_pairs(g2)[0]
+        with pytest.raises(FlipError, match="no edge 1.5"):
+            commuting_loop(g2, 1.5, y)
+        with pytest.raises(FlipError, match="no edge 1.5"):
+            pentagon_path(g1, 1.5, 2)
+        with pytest.raises(FlipError, match="no edge 1.5"):
+            pentagon_path(g1, 2, 1.5)
+        with pytest.raises(FlipError, match=re.escape("no edge 99+")):
+            pentagon_path(g1, 1, 99)
 
     def test_commutation_both_orders(self, g2):
         x, y = disjoint_flippable_pairs(g2)[0]

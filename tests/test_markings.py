@@ -1,12 +1,14 @@
 import importlib.resources
 import itertools
 import random
+import re
 
 import pytest
 
 from fatflip import intlinalg
 from fatflip.abelian import KElement, RankMismatchError
-from fatflip.fatgraph import BoundaryNumberError, FatGraph, canonical_iso, oe
+from fatflip.fatgraph import (BoundaryNumberError, FatGraph, OrientedEdge,
+                              canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.graphio import parse_graph
 from fatflip.markings import (CoherenceError, InversionError, Marking,
@@ -98,6 +100,15 @@ class TestRepresentation:
         v = k(1, -2)
         assert Marking(2, {oe(3, 1): v}) == Marking(2, {oe(3, -1): -v})
         assert Marking(2, {oe(3, 1): v, oe(3, -1): -v}).values == {3: v}
+
+    @pytest.mark.parametrize("key", [
+        OrientedEdge(1, 2), OrientedEdge(-3, 1), OrientedEdge(1.0, 1),
+        OrientedEdge(True, 1), 1])
+    def test_keys_must_be_half_edges(self, key):
+        # under int codes each of these would pass for another key
+        text = "key %r is not a half-edge" % (key,)
+        with pytest.raises(MarkingDomainError, match=re.escape(text)):
+            Marking(2, {oe(1, -1): k(0, -1), key: k(0, 1)})
 
     def test_inversion_on_every_source(self):
         rng = random.Random(15)
