@@ -81,11 +81,11 @@ class Marking:
         return marking
 
     def value(self, e: OrientedEdge) -> KElement:
-        try:
-            k = self.values[e.edge]
-        except KeyError:
-            raise MarkingDomainError("no value on %s" % (e,)) from None
-        return k if e.sign > 0 else -k
+        c = _code(e)
+        if c >> 1 not in self.values:
+            raise MarkingDomainError("no value on %s"
+                                     % (_decode(c) if c >= 0 else repr(e),))
+        return -self.values[c >> 1] if c & 1 else self.values[c >> 1]
 
     def transform(self, matrix: Sequence[Sequence[int]]) -> "Marking":
         """Post-compose with the integer linear map given by ``matrix``."""
@@ -151,10 +151,15 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
 
     Inversion holds by construction of :class:`Marking`.
     """
-    missing = [x for x in graph.edge_ids() if x not in marking.values]
+    ids = graph.edge_ids()
+    missing = [x for x in ids if x not in marking.values]
     if missing:
         raise MarkingDomainError("no value on edge %s"
                                  % ", ".join(map(str, missing)))
+    if len(marking.values) != len(ids):  # none missing, so some are extra
+        extra = sorted(set(marking.values).difference(ids))
+        raise MarkingDomainError("value on edge %s, which the graph lacks"
+                                 % ", ".join(map(str, extra)))
     for vi, sums in enumerate(_vertex_sums(graph, marking)):
         if any(sums):
             raise CoherenceError("vertex %d sums to %s"
@@ -163,7 +168,7 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     # the values off the forest (fill the links in from the leaves), so
     # those span the same subgroup, with the same Smith invariants
     tree = {c >> 1 for links in graph._spanning_forest() for c in links}
-    rows = [marking.values[x].coords for x in graph.edge_ids() if x not in tree]
+    rows = [marking.values[x].coords for x in ids if x not in tree]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
         raise SurjectivityError(
@@ -178,6 +183,53 @@ def _coords(values: Mapping[int, KElement],
         return values[h.edge].coords
     except KeyError:
         raise MarkingDomainError("no value on %s" % (h,)) from None
+
+
+def _incoherent(xe: Tuple[int, ...], se: int, xa: Tuple[int, ...], sa: int,
+                xb: Tuple[int, ...], sb: int) -> bool:
+    """Is se * xe + sa * xa + sb * xb nonzero?  Read as sa times that
+    sum, so no coordinate is negated."""
+    return any(map(operator.add if sa == sb else operator.sub,
+                   map(operator.add if sa == se else operator.sub, xa, xe),
+                   xb))
+
+
+class _Walker:
+    """A marking carried along flips, under :func:`propagate_path` and
+    the path sums of ``cocycles``.  The values are copied once; a step
+    reads stored ``+`` coordinates and their signs, never negated ones.
+    It trusts the FlipContexts that ``flip`` builds: no ``_code`` checks.
+    """
+
+    __slots__ = ("rank", "values")
+
+    def __init__(self, marking: Marking):
+        self.rank, self.values = marking.rank, marking.values.copy()
+
+    def step(self, ctx: FlipContext, sums=()) -> None:
+        """Check coherence at head(e), then at head(~e); call each
+        kernel(out, xa, sa, xb, sb, xc, sc, xd, sd) of the (kernel, out)
+        pairs in ``sums``; store mu(d) + mu(a) on the new edge."""
+        e, a, b, c, d = ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d
+        values = self.values
+        xe, xa, xb = _coords(values, e), _coords(values, a), _coords(values, b)
+        if _incoherent(xe, e.sign, xa, a.sign, xb, b.sign):
+            raise CoherenceError("marking incoherent at the head of %s" % (e,))
+        xc, xd = _coords(values, c), _coords(values, d)
+        if _incoherent(xe, -e.sign, xc, c.sign, xd, d.sign):
+            raise CoherenceError("marking incoherent at the head of %s"
+                                 % (e.rev,))
+        for kernel, out in sums:
+            kernel(out, xa, a.sign, xb, b.sign, xc, c.sign, xd, d.sign)
+        del values[e.edge]
+        # d.sign * (d + a), stored on the + orientation the flip creates
+        new = KElement._of(tuple(map(operator.add if a.sign == d.sign
+                                     else operator.sub, xd, xa)))
+        values[ctx.new_edge.edge] = new if d.sign > 0 else -new
+
+    def marking(self) -> Marking:
+        """The marking reached; the walker hands its values over."""
+        return Marking._of_edges(self.rank, self.values)
 
 
 def _vertex_sums(graph: FatGraph, marking: Marking) -> Iterator[List[int]]:
@@ -204,7 +256,6 @@ def propagate(marking: Marking, ctx: FlipContext) -> Marking:
 
 
 def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
-    from .cocycles import _Walker  # cocycles imports this module
     walker = _Walker(marking)
     for ctx in steps:
         walker.step(ctx)
@@ -266,20 +317,21 @@ class _SpanningTree:
                       if x not in tree]
 
     def fill(self, rank: int,
-             basis_values: Sequence[Sequence[int]]) -> Dict[int, KElement]:
+             basis_values: Sequence[Sequence[int]]) -> Marking:
         """Extend the values on ``basis`` to every edge by coherence,
         filling the links from the leaves to the root: the other edges
         at the vertex a link points into are known by then."""
-        coords = {h.edge: tuple(v) for h, v in zip(self.basis, basis_values)}
+        values = {h.edge: KElement._of(tuple(v))
+                  for h, v in zip(self.basis, basis_values)}
         rows, vert = self.graph._rows, self.graph._index()[1]
         for h in reversed(self.links):
             acc = [0] * rank
             for k in rows[vert[h]]:
                 if k != h:  # k's value enters with sign -h.sign * k.sign
-                    acc = list(map(operator.add if (k ^ h) & 1
-                                   else operator.sub, acc, coords[k >> 1]))
-            coords[h >> 1] = tuple(acc)
-        return {x: KElement._of(c) for x, c in coords.items()}
+                    acc = list(map(operator.add if (k ^ h) & 1 else
+                                   operator.sub, acc, values[k >> 1].coords))
+            values[h >> 1] = KElement._of(tuple(acc))
+        return Marking._of_edges(rank, values)
 
 
 def _basis_pairing(graph: FatGraph) -> Tuple[_SpanningTree, intlinalg.Matrix]:
@@ -371,5 +423,4 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
     # and -J sends a row (x1, y1, x2, y2, ...) to (y1, -x1, y2, -x2, ...)
     values = [[z for x, y in zip(row[::2], row[1::2]) for z in (y, -x)]
               for row in intlinalg.mat_mul(pair_m, s)]
-    return (Marking._of_edges(2 * g, tree.fill(2 * g, values)),
-            SymplecticForm.standard(g))
+    return tree.fill(2 * g, values), SymplecticForm.standard(g)

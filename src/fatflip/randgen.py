@@ -115,4 +115,4 @@ def random_coherent_marking(graph: FatGraph, rank: int, rng: Rng) -> Marking:
         raise ValueError("rank %d is not between 1 and the edge class "
                          "rank %d" % (rank, free))
     l_map = random_gl(free, rng)[:rank]
-    return Marking._of_edges(rank, tree.fill(rank, intlinalg.transpose(l_map)))
+    return tree.fill(rank, intlinalg.transpose(l_map))

@@ -13,7 +13,7 @@ from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.graphio import parse_graph
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingDomainError, MarkingError,
-                              SurjectivityError, SymplecticForm,
+                              PairingError, SurjectivityError, SymplecticForm,
                               _basis_pairing, _pattern, _SpanningTree,
                               canonical_h_marking, check_marking,
                               is_topological_h, propagate, propagate_path)
@@ -80,6 +80,17 @@ class TestAxioms:
         assert str(exc.value) == ("values span a subgroup of rank 4 with "
                                   "invariants [1, 1, 1, 3] in Z^4")
 
+    def test_values_off_the_graph_named(self, g1):
+        # format_graph would drop edge 99 without a word
+        values = {oe(x, 1): reference_marking(g1).value(oe(x, 1))
+                  for x in g1.edge_ids()}
+        for extra in ((99,), (7, 99)):
+            m = Marking(2, {**values, **{oe(x, 1): k(5, 7) for x in extra}})
+            with pytest.raises(MarkingDomainError) as err:
+                check_marking(g1, m)
+            assert str(err.value) == ("value on edge %s, which the graph lacks"
+                                      % ", ".join(map(str, extra)))
+
     def test_disconnected_graph_uses_every_component(self):
         # loops 2 and 3 sit on a component away from the tail
         graph = FatGraph([
@@ -100,6 +111,10 @@ class TestRepresentation:
         v = k(1, -2)
         assert Marking(2, {oe(3, 1): v}) == Marking(2, {oe(3, -1): -v})
         assert Marking(2, {oe(3, 1): v, oe(3, -1): -v}).values == {3: v}
+        # a plain pair reads like the OrientedEdge it equals
+        m = Marking(2, {(3, -1): -v})
+        assert m.value((3, -1)) == m.value(oe(3, -1)) == -v
+        assert m.value((3, 1)) == v
 
     @pytest.mark.parametrize("key", [
         OrientedEdge(1, 2), OrientedEdge(-3, 1), OrientedEdge(1.0, 1),
@@ -109,6 +124,14 @@ class TestRepresentation:
         text = "key %r is not a half-edge" % (key,)
         with pytest.raises(MarkingDomainError, match=re.escape(text)):
             Marking(2, {oe(1, -1): k(0, -1), key: k(0, 1)})
+        # nor does value read one as a half-edge of edge 1
+        m = Marking(2, {oe(1, -1): k(0, -1)})
+        with pytest.raises(MarkingDomainError) as err:
+            m.value(key)
+        assert str(err.value) == "no value on %r" % (key,)
+        with pytest.raises(MarkingDomainError) as err:
+            m.value(oe(99, 1))
+        assert str(err.value) == "no value on 99+"
 
     def test_inversion_on_every_source(self):
         rng = random.Random(15)
@@ -548,7 +571,7 @@ class TestSpanningTree:
             tree = _SpanningTree(graph)
             n = len(tree.basis)
             assert n == graph.num_edges - graph.num_vertices + 1
-            filled = tree.fill(n, intlinalg.identity(n))
+            filled = tree.fill(n, intlinalg.identity(n)).values
             assert sorted(filled) == graph.edge_ids()
             ours = [list(filled[x].coords) for x in graph.edge_ids()]
             theirs, invariants = cokernel_classes(graph)
@@ -560,6 +583,18 @@ class TestSpanningTree:
                 t = intlinalg.solve_transform(xs, ys)
                 assert t is not None and intlinalg.is_unimodular(t)
 
+    def test_random_marking_needs_a_connected_graph(self):
+        # loops 2 and 3 sit on a component away from the tail
+        graph = FatGraph([
+            [oe(0, -1)],
+            [oe(0, 1), oe(1, 1), oe(1, -1)],
+            [oe(2, 1), oe(2, -1), oe(3, 1), oe(3, -1)],
+        ], oe(0, 1))
+        with pytest.raises(PairingError) as err:
+            random_coherent_marking(graph, 1, random.Random(0))
+        assert str(err.value) == ("spanning tree from the tail vertex "
+                                  "reaches 2 of 3 vertices")
+
     def test_filled_marking_is_coherent(self, three_boundary):
         rng = random.Random(36)
         for graph in self.graphs()[:10] + [three_boundary]:
@@ -567,7 +602,7 @@ class TestSpanningTree:
             n = len(tree.basis)
             values = [[rng.randint(-3, 3) for _ in range(n)]
                       for _ in tree.basis]
-            filled = tree.fill(n, values)
+            filled = tree.fill(n, values).values
             for h, v in zip(tree.basis, values):
                 assert list(filled[h.edge].coords) == v
             marking = Marking(n, {oe(x, 1): k for x, k in filled.items()})
