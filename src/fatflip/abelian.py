@@ -92,17 +92,22 @@ class KElement:
                 acc[i] += c * x
         return KElement._of(tuple(acc))
 
-    def __add__(self, other: "KElement") -> "KElement":
+    def _coords_like(self, other) -> Tuple[int, ...]:
+        """The coordinates of ``other``, a KElement of the same rank."""
+        if not isinstance(other, KElement):
+            raise TypeError("cannot combine KElement with %s"
+                            % type(other).__name__)
         if len(other.coords) != len(self.coords):
             raise _rank_mismatch(self, other)
+        return other.coords
+
+    def __add__(self, other: "KElement") -> "KElement":
         return KElement._of(tuple(map(operator.add, self.coords,
-                                      other.coords)))
+                                      self._coords_like(other))))
 
     def __sub__(self, other: "KElement") -> "KElement":
-        if len(other.coords) != len(self.coords):
-            raise _rank_mismatch(self, other)
         return KElement._of(tuple(map(operator.sub, self.coords,
-                                      other.coords)))
+                                      self._coords_like(other))))
 
     def __neg__(self) -> "KElement":
         return KElement._of(tuple(map(operator.neg, self.coords)))

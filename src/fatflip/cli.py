@@ -167,11 +167,9 @@ def _cmd_marking(args, out) -> int:
                                "criterion", FAILURE)
         out.write("ok\n")
         return 0
-    if args.marking_command == "canonical":
-        new_marking, _ = canonical_h_marking(graph)
-        out.write(format_graph(graph, new_marking))
-        return 0
-    raise CliError("unknown marking command", USAGE_ERROR)
+    new_marking, _ = canonical_h_marking(graph)
+    out.write(format_graph(graph, new_marking))
+    return 0
 
 
 def _infer_genus(word) -> int:
@@ -192,14 +190,12 @@ def _cmd_earle(args, out) -> int:
         value = d_surface(word, _infer_genus(word)) if indexed else d2(word)
         out.write("%d\n" % value)
         return 0
-    if args.earle_command == "eval":
-        if args.genus < 1:
-            raise CliError("--genus must be at least 1", USAGE_ERROR)
-        phi = FreeAutomorphism.from_text(_read_text(args.auto))
-        value = earle_f(phi, args.genus, inverse_supplied=args.inverse)
-        out.write("%s\n" % h_str(value))
-        return 0
-    raise CliError("unknown earle command", USAGE_ERROR)
+    if args.genus < 1:
+        raise CliError("--genus must be at least 1", USAGE_ERROR)
+    phi = FreeAutomorphism.from_text(_read_text(args.auto))
+    value = earle_f(phi, args.genus, inverse_supplied=args.inverse)
+    out.write("%s\n" % h_str(value))
+    return 0
 
 
 def _cmd_selftest(args, out) -> int:

@@ -93,8 +93,14 @@ def project(word: Word, i: int, genus: int) -> Word:
     return reduce_word(letters)
 
 
+def _check_genus(genus: int) -> None:
+    if genus < 1:
+        raise WordError("genus must be at least 1, got %d" % genus)
+
+
 def d_surface(word: Word, genus: int) -> int:
     """d on surface words: the sum of d2 over the handle projections."""
+    _check_genus(genus)
     return sum(d2(project(word, i, genus)) for i in range(1, genus + 1))
 
 
@@ -163,6 +169,7 @@ def earle_f(phi: FreeAutomorphism, genus: int, *,
     and the value is corrected through its homology action, which never
     requires inverting phi symbolically.
     """
+    _check_genus(genus)
     t_mat = check_d_difference_additive(phi, genus)
     h = d_difference_class(phi, genus)
     if inverse_supplied:

@@ -268,10 +268,8 @@ class FatGraph:
     def validate(self) -> None:
         """Raise a specific FatGraphError unless all invariants hold."""
         rows = self._rows
-        if not rows:
-            raise HalfEdgeStructureError("graph has no vertices")
-        links, *rest = self._spanning_forest()
-        if rest:
+        links = self._spanning_tree()
+        if len(links) + 1 != len(rows):
             raise DisconnectedGraphError("only %d of %d vertices reachable"
                                          % (len(links) + 1, len(rows)))
         vert = self._index()[1]
@@ -290,27 +288,22 @@ class FatGraph:
                 raise ValenceError("vertex %d has valence %d < 3"
                                    % (vi, len(row)))
 
-    def _spanning_forest(self) -> List[List[int]]:
-        """The breadth-first spanning forest, one tree per component, grown
-        from the tail vertex first and then from the first vertex not yet
-        reached.  Each tree is listed by its links: the code of the tree
-        edge pointing into each vertex it reached, in the order reached."""
+    def _spanning_tree(self) -> List[int]:
+        """The breadth-first spanning tree grown from the tail vertex,
+        listed by its links: the code of the tree edge pointing into each
+        vertex it reached, in the order reached.  It spans the graph iff
+        it has V - 1 links."""
         rows, vert = self._rows, self._index()[1]
-        seen, forest = set(), []
-        for root in (vert[self._tail ^ 1], *range(len(rows))):
-            if root in seen:
-                continue
-            seen.add(root)
-            links, queue = [], [root]
-            for vi in queue:  # breadth first: the loop reads what it appends
-                for c in rows[vi]:
-                    other = vert[c ^ 1]
-                    if other not in seen:
-                        seen.add(other)
-                        links.append(c ^ 1)
-                        queue.append(other)
-            forest.append(links)
-        return forest
+        root = vert[self._tail ^ 1]
+        seen, links, queue = {root}, [], [root]
+        for vi in queue:  # breadth first: the loop reads what it appends
+            for c in rows[vi]:
+                other = vert[c ^ 1]
+                if other not in seen:
+                    seen.add(other)
+                    links.append(c ^ 1)
+                    queue.append(other)
+        return links
 
     # -- boundary structure ---------------------------------------------
 
@@ -356,17 +349,22 @@ class FatGraph:
                 "Euler characteristic gives 2g = %d" % twice)
         return twice // 2
 
-    def boundary_order(self) -> Dict[OrientedEdge, int]:
-        """Rank of first appearance along the boundary, starting at the tail.
-
-        Only defined when there is a single boundary cycle.
-        """
+    def _tail_cycle(self) -> List[int]:
+        """The codes of the boundary cycle from the tail, which must be
+        the only one: the gate of every walk that needs boundary number 1."""
         cycle = self._cycle(self._tail)
         if len(cycle) != len(self._index()[0]):
             raise BoundaryNumberError(
                 "boundary order needs boundary number 1, got %d"
                 % self.boundary_number())
-        return {_decode(c): i for i, c in enumerate(cycle)}
+        return cycle
+
+    def boundary_order(self) -> Dict[OrientedEdge, int]:
+        """Rank of first appearance along the boundary, starting at the tail.
+
+        Only defined when there is a single boundary cycle.
+        """
+        return {_decode(c): i for i, c in enumerate(self._tail_cycle())}
 
     # -- canonical form --------------------------------------------------
 
@@ -390,7 +388,7 @@ class FatGraph:
             if c == t:
                 break
         if c != t or i + 1 != n:  # open, or closed early: walk again,
-            self.boundary_order()  # to raise the error that says which
+            self._tail_cycle()  # to raise the error that says which
         rows = []
         for row in self._rows:
             if len(row) == 3:  # every vertex but the tail's, in a flip graph

@@ -109,14 +109,23 @@ def _least_entry(m: Matrix, t: int, nrows: int, ncols: int):
     return pivot
 
 
+def _width(rows: Sequence[Sequence[int]], what: str) -> int:
+    """The one length of ``rows``, 0 for no rows; LinAlgError naming the
+    lengths when they differ."""
+    widths = sorted(set(map(len, rows)))
+    if len(widths) > 1:
+        raise LinAlgError("%s have lengths %s" % (what, widths))
+    return widths[0] if widths else 0
+
+
 def smith(a: Sequence[Sequence[int]]) -> SmithResult:
     """Smith normal form with unimodular transforms: a :class:`SmithResult`
     with u*a*v == s diagonal, nonnegative diagonal entries, each dividing
     the next.  Only the matrix is reduced here; its moves are recorded.
+    Rows of different lengths raise LinAlgError.
     """
     m = [list(row) for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    nrows, ncols = len(m), _width(m, "matrix rows")
     row_moves, col_moves = [], []
 
     def row_move(i, j, q):  # m = E m for the move E, see _moved
@@ -210,13 +219,14 @@ def solve_transform(xs: Sequence[Sequence[int]],
 
     Returns None when no integer T is consistent with the data, and
     raises LinAlgError when the x vectors do not span full rank (the
-    solution would not be unique).
+    solution would not be unique) or the x or the y vectors differ in
+    length.
     """
     if len(xs) != len(ys) or not xs:
         raise LinAlgError("need equally many x and y vectors")
-    r = len(xs[0])
+    r = _width(xs, "x vectors")
     x_mat = [[x[i] for x in xs] for i in range(r)]
-    y_mat = [[y[i] for y in ys] for i in range(len(ys[0]))]
+    y_mat = [[y[i] for y in ys] for i in range(_width(ys, "y vectors"))]
     res = smith(x_mat)
     if res.rank < r:
         raise LinAlgError("sample vectors span rank %d < %d" % (res.rank, r))

@@ -164,10 +164,11 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
         if any(sums):
             raise CoherenceError("vertex %d sums to %s"
                                  % (vi, KElement._of(tuple(sums))))
-    # by coherence each forest edge's value is an integer combination of
-    # the values off the forest (fill the links in from the leaves), so
-    # those span the same subgroup, with the same Smith invariants
-    tree = {c >> 1 for links in graph._spanning_forest() for c in links}
+    # by coherence each tree edge's value is an integer combination of
+    # the values off the tree (fill the links in from the leaves), and
+    # the edges of every other component are all off it, so those span
+    # the same subgroup, with the same Smith invariants
+    tree = {c >> 1 for c in graph._spanning_tree()}
     rows = [marking.values[x].coords for x in ids if x not in tree]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
@@ -306,8 +307,8 @@ class _SpanningTree:
     __slots__ = ("graph", "links", "basis")
 
     def __init__(self, graph: FatGraph):
-        links, *rest = graph._spanning_forest()
-        if rest:
+        links = graph._spanning_tree()
+        if len(links) + 1 != graph.num_vertices:
             raise PairingError("spanning tree from the tail vertex reaches %d "
                                "of %d vertices" % (len(links) + 1,
                                                    graph.num_vertices))
@@ -341,9 +342,7 @@ def _basis_pairing(graph: FatGraph) -> Tuple[_SpanningTree, intlinalg.Matrix]:
     Needs boundary number 1.  Then V - E = 2 - 2g - 1 gives
     E - V + 1 = 2g basis edges, so the block is 2g x 2g.
     """
-    cycle = graph._cycle(graph._tail)
-    if len(cycle) != len(graph._index()[0]):
-        graph.boundary_order()  # raises BoundaryNumberError
+    cycle = graph._tail_cycle()
     rank = dict(zip(cycle, range(len(cycle))))  # by code
     tree = _SpanningTree(graph)
     ranks = [(rank[2 * h.edge], rank[2 * h.edge + 1]) for h in tree.basis]

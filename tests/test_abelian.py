@@ -49,6 +49,19 @@ class TestKElement:
             combine(x, y)
         assert str(err.value) == "mixed ranks: [2, 3]"
 
+    @pytest.mark.parametrize("combine", [operator.add, operator.sub])
+    @pytest.mark.parametrize("other, name", [
+        (wedge2(KElement((1, 0)), KElement((0, 1))), "Wedge2"),
+        ((1, 0), "tuple"),
+    ], ids=["wedge2", "tuple"])
+    def test_other_types_rejected_in_both_orders(self, combine, other, name):
+        k = KElement((1, 0))
+        with pytest.raises(TypeError) as err:
+            combine(k, other)
+        assert str(err.value) == "cannot combine KElement with " + name
+        with pytest.raises(TypeError):
+            combine(other, k)
+
 
 class TestWedge2:
     def test_square_is_zero(self):

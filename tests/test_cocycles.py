@@ -5,8 +5,8 @@ from functools import reduce
 import pytest
 
 from fatflip.abelian import KElement, sym_pair, wedge2, wedge3
-from fatflip.cocycles import (InducedAutomorphismError, _induced_matrix,
-                              cocycle_j, cocycle_m, cocycle_s,
+from fatflip.cocycles import (CocycleConditionError, InducedAutomorphismError,
+                              _induced_matrix, cocycle_j, cocycle_m, cocycle_s,
                               compose_closed, induced_k_automorphism,
                               path_sum, verify_cocycle_condition, walk_values,
                               zero_value)
@@ -317,6 +317,22 @@ class TestCocycleCondition:
         for which in "mjs":
             verify_cocycle_condition(loop, p2, m, which)
             verify_cocycle_condition(p2, loop, m, which)
+
+    def test_untwisted_action_is_caught(self, g1, monkeypatch):
+        # negative control: the closed path [1, 2] has m value (1, -2) and
+        # an order-three T with T.m = (1, 1), so the composite gives
+        # (2, -1); with T replaced by the identity the check expects
+        # (1, -2) + (1, -2) = (2, -4) and must refuse
+        from fatflip import cocycles
+        m, _ = canonical_h_marking(g1)
+        p = apply_path(g1, [1, 2])
+        assert path_sum(p, m, "m")[0] == KElement((1, -2))
+        monkeypatch.setattr(cocycles, "induced_k_automorphism",
+                            lambda path, marking: identity(2))
+        with pytest.raises(CocycleConditionError) as err:
+            verify_cocycle_condition(p, p, m, "m")
+        assert err.value.lhs == KElement((2, -1))
+        assert err.value.rhs == KElement((2, -4))
 
 
 class TestLocalCoherence:

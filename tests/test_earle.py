@@ -98,6 +98,16 @@ class TestDSurface:
         for name in ("a1", "b1", "a2", "b2"):
             assert d_surface(gen(name), 2) == 0
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda genus: d_surface(parse_word("a1 b1"), genus),
+        lambda genus: earle_f(FreeAutomorphism({}), genus),
+    ], ids=["d_surface", "earle_f"])
+    @pytest.mark.parametrize("genus", [0, -1])
+    def test_genus_below_one_named(self, evaluate, genus):
+        with pytest.raises(WordError) as err:
+            evaluate(genus)
+        assert str(err.value) == "genus must be at least 1, got %d" % genus
+
 
 def _omega(x, y):
     """The standard form on exponent sums: a_i . b_i = 1, and a . b = 1

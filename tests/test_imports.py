@@ -58,3 +58,15 @@ def test_no_import_inside_a_function():
                           for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found
+
+
+def test_only_fatgraph_walks_a_boundary_cycle():
+    # FatGraph._tail_cycle is the one-boundary gate: other modules read
+    # it rather than walk the cycle and repeat its length test
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items() if name != "fatgraph"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_cycle"]
+    assert not found

@@ -480,3 +480,20 @@ class TestSymplecticBasis:
         with pytest.raises(la.LinAlgError) as err:
             la.symplectic_basis(pairing)
         assert str(err.value) == "pairing must be square, " + shape
+
+
+class TestRaggedRows:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: la.smith([[1, 2], [3]]), "matrix rows have lengths [1, 2]"),
+        (lambda: la.is_unimodular([[1, 0], [0]]),
+         "matrix rows have lengths [1, 2]"),
+        (lambda: la.solve_transform([[1, 0], [0]], [[1, 0], [0, 1]]),
+         "x vectors have lengths [1, 2]"),
+        (lambda: la.solve_transform([[1, 0], [0, 1]], [[1], [0, 1]]),
+         "y vectors have lengths [1, 2]"),
+    ], ids=["smith", "is_unimodular", "solve_transform-x",
+            "solve_transform-y"])
+    def test_rejected_with_the_lengths(self, call, message):
+        with pytest.raises(la.LinAlgError) as err:
+            call()
+        assert str(err.value) == message
