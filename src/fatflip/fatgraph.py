@@ -268,10 +268,7 @@ class FatGraph:
     def validate(self) -> None:
         """Raise a specific FatGraphError unless all invariants hold."""
         rows = self._rows
-        links = self._spanning_tree()
-        if len(links) + 1 != len(rows):
-            raise DisconnectedGraphError("only %d of %d vertices reachable"
-                                         % (len(links) + 1, len(rows)))
+        self._check_connected()
         vert = self._index()[1]
         univalent = [vi for vi, row in enumerate(rows) if len(row) == 1]
         if len(univalent) != 1:
@@ -287,6 +284,13 @@ class FatGraph:
             if vi != tail_end and len(row) < 3:
                 raise ValenceError("vertex %d has valence %d < 3"
                                    % (vi, len(row)))
+
+    def _check_connected(self) -> None:
+        """Raise DisconnectedGraphError unless the tree from the tail spans."""
+        reached = len(self._spanning_tree()) + 1
+        if reached != len(self._rows):
+            raise DisconnectedGraphError("only %d of %d vertices reachable"
+                                         % (reached, len(self._rows)))
 
     def _spanning_tree(self) -> List[int]:
         """The breadth-first spanning tree grown from the tail vertex,
@@ -342,11 +346,13 @@ class FatGraph:
         return self._boundaries
 
     def genus(self) -> int:
-        """Genus of the thickened surface, via 2 - 2g - b = V - E."""
+        """Genus of the thickened surface, via 2 - 2g - b = V - E; a
+        disconnected graph raises DisconnectedGraphError."""
         twice = 2 - self.boundary_number() - self.num_vertices + self.num_edges
         if twice < 0 or twice % 2:
             raise CorruptedStructureError(
                 "Euler characteristic gives 2g = %d" % twice)
+        self._check_connected()
         return twice // 2
 
     def _tail_cycle(self) -> List[int]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import (Dict, Iterable, Iterator, List, Mapping, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import intlinalg
 from .abelian import KElement, _sparse_columns
@@ -160,10 +159,11 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
         extra = sorted(set(marking.values).difference(ids))
         raise MarkingDomainError("value on edge %s, which the graph lacks"
                                  % ", ".join(map(str, extra)))
-    for vi, sums in enumerate(_vertex_sums(graph, marking)):
-        if any(sums):
+    for vi, row in enumerate(graph._rows):
+        if row and any(_chain(marking.values, row)):
+            total = KElement._of(tuple(_chain(marking.values, row)))
             raise CoherenceError("vertex %d sums to %s"
-                                 % (vi, KElement._of(tuple(sums))))
+                                 % (vi, -total if row[0] & 1 else total))
     # by coherence each tree edge's value is an integer combination of
     # the values off the tree (fill the links in from the leaves), and
     # the edges of every other component are all off it, so those span
@@ -233,18 +233,19 @@ class _Walker:
         return Marking._of_edges(self.rank, self.values)
 
 
-def _vertex_sums(graph: FatGraph, marking: Marking) -> Iterator[List[int]]:
-    """The coordinate-wise sums of the inward values at each vertex, read
-    from the stored ``+`` values: code c is an edge's ``-`` if c is odd."""
-    for row in graph._rows:
-        acc = [0] * marking.rank
-        for c in row:
-            if c >> 1 not in marking.values:
-                raise MarkingDomainError("no value on %s" % (_decode(c),))
-            coords = marking.values[c >> 1].coords
-            for k in compress(range(marking.rank), coords):
-                acc[k] += -coords[k] if c & 1 else coords[k]
-        yield acc
+def _chain(values: Mapping[int, KElement], codes: Sequence[int]) -> Iterable[int]:
+    """The inward sum at ``codes`` (nonempty) times the sign of the first,
+    as one lazy chain of maps over the stored ``+`` coordinates: a term of
+    the first's parity adds, any other subtracts (see :func:`_incoherent`)."""
+    c = first = codes[0]
+    try:
+        acc = values[first >> 1].coords
+        for c in codes[1:]:
+            acc = map(operator.sub if (c ^ first) & 1 else operator.add,
+                      acc, values[c >> 1].coords)
+    except KeyError:
+        raise MarkingDomainError("no value on %s" % (_decode(c),)) from None
+    return acc
 
 
 def propagate(marking: Marking, ctx: FlipContext) -> Marking:
@@ -326,12 +327,11 @@ class _SpanningTree:
                   for h, v in zip(self.basis, basis_values)}
         rows, vert = self.graph._rows, self.graph._index()[1]
         for h in reversed(self.links):
-            acc = [0] * rank
-            for k in rows[vert[h]]:
-                if k != h:  # k's value enters with sign -h.sign * k.sign
-                    acc = list(map(operator.add if (k ^ h) & 1 else
-                                   operator.sub, acc, values[k >> 1].coords))
-            values[h >> 1] = KElement._of(tuple(acc))
+            # the chain reads -h.sign * mu(h) times the sign of others[0]
+            others = [k for k in rows[vert[h]] if k != h]
+            new = KElement._of(tuple(_chain(values, others)) if others
+                               else (0,) * rank)
+            values[h >> 1] = new if others and (h ^ others[0]) & 1 else -new
         return Marking._of_edges(rank, values)
 
 
@@ -381,7 +381,7 @@ def is_topological_h(graph: FatGraph, marking: Marking,
                            % (marking.rank, len(tree.basis)))
     if len(form.matrix) != marking.rank:
         raise MarkingError("form size does not match the marking rank")
-    if any(map(any, _vertex_sums(graph, marking))):
+    if any(row and any(_chain(marking.values, row)) for row in graph._rows):
         return False
     return form.gram([marking.value(h) for h in tree.basis]) == want
 

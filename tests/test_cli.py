@@ -185,6 +185,16 @@ class TestBasics:
         assert status == 0
         assert "genus\t1" in out
 
+    def test_info_rejects_a_disconnected_graph(self, capsys, tmp_path):
+        # g1 beside a genus-1 theta: 2 - b - V + E = 2 would read as
+        # genus 1, though each of the two components has genus 1
+        p = tmp_path / "two.fg"
+        p.write_text(G1_FILE.split("tail")[0]
+                     + "vertex 4: 5+ 6+ 7+\nvertex 5: 5- 6- 7-\ntail 0+\n")
+        status, out, err = run(capsys, "info", str(p))
+        assert (status, out) == (1, "")
+        assert err == "fatflip: only 4 of 6 vertices reachable\n"
+
 
 class TestFlipAndPaths:
     def test_flip_round_trips(self, capsys, g1_path, tmp_path):

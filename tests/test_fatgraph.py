@@ -311,6 +311,15 @@ class TestBoundary:
         with pytest.raises(CorruptedStructureError):
             g.genus()
 
+    def test_genus_of_a_disconnected_graph_is_refused(self, g1):
+        # a genus-1 theta beside g1: 2 - b - V + E = 2 would read genus 1
+        g = FatGraph(list(g1.vertices) + [[oe(5, 1), oe(6, 1), oe(7, 1)],
+                                          [oe(5, -1), oe(6, -1), oe(7, -1)]],
+                     g1.tail)
+        with pytest.raises(DisconnectedGraphError) as err:
+            g.genus()
+        assert str(err.value) == "only 4 of 6 vertices reachable"
+
 
 class TestCanonical:
     def test_idempotent(self, g1):

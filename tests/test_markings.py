@@ -1,5 +1,7 @@
+import collections
 import importlib.resources
 import itertools
+import operator
 import random
 import re
 
@@ -8,7 +10,7 @@ import pytest
 from fatflip import intlinalg
 from fatflip.abelian import KElement, RankMismatchError
 from fatflip.fatgraph import (BoundaryNumberError, FatGraph, OrientedEdge,
-                              canonical_iso, oe)
+                              _decode, canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.graphio import parse_graph
 from fatflip.markings import (CoherenceError, InversionError, Marking,
@@ -20,6 +22,7 @@ from fatflip.markings import (CoherenceError, InversionError, Marking,
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
                              random_gl, random_graph)
 from fatflip.selftest import SelfTestFailure, check_topological_path
+from test_fatgraph import rose, split_roses
 
 
 def k(*coords):
@@ -609,3 +612,149 @@ class TestSpanningTree:
             for v in graph.vertices:
                 assert sum((marking.value(h) for h in v),
                            KElement.zero(n)).is_zero()
+
+
+def dense_vertex_sums(graph, marking):
+    """The inward sums at each vertex, one dense accumulator per vertex
+    that adds the coordinates one by one: the coherence sums as read
+    before the signed map chain, kept as its oracle."""
+    for row in graph._rows:
+        acc = [0] * marking.rank
+        for c in row:
+            if c >> 1 not in marking.values:
+                raise MarkingDomainError("no value on %s" % (_decode(c),))
+            coords = marking.values[c >> 1].coords
+            for i in itertools.compress(range(marking.rank), coords):
+                acc[i] += -coords[i] if c & 1 else coords[i]
+        yield acc
+
+
+def dense_coherence(graph, marking):
+    """check_marking's coherence step on the dense sums."""
+    for vi, sums in enumerate(dense_vertex_sums(graph, marking)):
+        if any(sums):
+            raise CoherenceError("vertex %d sums to %s"
+                                 % (vi, KElement._of(tuple(sums))))
+
+
+def dense_is_topological_h(graph, marking, form):
+    """is_topological_h on the dense sums, for markings of rank 2g."""
+    tree, want = _basis_pairing(graph)
+    if any(map(any, dense_vertex_sums(graph, marking))):
+        return False
+    return form.gram([marking.value(h) for h in tree.basis]) == want
+
+
+def dense_fill(tree, rank, basis_values):
+    """_SpanningTree.fill with a dense accumulator re-listed per term."""
+    values = {h.edge: KElement._of(tuple(v))
+              for h, v in zip(tree.basis, basis_values)}
+    rows, vert = tree.graph._rows, tree.graph._index()[1]
+    for h in reversed(tree.links):
+        acc = [0] * rank
+        for c in rows[vert[h]]:
+            if c != h:  # c's value enters with sign -h.sign * c.sign
+                acc = list(map(operator.add if (c ^ h) & 1 else
+                               operator.sub, acc, values[c >> 1].coords))
+        values[h >> 1] = KElement._of(tuple(acc))
+    return Marking._of_edges(rank, values)
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the type and text of its MarkingError."""
+    try:
+        return fn(*args)
+    except MarkingError as err:
+        return type(err).__name__, str(err)
+
+
+def leafy_g1():
+    """g1 with a leaf edge 5 hung off vertex 1: still one boundary cycle
+    and genus 1, so the spanning tree has a link into a univalent vertex."""
+    return FatGraph([
+        [oe(0, -1)],
+        [oe(0, 1), oe(1, 1), oe(5, 1), oe(3, -1)],
+        [oe(3, 1), oe(2, 1), oe(4, -1)],
+        [oe(4, 1), oe(1, -1), oe(2, -1)],
+        [oe(5, -1)],
+    ], oe(0, 1))
+
+
+def chain_graphs(rng):
+    """Trivalent random graphs, the tailed roses (one vertex of valence
+    4g + 1), the hand-split roses with 4- and 5-valent vertices, and a
+    graph with a leaf; each has one boundary cycle."""
+    return ([random_graph(1 + trial % 6, rng) for trial in range(12)]
+            + [rose(genus) for genus in (1, 2, 3, 4)] + split_roses()
+            + [leafy_g1()])
+
+
+class TestCoherenceChain:
+    def perturbed(self, graph, marking, rng):
+        """The marking moved at one edge, then the same with one edge's
+        value dropped (so its two ends may or may not be reached first)."""
+        n = marking.rank
+        vals = {oe(x, 1): v for x, v in marking.values.items()}
+        x = rng.choice(graph.edge_ids())
+        vals[oe(x, 1)] += KElement([rng.randint(-2, 2) for _ in range(n)])
+        gone = dict(vals)
+        del gone[oe(rng.choice(graph.edge_ids()), 1)]
+        return Marking(n, vals), Marking(n, gone)
+
+    def test_check_marking_matches_dense_sums(self, g1):
+        rng = random.Random(51)
+        kinds = collections.Counter()
+        for graph in chain_graphs(rng):
+            m, _ = canonical_h_marking(graph)
+            for _ in range(8):
+                bumped, _ = self.perturbed(graph, m, rng)
+                want = outcome(dense_coherence, graph, bumped)
+                got = outcome(check_marking, graph, bumped)
+                if got is None or got[0] != "CoherenceError":
+                    got = None  # coherent: Surjectivity decides the rest
+                assert got == want
+                kinds[want is None] += 1
+        assert kinds[True] >= 10 and kinds[False] >= 100, kinds
+        # an empty vertex sums to zero
+        empty = FatGraph(list(g1.vertices) + [[]], g1.tail)
+        check_marking(empty, reference_marking(g1))
+
+    def test_is_topological_h_matches_dense_sums(self):
+        rng = random.Random(52)
+        kinds = collections.Counter()
+        for graph in chain_graphs(rng):
+            m, form = canonical_h_marking(graph)
+            genus = m.rank // 2
+            coherent = [m, m.transform(symplectic_transvections(genus, rng)),
+                        m.transform(random_gl(2 * genus, rng))]
+            cases = [("whole", marking) for marking in coherent]
+            for _ in range(8):
+                bumped, gone = self.perturbed(graph, m, rng)
+                cases += [("whole", bumped), ("gone", gone)]
+            for label, marking in cases:
+                want = outcome(dense_is_topological_h, graph, marking, form)
+                assert outcome(is_topological_h, graph, marking, form) == want
+                kinds[label, want if isinstance(want, bool) else want[0]] += 1
+        # both verdicts on whole markings; with a value gone, the first
+        # missing half-edge named, or False at an incoherent vertex met
+        # before it
+        assert kinds["whole", True] >= 30 and kinds["whole", False] >= 100
+        assert kinds["gone", "MarkingDomainError"] >= 50, kinds
+        assert kinds["gone", False] >= 20, kinds
+
+    def test_fill_matches_dense_fill(self):
+        rng = random.Random(53)
+        for graph in chain_graphs(rng):
+            tree = _SpanningTree(graph)
+            n = len(tree.basis)
+            for rank in (1, n):
+                # a unimodular basis block gives a surjective marking
+                spread = intlinalg.transpose(random_gl(n, rng)[:rank])
+                small = [[rng.randint(-3, 3) for _ in range(rank)]
+                         for _ in tree.basis]
+                for values in (spread, small):
+                    filled = tree.fill(rank, values)
+                    assert filled == dense_fill(tree, rank, values)
+                    assert not any(map(any, dense_vertex_sums(graph,
+                                                              filled)))
+                check_marking(graph, tree.fill(rank, spread))
