@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .cocycles import COCYCLES, path_sum, walk_values, zero_value
+from .cocycles import COCYCLES, path_sum, walk_values
 from .earle import d2, d_surface, earle_f, h_str
 from .flips import apply_path, flip, pentagon_path
 from .graphio import GraphParseError, format_graph, parse_graph
@@ -119,17 +119,16 @@ def _cmd_path(args, out) -> int:
     path = apply_path(graph, _parse_edge_list(args.flips))
     for which in _cocycle_list(args.cocycle):
         values = walk_values(path, marking, which)
-        total = zero_value(which, marking.rank)
         for i, ctx in enumerate(path.steps):
             try:
                 val = next(values)
             except MarkingError as err:
                 raise CliError("step %d: %s" % (i, err), FAILURE)
-            total = total + val
             _emit(out, args.format, [
                 ("%s step %d flip %s a %s b %s c %s d %s new %s"
                  % (which, i, ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d,
                     ctx.new_edge), val)])
+        total, _ = path_sum(path, marking, which)
         _emit(out, args.format, [("%s total" % which, total)])
     return 0
 

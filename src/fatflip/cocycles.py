@@ -96,11 +96,6 @@ def cocycle_s(ctx: FlipContext, marking: Marking) -> SymWedge:
     return _step_value(_Walker(marking), ctx, "s")
 
 
-def zero_value(which: str, rank: int) -> CocycleValue:
-    _kernel(which)
-    return _VALUE_TYPES[which].zero(rank)
-
-
 def walk_values(path: FlipPath, marking: Marking,
                 which: str) -> Iterator[CocycleValue]:
     """Yield each step's cocycle value along the path."""

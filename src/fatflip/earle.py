@@ -101,7 +101,10 @@ def _check_genus(genus: int) -> None:
 def d_surface(word: Word, genus: int) -> int:
     """d on surface words: the sum of d2 over the handle projections."""
     _check_genus(genus)
-    return sum(d2(project(word, i, genus)) for i in range(1, genus + 1))
+    d = d2(project(word, 1, genus))  # checks every letter of the word
+    # a handle the word does not use projects to the empty word, d = 0
+    used = {gen_info(name)[1] for name, _ in word} - {1}
+    return d + sum(d2(project(word, i, genus)) for i in used)
 
 
 def d_differences(phi: FreeAutomorphism, genus: int) -> Dict[str, int]:

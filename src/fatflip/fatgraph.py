@@ -256,9 +256,6 @@ class FatGraph:
         return (self.vertex_of(OrientedEdge(edge, 1)),
                 self.vertex_of(OrientedEdge(edge, -1)))
 
-    def valence(self, vi: int) -> int:
-        return len(self._rows[vi])
-
     def successor(self, h: OrientedEdge) -> OrientedEdge:
         """The next inward half-edge after h in the cyclic order at its head."""
         return _decode(self._look_up(0, h))

@@ -195,10 +195,6 @@ class Cokernel(NamedTuple):
     projection: Matrix      # (n - rank) x n, coordinates in the quotient
     section: Matrix         # n x (n - rank), lifts of the quotient basis
 
-    @property
-    def free_rank(self) -> int:
-        return len(self.projection)
-
 
 def cokernel(relations: Sequence[Sequence[int]]) -> Cokernel:
     """Basis data for Z^n / colspan(relations).
@@ -230,22 +226,15 @@ def solve_transform(xs: Sequence[Sequence[int]],
     res = smith(x_mat)
     if res.rank < r:
         raise LinAlgError("sample vectors span rank %d < %d" % (res.rank, r))
-    z = mat_mul(y_mat, res.v)
-    w = zeros(len(y_mat), r)
-    for j in range(len(xs)):
-        if j < r:
-            d = res.s[j][j]
-            for i in range(len(y_mat)):
-                if z[i][j] % d:
-                    return None
-                w[i][j] = z[i][j] // d
-        else:
-            if any(z[i][j] for i in range(len(y_mat))):
-                return None
-    t = mat_mul(w, res.u)
-    for x, y in zip(xs, ys):
-        if mat_vec(t, x) != list(y):
-            return None
+    # With X = U^-1 S V^-1, T X = Y holds exactly when W S = Y V for
+    # W = T U^-1.  W's columns are those of Y V over the invariants; a
+    # remainder, or a nonzero column of Y V past r, makes W S differ
+    # from Y V, so the closing check alone decides consistency.
+    d = res.invariants
+    t = mat_mul([[z // dj for z, dj in zip(row, d)]
+                 for row in mat_mul(y_mat, res.v)], res.u)
+    if any(mat_vec(t, x) != list(y) for x, y in zip(xs, ys)):
+        return None
     return t
 
 

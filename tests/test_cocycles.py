@@ -4,12 +4,12 @@ from functools import reduce
 
 import pytest
 
-from fatflip.abelian import KElement, sym_pair, wedge2, wedge3
+from fatflip.abelian import (KElement, SymWedge, Wedge3, sym_pair, wedge2,
+                             wedge3)
 from fatflip.cocycles import (CocycleConditionError, InducedAutomorphismError,
                               _induced_matrix, cocycle_j, cocycle_m, cocycle_s,
                               compose_closed, induced_k_automorphism,
-                              path_sum, verify_cocycle_condition, walk_values,
-                              zero_value)
+                              path_sum, verify_cocycle_condition, walk_values)
 from fatflip.fatgraph import oe
 from fatflip.flips import (adjacent_flippable_pairs, apply_path, flip,
                            flippable_edges, involution_pair, pentagon_path,
@@ -20,6 +20,8 @@ from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
                              random_gl, random_graph)
 from fatflip.selftest import SelfTestFailure, check_relation_loop
+
+ZERO = {"m": KElement.zero, "j": Wedge3.zero, "s": SymWedge.zero}
 
 
 def marked_flip(g1, edge=1, rank=4):
@@ -102,7 +104,7 @@ class TestPathSums:
         for which in "mjs":
             fold = reduce(operator.add,
                           walk_values(path, m, which),
-                          zero_value(which, m.rank))
+                          ZERO[which](m.rank))
             total, out = path_sum(path, m, which)
             assert total == fold
             assert out == end
@@ -147,7 +149,7 @@ def _fold_propagate(ctx, marking):
 
 
 def fold_path_sum(path, marking, which):
-    total = zero_value(which, marking.rank)
+    total = ZERO[which](marking.rank)
     for ctx in path.steps:
         total = total + _fold_step(ctx, marking, which)
         marking = _fold_propagate(ctx, marking)

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from fatflip import earle
 from fatflip.abelian import KElement
 from fatflip.earle import (NotAHomomorphismError, bp_m_phase_sums,
                            check_d_difference_additive, d2, d_differences,
@@ -97,6 +98,29 @@ class TestDSurface:
     def test_generators_vanish(self):
         for name in ("a1", "b1", "a2", "b2"):
             assert d_surface(gen(name), 2) == 0
+
+    def test_projects_only_onto_used_handles(self, monkeypatch):
+        calls = []
+
+        def counted(word, i, genus):
+            calls.append(i)
+            if len(calls) > 10:
+                raise AssertionError("projected onto %d handles" % len(calls))
+            return project(word, i, genus)
+
+        monkeypatch.setattr(earle, "project", counted)
+        word = commutator(gen("b1000000000"), gen("a1000000000"))
+        assert d_surface(word, 10 ** 9) == d2(commutator(gen("b"), gen("a")))
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("word, message", [
+        ("a1 a5", "generator a5 outside genus 2"),
+        ("a2 b a1", "expected a surface word, got bare b"),
+    ])
+    def test_letters_checked(self, word, message):
+        with pytest.raises(WordError) as err:
+            d_surface(parse_word(word), 2)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("evaluate", [
         lambda genus: d_surface(parse_word("a1 b1"), genus),

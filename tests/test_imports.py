@@ -70,3 +70,49 @@ def test_only_fatgraph_walks_a_boundary_cycle():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "_cycle"]
     assert not found
+
+
+def _definitions(body, prefix=""):
+    """(qualified name, name) of every function and class in ``body``,
+    methods and nested definitions included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield prefix + node.name, node.name
+            yield from _definitions(node.body, prefix + node.name + ".")
+
+
+def _layer_names(tree):
+    """The module, class and function names in perfbench's LAYERS specs,
+    such as "fatgraph:FatGraph.__init__"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            for spec in ast.literal_eval(node.value):
+                module, attr = spec.split(":")
+                yield module
+                yield from attr.split(".")
+
+
+def test_every_definition_is_referenced():
+    # a name nothing reads, in the package, its tests or the benchmark, is
+    # dead code; dunder methods are called by the language, not by name
+    root = pathlib.Path(__file__).resolve().parent.parent
+    referenced = set()
+    for folder in (SRC, root / "tests", root / "perfbench"):
+        for path in folder.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            referenced.update(_layer_names(tree))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name.split(".")[-1])
+    unused = ["%s.%s" % (module, qualname)
+              for module, tree in sorted(_parsed().items())
+              for qualname, name in _definitions(tree.body)
+              if name not in referenced
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused

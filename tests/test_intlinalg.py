@@ -254,7 +254,7 @@ class TestCokernel:
             n, k = rng.randint(2, 6), rng.randint(0, 4)
             rels = random_matrix(rng, n, k) if k else [[] for _ in range(n)]
             cok = la.cokernel(rels)
-            free = cok.free_rank
+            free = len(cok.projection)
             if free:
                 prod = la.mat_mul(cok.projection, cok.section)
                 assert la.mat_eq(prod, la.identity(free))
@@ -285,6 +285,77 @@ class TestSolveTransform:
     def test_deficient_rank_raises(self):
         with pytest.raises(la.LinAlgError):
             la.solve_transform([[1, 0], [2, 0]], [[1, 0], [2, 0]])
+
+    def test_rational_but_not_integral(self):
+        assert la.solve_transform([[2]], [[1]]) is None
+
+    def test_consistent_prefix_nonzero_trailing_column(self):
+        # T = identity fits the first two pairs; the third x is zero and
+        # its y is not, a nonzero column of Y V past the rank
+        xs = [[1, 0], [0, 1], [0, 0]]
+        ys = [[1, 0], [0, 1], [1, 0]]
+        assert oracle_solve_transform(xs, ys) is None
+        assert la.solve_transform(xs, ys) is None
+
+    def test_matches_oracle(self):
+        rng = random.Random(25)
+        kinds = Counter()
+        for _ in range(400):
+            r, rows = rng.randint(1, 3), rng.randint(1, 3)
+            xs = [random_matrix(rng, 1, r, -3, 3)[0]
+                  for _ in range(r + rng.randint(0, 2))]
+            t = random_matrix(rng, rows, r, -3, 3)
+            ys = [la.mat_vec(t, x) for x in xs]
+            shape = rng.randrange(5)
+            if shape == 1:  # random data
+                ys = random_matrix(rng, len(xs), rows, -3, 3)
+            elif shape == 2:  # only T / k fits
+                xs = [[2 * c for c in x] for x in xs]
+            elif shape == 3:  # one entry off
+                ys[rng.randrange(len(ys))][rng.randrange(rows)] += 1
+            elif shape == 4:  # a repeated x vector lowers the rank
+                xs = xs[:1] * len(xs)
+            outcomes = []
+            for solve in (oracle_solve_transform, la.solve_transform):
+                try:
+                    got = solve(xs, ys)
+                except la.LinAlgError as err:
+                    got = str(err)
+                outcomes.append(got)
+            assert outcomes[0] == outcomes[1]
+            kinds[type(outcomes[0]).__name__] += 1
+        assert set(kinds) == {"list", "NoneType", "str"}
+
+
+def oracle_solve_transform(xs, ys):
+    """solve_transform with its former three consistency checks (the
+    divisibility of each column of Y V by its invariant, zero columns of
+    Y V past the rank, and T x == y), kept as an oracle."""
+    if len(xs) != len(ys) or not xs:
+        raise la.LinAlgError("need equally many x and y vectors")
+    r = la._width(xs, "x vectors")
+    x_mat = [[x[i] for x in xs] for i in range(r)]
+    y_mat = [[y[i] for y in ys] for i in range(la._width(ys, "y vectors"))]
+    res = la.smith(x_mat)
+    if res.rank < r:
+        raise la.LinAlgError("sample vectors span rank %d < %d"
+                             % (res.rank, r))
+    z = la.mat_mul(y_mat, res.v)
+    w = la.zeros(len(y_mat), r)
+    for j in range(len(xs)):
+        if j < r:
+            d = res.s[j][j]
+            for i in range(len(y_mat)):
+                if z[i][j] % d:
+                    return None
+                w[i][j] = z[i][j] // d
+        elif any(z[i][j] for i in range(len(y_mat))):
+            return None
+    t = la.mat_mul(w, res.u)
+    for x, y in zip(xs, ys):
+        if la.mat_vec(t, x) != list(y):
+            return None
+    return t
 
 
 class TestUnimodular:
