@@ -289,6 +289,11 @@ class TestSolveTransform:
     def test_rational_but_not_integral(self):
         assert la.solve_transform([[2]], [[1]]) is None
 
+    def test_empty_x_vectors(self):
+        # the only map from Z^0 is zero: a 1 x 0 matrix, or none at all
+        assert la.solve_transform([[], []], [[0], [0]]) == [[]]
+        assert la.solve_transform([[]], [[1]]) is None
+
     def test_consistent_prefix_nonzero_trailing_column(self):
         # T = identity fits the first two pairs; the third x is zero and
         # its y is not, a nonzero column of Y V past the rank
