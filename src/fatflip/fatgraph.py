@@ -379,18 +379,18 @@ class FatGraph:
         n = len(succ)
         # the first orientation of an edge met along the boundary, at
         # rank i, becomes i+ (code 2i), the other one i- (code 2i + 1);
-        # so the last such rank is the largest new edge id
+        # the walk counts r = 2i, so last // 2 is the largest new edge id
         code: Dict[int, int] = {}
         c = t = self._tail
-        for i in range(n):
+        for r in range(0, 2 * n, 2):
             if c not in code:
-                code[c] = 2 * i
-                code[c ^ 1] = 2 * i + 1
-                last = i
+                code[c] = r
+                code[c ^ 1] = r + 1
+                last = r
             c = succ[c] ^ 1
             if c == t:
                 break
-        if c != t or i + 1 != n:  # open, or closed early: walk again,
+        if c != t or r + 2 != 2 * n:  # open, or closed early: walk again,
             self._tail_cycle()  # to raise the error that says which
         rows = []
         for row in self._rows:
@@ -401,6 +401,8 @@ class FatGraph:
                     rows.append((x, y, z) if x < z else (z, x, y))
                 else:
                     rows.append((y, z, x) if y < z else (z, x, y))
+            elif len(row) == 1:  # the tail vertex's
+                rows.append((code[row[0]],))
             else:
                 w = tuple(map(code.__getitem__, row))
                 k = w.index(min(w))
@@ -410,7 +412,7 @@ class FatGraph:
             raise CorruptedStructureError(
                 "canonical form has %d half-edges, expected %d"
                 % (sum(map(len, rows)), n))
-        return code, tuple(rows), last + 1
+        return code, tuple(rows), last // 2 + 1
 
     def canonicalize(self) -> Tuple["FatGraph", Mapping[OrientedEdge, OrientedEdge]]:
         """Relabel by boundary ranks into a canonical representative.

@@ -88,21 +88,19 @@ class FlipPath:
 
 def _edge_code(graph: FatGraph, e: EdgeLike) -> int:
     """The code of edge argument e; FlipError unless it is in graph."""
-    c = _code((e, 1) if type(e) is int else e)
+    c = 2 * e if type(e) is int and e >= 0 else _code(e)
     if c not in graph._index()[1]:
         raise FlipError("no edge %s" % (_decode(c) if c >= 0 else repr(e),))
     return c
 
 
 def flippable(graph: FatGraph, e: EdgeLike) -> bool:
+    """Does ``flip(graph, e)`` succeed?  It tries the flip, so O(E)."""
     try:
-        c = _edge_code(graph, e)
+        flip(graph, e)
     except FlipError:
         return False
-    vert = graph._index()[1]
-    v, w = vert[c], vert[c ^ 1]
-    return (c >> 1 != graph._tail >> 1 and v != w
-            and len(graph._rows[v]) == 3 and len(graph._rows[w]) == 3)
+    return True
 
 
 def flippable_edges(graph: FatGraph) -> List[int]:
@@ -155,8 +153,8 @@ def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
         raise CorruptedStructureError(
             "flip of edge %d left %d half-edges, expected %d"
             % (x, len(succ), len(old_succ)))
-    ctx = FlipContext(_decode(h), _decode(a), _decode(b), _decode(c),
-                      _decode(d), _decode(n))
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    ctx = tuple.__new__(FlipContext, map(_decode, (h, a, b, c, d, n)))
     return FatGraph._from_codes(tuple(rows), graph._tail, fresh + 1,
                                 succ, vert), ctx
 

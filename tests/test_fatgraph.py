@@ -99,6 +99,22 @@ def split_roses():
     ]
 
 
+def tail_star(leaves):
+    """The tree whose tail vertex has one neighbour, joined to ``leaves``
+    univalent leaves: rows (0-), (0+, 1-, ..., k-), (1+), ..., (k+)."""
+    hub = [oe(0, 1)] + [oe(x, -1) for x in range(1, leaves + 1)]
+    return FatGraph([[oe(0, -1)], hub]
+                    + [[oe(x, 1)] for x in range(1, leaves + 1)], oe(0, 1))
+
+
+def tail_path(length):
+    """The path of ``length`` edges after the tail, 2-valent inside:
+    rows (0-), (0+, 1-), ..., (k-1+, k-), (k+)."""
+    return FatGraph([[oe(0, -1)]]
+                    + [[oe(x, 1), oe(x + 1, -1)] for x in range(length)]
+                    + [[oe(length, 1)]], oe(0, 1))
+
+
 def path_graphs(path):
     """Every graph a flip path passes through after its start, in order."""
     cur, out = path.start, []
@@ -504,6 +520,21 @@ class TestCanonicalOracle:
         for g in graphs:
             g.validate()
             assert g.boundary_number() == 1
+            for h in [g] + [shuffle_graph(g, rng) for _ in range(4)]:
+                self.assert_matches_oracle(h)
+                assert h.canonical_key() == sorted_canonicalize(h)[0]._rows
+
+    def test_one_boundary_trees(self):
+        # leaves are univalent rows other than the tail's and inner path
+        # vertices are 2-valent; trees fail validate(), so they are kept
+        # out of test_general_rows
+        rng = random.Random(36)
+        graphs = ([tail_star(k) for k in (1, 2, 3, 5)]
+                  + [tail_path(k) for k in (1, 2, 3, 6)])
+        assert {len(v) for g in graphs for v in g.vertices} >= {1, 2, 3, 4, 6}
+        for g in graphs:
+            assert g.boundary_number() == 1
+            assert sum(len(v) == 1 for v in g.vertices) >= 2
             for h in [g] + [shuffle_graph(g, rng) for _ in range(4)]:
                 self.assert_matches_oracle(h)
                 assert h.canonical_key() == sorted_canonicalize(h)[0]._rows

@@ -8,8 +8,8 @@ from fatflip.fatgraph import FatGraph, OrientedEdge, canonical_iso, oe
 from fatflip.flips import (FlipContext, FlipError, PathStepError,
                            adjacent_flippable_pairs, apply_path,
                            commuting_loop, disjoint_flippable_pairs, flip,
-                           flippable, flippable_edges, involution_pair,
-                           pentagon_path, reverse_path)
+                           flippable, flippable_edges, fresh_edge_id,
+                           involution_pair, pentagon_path, reverse_path)
 from fatflip.randgen import random_graph, standard_surface_graph
 
 
@@ -21,6 +21,21 @@ def correspondence(path):
         rename = {ctx.edge: ctx.new_edge, ctx.edge.rev: ctx.new_edge.rev}
         out = {h: rename.get(k, k) for h, k in out.items()}
     return out
+
+
+# arguments that name no edge: a negative id, a sign other than +-1 and
+# an id that is not an int
+NOT_EDGES = (-1, oe(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0), 1.5, "1",
+             True, OrientedEdge("x", 1))
+
+
+def loopy_graph():
+    """Edge 3 is a loop at a 4-valent vertex, which edges 1 and 2 join."""
+    return FatGraph([
+        [oe(0, -1)],
+        [oe(0, 1), oe(1, -1), oe(2, -1)],
+        [oe(1, 1), oe(3, 1), oe(3, -1), oe(2, 1)],
+    ], oe(0, 1))
 
 
 def walsh_lehman(genus):
@@ -36,21 +51,15 @@ class TestFlip:
     def test_preconditions(self, g1):
         with pytest.raises(FlipError):
             flip(g1, 0)  # the tail
-        loopy = FatGraph([
-            [oe(0, -1)],
-            [oe(0, 1), oe(1, -1), oe(2, -1)],
-            [oe(1, 1), oe(3, 1), oe(3, -1), oe(2, 1)],
-        ], oe(0, 1))
+        loopy = loopy_graph()
         with pytest.raises(FlipError):
             flip(loopy, 3)  # a loop edge
         with pytest.raises(FlipError):
             flip(loopy, 1)  # 4-valent endpoint
 
     def test_rejects_edges_not_in_graph(self, g1):
-        # a negative id, a sign other than +-1 and an id that is not an
-        # int name no half-edge; the error shows the argument as given
-        for bad in (-1, oe(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0),
-                    1.5, "1", True, OrientedEdge("x", 1)):
+        # the error shows the argument as given
+        for bad in NOT_EDGES:
             with pytest.raises(FlipError,
                                match=re.escape("no edge %r" % (bad,))):
                 flip(g1, bad)
@@ -64,6 +73,20 @@ class TestFlip:
     def test_all_reference_edges_flippable(self, g1):
         assert flippable_edges(g1) == [1, 2, 3, 4]
         assert not flippable(g1, 0)
+
+    def test_flippable_agrees_with_flippable_edges(self):
+        rng = random.Random(7)
+        graphs = [random_graph(genus, rng) for genus in (1, 2, 3, 4)]
+        graphs.append(loopy_graph())
+        for g in graphs:
+            ids = flippable_edges(g)
+            for x in g.edge_ids() + [fresh_edge_id(g)]:
+                assert flippable(g, x) is (x in ids)
+                assert flippable(g, oe(x, -1)) is (x in ids)
+        # every edge of the loopy graph but the tail meets its 4-valent vertex
+        assert flippable_edges(graphs[-1]) == []
+        for bad in NOT_EDGES:
+            assert flippable(graphs[0], bad) is False
 
     def test_flip_preserves_shape(self, g1):
         for e in flippable_edges(g1):
