@@ -1,14 +1,16 @@
 import operator
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fatflip.abelian import (KElement, RankMismatchError, Wedge2, Wedge3,
-                             _common_rank, sym_pair, wedge2, wedge3)
+from fatflip.abelian import (KElement, RankMismatchError, SymWedge, Wedge2,
+                             Wedge3, _common_rank, sym_pair, wedge2, wedge3)
 from fatflip.fatgraph import oe
+from fatflip.intlinalg import mat_mul
 from fatflip.markings import Marking
 
 
@@ -158,7 +160,6 @@ class TestTransforms:
 
     def test_k_functorial(self):
         # Lambda^2 of a composition, spot check against composing values
-        from fatflip.intlinalg import mat_mul
         s = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         t = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
         v = wedge2(vec(1, 2, 0, -1), vec(0, 1, 3, 1))
@@ -188,6 +189,29 @@ class TestTransforms:
         moved = sym_pair(wedge2(apply(t, x), apply(t, y)),
                          wedge2(apply(t, z), apply(t, w)))
         assert value.transform(t) == moved
+
+    def test_equal_to_dense_oracle(self):
+        # random values with arbitrary coefficients, odd ones on diagonal
+        # S^2 keys included, under square and non-square matrices
+        rng = random.Random(2812)
+        cases = odd_diagonal = 0
+        for rank in range(1, 7):
+            for _ in range(6):
+                widths = [rng.randint(1, 7) for _ in range(2)]
+                t = random_matrix(rng, widths[0], rank)
+                s = random_matrix(rng, widths[1], widths[0])
+                for value in random_tensors(rng, rank):
+                    got = value.transform(t)
+                    assert got == dense_transform(value, t)
+                    assert all(type(c) is int for c in got.coeffs.values())
+                    assert (value.transform(mat_mul(s, t))
+                            == got.transform(s))
+                    cases += 1
+                    odd_diagonal += sum(k[0] == k[1] and c % 2 == 1
+                                        for k, c in value.coeffs.items()
+                                        if isinstance(value, SymWedge))
+        assert cases == 6 * 6 * 3
+        assert odd_diagonal > 50
 
 
 def dense_wedge2(x: KElement, y: KElement) -> Wedge2:
@@ -237,6 +261,63 @@ def oracle_cases(rng, rank):
     yield [draw(everything, big=True) for _ in range(3)]
     yield [draw(rng.sample(shuffled, rng.randint(1, rank)),
                 big=rng.random() < 0.5) for _ in range(3)]
+
+
+def random_matrix(rng, rows, cols):
+    return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+
+
+def random_coeff(rng):
+    c = rng.randint(-9, 9) or 1
+    return c * 2 ** 70 + rng.randint(-3, 3) if rng.random() < 0.3 else c
+
+
+def random_tensors(rng, rank):
+    """A Wedge2, a Wedge3 and a SymWedge of rank ``rank`` on random keys;
+    the diagonal keys of the SymWedge get odd coefficients."""
+    pairs = list(combinations(range(rank), 2))
+    for cls, keys in ((Wedge2, pairs),
+                      (Wedge3, list(combinations(range(rank), 3))),
+                      (SymWedge, list(combinations_with_replacement(pairs,
+                                                                    2)))):
+        chosen = rng.sample(keys, rng.randint(0, len(keys)))
+        yield cls(rank, {k: random_coeff(rng) | (cls is SymWedge
+                                                 and k[0] == k[1])
+                         for k in chosen})
+
+
+def dense_transform(value, t):
+    """value moved by the matrix t, expanding each key's factors through
+    t with the dense wedge loops; S^2 keys go through the full tensor
+    square of Lambda^2, in which (p, q) stands for p (x) q + q (x) p and
+    (p, p) for p (x) p."""
+    width = len(t)
+
+    def image(pair):
+        i, j = pair
+        return dense_wedge2(KElement([row[i] for row in t]),
+                            KElement([row[j] for row in t])).coeffs
+
+    out: Counter = Counter()
+    if isinstance(value, SymWedge):
+        full: Counter = Counter()
+        for (p, q), c in value.coeffs.items():
+            full[(p, q)] += c
+            if p != q:
+                full[(q, p)] += c
+        for (p, q), c in full.items():
+            for a, x in image(p).items():
+                for b, y in image(q).items():
+                    out[(a, b)] += c * x * y
+        assert all(out[(a, b)] == out[(b, a)] for a, b in list(out))
+        return SymWedge(width, {(a, b): c for (a, b), c in out.items()
+                                if a <= b})
+    for key, c in value.coeffs.items():
+        cols = [KElement([row[i] for row in t]) for i in key]
+        wedge = dense_wedge2 if len(key) == 2 else dense_wedge3
+        for k, x in wedge(*cols).coeffs.items():
+            out[k] += c * x
+    return type(value)(width, out)
 
 
 class TestSparseWedges:
