@@ -11,10 +11,11 @@ The wedge products iterate over the support of their arguments, the
 indices at which some factor is nonzero: a minor that uses any other
 row has a zero row, so its determinant vanishes.  Their cost follows
 the number of nonzero coordinates, not the rank.  Each product is an
-``_add_*`` kernel that adds sign * product to a coefficient dict, which
-the flip-path sums of ``cocycles`` call directly.
+``_add_*`` kernel that adds sign * product to a coefficient dict; the
+flip-path sums of ``cocycles`` and ``transform`` call them directly.
 
-All values are immutable after construction.
+All values are immutable after construction.  Their constructors take
+integers only, as ``operator.index`` does: a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class KElement:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
-        self.coords = tuple(int(c) for c in coords)
+        self.coords = tuple(map(operator.index, coords))
         if not self.coords:
             raise ValueError("rank must be at least 1")
 
@@ -151,26 +152,22 @@ def _sparse_columns(matrix: Sequence[Sequence[int]], rank: int) -> list:
     return [list(compress(enumerate(c), c)) for c in _columns(matrix, rank)]
 
 
-def _add_into(out: Dict[tuple, int], c: int, value: _SparseTensor) -> None:
-    """Add c * value to the coefficient dict ``out`` in place."""
-    for key, x in value.coeffs.items():
-        out[key] = out.get(key, 0) + c * x
-
-
 class _SparseTensor:
     """Shared machinery for the sparse wedge/symmetric values.
 
-    Subclasses fix the key domain and give ``_image(key, cols)``, the
-    image of one basis key under the linear map whose columns are
-    ``cols``; keys with coefficient 0 are never stored, which makes
-    coefficient dictionaries canonical.
+    Subclasses fix the key domain and give ``_add_term(out, c, key,
+    cols)``, which adds c times the image of one basis key under the
+    linear map whose columns are the coordinate tuples ``cols``; keys
+    with coefficient 0 are never stored, which makes coefficient
+    dictionaries canonical.
     """
 
     __slots__ = ("rank", "coeffs")
 
     def __init__(self, rank: int, coeffs: Mapping):
-        self.rank = int(rank)
-        self.coeffs = {k: int(c) for k, c in coeffs.items() if c != 0}
+        self.rank = operator.index(rank)
+        self.coeffs = {k: c for k, x in coeffs.items()
+                       if (c := operator.index(x))}
 
     @classmethod
     def zero(cls, rank: int):
@@ -181,10 +178,10 @@ class _SparseTensor:
 
     def transform(self, matrix: Sequence[Sequence[int]]):
         """Apply the functor of the linear map given by an integer matrix."""
-        cols = list(map(KElement._of, _columns(matrix, self.rank)))
+        cols = _columns(matrix, self.rank)
         out: Dict[tuple, int] = {}
         for key, c in self.coeffs.items():
-            _add_into(out, c, self._image(key, cols))
+            self._add_term(out, c, key, cols)
         return type(self)(len(matrix), out)
 
     def _binop(self, other, sign):
@@ -193,7 +190,8 @@ class _SparseTensor:
                             % (type(self).__name__, type(other).__name__))
         _common_rank(self, other)
         out = dict(self.coeffs)
-        _add_into(out, sign, other)
+        for key, x in other.coeffs.items():
+            out[key] = out.get(key, 0) + sign * x
         return type(self)(self.rank, out)
 
     def __add__(self, other):
@@ -241,9 +239,8 @@ class Wedge2(_SparseTensor):
 
     __slots__ = ()
 
-    def _image(self, key, cols) -> "Wedge2":
-        i, j = key
-        return wedge2(cols[i], cols[j])
+    def _add_term(self, out, c, key, cols) -> None:
+        _add_wedge2(out, c, *[cols[i] for i in key])
 
 
 class Wedge3(_SparseTensor):
@@ -251,9 +248,8 @@ class Wedge3(_SparseTensor):
 
     __slots__ = ()
 
-    def _image(self, key, cols) -> "Wedge3":
-        i, j, k = key
-        return wedge3(cols[i], cols[j], cols[k])
+    def _add_term(self, out, c, key, cols) -> None:
+        _add_wedge3(out, c, *[cols[i] for i in key])
 
 
 class SymWedge(_SparseTensor):
@@ -271,12 +267,18 @@ class SymWedge(_SparseTensor):
     def _key_str(self, key) -> str:
         return "(%s)*(%s)" % tuple(map(super()._key_str, key))
 
-    def _image(self, key, cols) -> "SymWedge":
-        p, q = key
-        wp = wedge2(cols[p[0]], cols[p[1]])
-        if p == q:
-            return _sym_square(wp)
-        return sym_pair(wp, wedge2(cols[q[0]], cols[q[1]]))
+    def _add_term(self, out, c, key, cols) -> None:
+        u, v = {}, {}
+        _add_wedge2(u, 1, *[cols[i] for i in key[0]])
+        if key[0] != key[1]:
+            _add_wedge2(v, 1, *[cols[i] for i in key[1]])
+            _add_sym(out, c, u, v)
+            return
+        # w (x) w is half of sym_pair(w, w), which v takes: its
+        # coefficients 2ab on (p, q) and 2a^2 on (p, p) are all even
+        _add_sym(v, c, u, u)
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + x // 2
 
 
 def _support(*coords: Tuple[int, ...]) -> List[int]:
@@ -340,10 +342,3 @@ def sym_pair(u: Wedge2, v: Wedge2) -> SymWedge:
     r, out = _common_rank(u, v), {}
     _add_sym(out, 1, u.coeffs, v.coeffs)
     return SymWedge(r, out)
-
-
-def _sym_square(w: Wedge2) -> SymWedge:
-    """The plain square w (x) w: sym_pair(w, w) has even coefficients,
-    2ab on (p, q) and 2a^2 on (p, p), and this is its half."""
-    return SymWedge(w.rank, {k: c // 2
-                             for k, c in sym_pair(w, w).coeffs.items()})

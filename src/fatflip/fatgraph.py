@@ -79,9 +79,7 @@ class OrientedEdge(NamedTuple):
 
 
 def oe(edge: int, sign: int = 1) -> OrientedEdge:
-    """Shorthand constructor; ``sign`` may be +-1 or the characters +/-."""
-    if sign in ("+", "-"):
-        sign = 1 if sign == "+" else -1
+    """Shorthand constructor; ``sign`` is +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("direction flag must be +1 or -1")
     return OrientedEdge(edge, sign)

@@ -57,7 +57,7 @@ class Marking:
     __slots__ = ("rank", "values")
 
     def __init__(self, rank: int, values: Mapping[OrientedEdge, KElement]):
-        self.rank = int(rank)
+        self.rank = operator.index(rank)
         vals: Dict[int, KElement] = {}
         for e, k in values.items():
             c = _code(e)
@@ -106,7 +106,7 @@ class SymplecticForm:
     __slots__ = ("matrix", "_entries")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
-        m = [list(map(int, row)) for row in matrix]
+        m = [list(map(operator.index, row)) for row in matrix]
         if not m or any(len(row) != len(m) for row in m):
             raise MarkingError("form matrix must be square and nonempty")
         try:  # decides skew, alternating, even size and unimodular

@@ -10,6 +10,8 @@ inverse, e.g. ``a2 b2' a2' b1 a1 b1' a1'``.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from itertools import chain
 from typing import Iterable, List, Mapping, Optional, Tuple
 
 Letter = Tuple[str, int]
@@ -24,7 +26,7 @@ class WordError(ValueError):
 
 def gen_info(name: str) -> Tuple[str, Optional[int]]:
     """Split a generator name into its kind ('a' or 'b') and handle index."""
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise WordError("unknown generator symbol %r" % name)
     kind, idx = m.group(1), m.group(2)
@@ -32,11 +34,7 @@ def gen_info(name: str) -> Tuple[str, Optional[int]]:
 
 
 def surface_generators(genus: int) -> List[str]:
-    out = []
-    for i in range(1, genus + 1):
-        out.append("a%d" % i)
-        out.append("b%d" % i)
-    return out
+    return ["%s%d" % (kind, i) for i in range(1, genus + 1) for kind in "ab"]
 
 
 def reduce_word(letters: Iterable[Letter]) -> Word:
@@ -76,10 +74,7 @@ def inverse(word: Word) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    letters: List[Letter] = []
-    for w in words:
-        letters.extend(w)
-    return reduce_word(letters)
+    return reduce_word(chain.from_iterable(words))
 
 
 def commutator(x: Word, y: Word) -> Word:
@@ -147,22 +142,31 @@ class FreeAutomorphism:
 
 
 def abelianized_matrix(phi: FreeAutomorphism, genus: int):
-    """Exponent-sum action on H = Z^{2g}, basis (A1, B1, ..., Ag, Bg)."""
-    gens = surface_generators(genus)
-    pos = {name: i for i, name in enumerate(gens)}
-    cols = []
-    for name in gens:
+    """Exponent-sum action on H = Z^{2g}, basis (A1, B1, ..., Ag, Bg).
+
+    The generators are read in order, so a map with no image for one is
+    refused within len(phi.images) // 2 + 1 handles, whatever the genus.
+    """
+    def position(name) -> Optional[int]:
+        try:
+            kind, idx = gen_info(name)
+        except (TypeError, WordError):  # a letter that is no name at all
+            return None
+        return 2 * idx - 2 + (kind == "b") if idx and idx <= genus else None
+
+    cols: List[Counter] = []
+    for i in range(2 * genus):
+        name = "%s%d" % ("ab"[i % 2], i // 2 + 1)
         if name not in phi.images:
             raise WordError("no image for generator %s" % name)
-        col = [0] * (2 * genus)
+        cols.append(Counter())
         for g_name, sign in phi.images[name]:
-            if g_name not in pos:
+            if (j := position(g_name)) is None:
                 raise WordError("image of %s uses %s, outside genus %d"
                                 % (name, g_name, genus))
-            col[pos[g_name]] += sign
-        cols.append(col)
+            cols[-1][j] += sign
     for name in phi.images:
-        if name not in pos:
+        if position(name) is None:
             raise WordError("map gives an image for %s, outside genus %d"
                             % (name, genus))
-    return [[cols[j][i] for j in range(2 * genus)] for i in range(2 * genus)]
+    return [[col[i] for col in cols] for i in range(2 * genus)]

@@ -1,6 +1,7 @@
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, Tuple
 
@@ -11,7 +12,7 @@ from fatflip.abelian import (KElement, RankMismatchError, SymWedge, Wedge2,
                              Wedge3, _common_rank, sym_pair, wedge2, wedge3)
 from fatflip.fatgraph import oe
 from fatflip.intlinalg import mat_mul
-from fatflip.markings import Marking
+from fatflip.markings import Marking, SymplecticForm
 
 
 def e(i, rank=4):
@@ -371,3 +372,30 @@ class TestExactScaling:
         for v in results:
             assert all(type(c) is int for c in v.coords), v
         assert (x * np.int64(3)).coords == (9, -3 * 2 ** 40, 0, 21)
+
+
+class TestIntegersOnly:
+    # a value that is not an integer is refused, never truncated or parsed
+    @pytest.mark.parametrize("build", [
+        lambda: KElement([1.7, -0.5]),
+        lambda: KElement([Fraction(7, 2), 1]),
+        lambda: KElement(["3", 4]),
+        lambda: Wedge3(3, {(0, 1, 2): 2.9}),
+        lambda: Wedge2(2, {(0, 1): Fraction(2, 1)}),
+        lambda: SymWedge(2.0, {}),
+        lambda: Marking(2.0, {}),
+        lambda: SymplecticForm([[0, 1.9], [-1.2, 0]]),
+        lambda: SymplecticForm([[0, 1.0], [-1.0, 0]]),
+    ], ids=["float-coords", "fraction-coords", "string-coords",
+            "float-coefficient", "fraction-coefficient", "float-rank",
+            "float-marking-rank", "float-form", "integral-float-form"])
+    def test_non_integers_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_zero_filter_follows_the_check(self):
+        # a float zero is refused too, not dropped as a zero coefficient
+        with pytest.raises(TypeError):
+            Wedge3(3, {(0, 1, 2): 0.0})
+        assert Wedge3(4, {(0, 1, 2): 0, (0, 1, 3): True}).coeffs == {
+            (0, 1, 3): 1}

@@ -2,6 +2,7 @@ import contextlib
 import importlib.resources
 import io
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -332,6 +333,20 @@ class TestExitStatus:
         assert got == status
         assert message in err
 
+    @pytest.mark.parametrize("argv, status, message", [
+        (["validate", "{missing}"], 2,
+         "fatflip: [Errno 2] No such file or directory: '{missing}'\n"),
+        (["path", "{g1}", "--flips", "1,x"], 2,
+         "fatflip: bad edge list '1,x'\n"),
+        (["earle", "d", "--word", "a b1"], 1,
+         "fatflip: mixed bare and indexed generators\n"),
+    ], ids=["missing-file", "bad-edge-list", "mixed-generators"])
+    def test_refusals_pinned(self, capsys, tmp_path, g1_path, argv, status,
+                             message):
+        names = {"missing": tmp_path / "missing.fg", "g1": g1_path}
+        got = run(capsys, *[a.format(**names) for a in argv])
+        assert got == (status, "", message.format(**names))
+
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(command=st.sampled_from(["path", "pentagon"]),
            edges=st.lists(st.integers(-2, 12), max_size=8),
@@ -458,6 +473,20 @@ class TestEarleCommands:
                              "--auto", str(p))
         assert status == 0
         assert out == "-2*B2\n"
+
+    def test_eval_refuses_a_small_map_at_a_huge_genus(self, capsys,
+                                                      tmp_path):
+        # the first missing image is found without reading the genus's
+        # 2g generators, so this exits at once instead of running out
+        # of memory
+        p = tmp_path / "small.auto"
+        p.write_text("a1 -> a1\nb1 -> b1\n")
+        start = time.perf_counter()
+        status, out, err = run(capsys, "earle", "eval", "--genus",
+                               "1000000000", "--auto", str(p))
+        assert time.perf_counter() - start < 1.0
+        assert (status, out, err) == (
+            1, "", "fatflip: no image for generator a2\n")
 
     def test_eval_inverse_flag(self, capsys, tmp_path):
         p = tmp_path / "bp.auto"

@@ -214,6 +214,11 @@ class TestStructure:
                                match=re.escape("no half-edge %s" % text)):
                 accessor(h)
 
+    @pytest.mark.parametrize("sign", ["+", "-", 0, 2])
+    def test_oe_takes_only_plus_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="direction flag"):
+            oe(1, sign)
+
     def test_tail_into_wrong_vertex(self):
         g = FatGraph([
             [oe(0, 1)],

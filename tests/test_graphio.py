@@ -1,7 +1,11 @@
 import importlib.resources
+import io
+import sys
+from unittest import mock
 
 import pytest
 
+from fatflip.cli import main
 from fatflip.fatgraph import UnivalentVertexError, oe
 from fatflip.graphio import GraphParseError, format_graph, parse_graph
 from fatflip.markings import SymplecticForm, check_marking, is_topological_h
@@ -118,6 +122,47 @@ class TestParse:
         # a pair that agrees with Inversion is accepted
         _, marking = parse_graph(G1_FILE + "mark 1-: 0 -1\n")
         assert marking.value(oe(1, -1)).coords == (0, -1)
+
+
+# each file breaks one rule of the grammar: (text, line, col, message)
+PARSE_ERRORS = [
+    (TREE_FILE.replace("vertex 1:", "vertex x1:"), 4, 8,
+     "line 4, col 8: bad vertex id 'x1'"),
+    (TREE_FILE.replace("vertex 1: 0+", "vertex 1: 0+\nvertex 2:"), 5, None,
+     "line 5: vertex 2 has no half-edges"),
+    (TREE_FILE + "tail 0-\n", 6, None, "line 6: tail already given on line 5"),
+    (TREE_FILE + "marking rank 1\n# comment\nmarking rank 1\n", 8, None,
+     "line 8: marking section already started"),
+    (TREE_FILE + "marking rank two\n", 6, None,
+     "line 6: expected 'marking rank <r>'"),
+    (TREE_FILE + "marking rank 0\n", 6, 14,
+     "line 6, col 14: rank must be at least 1"),
+    ("", 1, None, "line 1: empty file, expected 'fatgraph v1'"),
+]
+PARSE_ERROR_IDS = ["bad-vertex-id", "vertex-without-half-edges", "second-tail",
+                   "second-marking-rank", "malformed-marking-rank",
+                   "rank-below-one", "empty-file"]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, line, col, message", PARSE_ERRORS,
+                             ids=PARSE_ERROR_IDS)
+    def test_message_names_the_place(self, text, line, col, message):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, line, col, message", PARSE_ERRORS,
+                             ids=PARSE_ERROR_IDS)
+    def test_validate_from_stdin_exits_2(self, capsys, text, line, col,
+                                         message):
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            status = main(["validate", "-"])
+        out = capsys.readouterr()
+        assert status == 2
+        assert out.out == ""
+        assert out.err == "fatflip: parse error: %s\n" % message
 
 
 class TestRoundTrip:

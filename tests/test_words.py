@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,71 @@ class TestAutomorphism:
         phi = FreeAutomorphism({"a1": parse_word("a1 b1"),
                                 "b1": parse_word("b1")})
         assert abelianized_matrix(phi, 1) == [[1, 0], [1, 1]]
+
+    @pytest.mark.parametrize("images, genus, message", [
+        ({"a1": "a5", "b1": "b1", "a3": "a3"}, 3,
+         "image of a1 uses a5, outside genus 3"),
+        ({"a1": "a1", "b1": "b1", "a4": "a4"}, 3,
+         "no image for generator a2"),
+        ({"a1": "a1", "b1": "b1", "a2": "a2"}, 1,
+         "map gives an image for a2, outside genus 1"),
+        ({"a1": "a1 b", "b1": "b1"}, 1, "image of a1 uses b, outside genus 1"),
+        ({"a1": "a1", "b1": "b1"}, 10 ** 9, "no image for generator a2"),
+    ], ids=["letter-outside", "missing-first", "name-outside", "bare-letter",
+            "huge-genus"])
+    def test_abelianized_matrix_errors(self, images, genus, message):
+        phi = FreeAutomorphism({n: parse_word(w) for n, w in images.items()})
+        with pytest.raises(WordError) as err:
+            abelianized_matrix(phi, genus)
+        assert str(err.value) == message
+
+    def test_abelianized_matrix_equals_table_oracle(self):
+        # the all-generators table of positions, read in full before any
+        # check, gives the same matrix or the same first error
+        def oracle(phi, genus):
+            gens = surface_generators(genus)
+            pos = {name: i for i, name in enumerate(gens)}
+            cols = []
+            for name in gens:
+                if name not in phi.images:
+                    raise WordError("no image for generator %s" % name)
+                col = [0] * (2 * genus)
+                for g_name, sign in phi.images[name]:
+                    if g_name not in pos:
+                        raise WordError("image of %s uses %s, outside genus "
+                                        "%d" % (name, g_name, genus))
+                    col[pos[g_name]] += sign
+                cols.append(col)
+            for name in phi.images:
+                if name not in pos:
+                    raise WordError("map gives an image for %s, outside "
+                                    "genus %d" % (name, genus))
+            return [[cols[j][i] for j in range(2 * genus)]
+                    for i in range(2 * genus)]
+
+        def outcome(f, phi, genus):
+            try:
+                return f(phi, genus)
+            except WordError as err:
+                return str(err)
+
+        rng = random.Random(149)
+        names = surface_generators(4) + ["a", "b"]
+        letters = names + ["c", "a0", 7]
+        outcomes = set()
+        for _ in range(400):
+            genus = rng.randint(1, 3)
+            keys = surface_generators(genus) + rng.sample(names, 2)
+            phi = FreeAutomorphism({
+                n: [(rng.choice(letters) if rng.random() < 0.05
+                     else rng.choice(surface_generators(genus)),
+                     rng.choice((1, -1))) for _ in range(rng.randint(0, 4))]
+                for n in keys if rng.random() < 0.97})
+            got = outcome(abelianized_matrix, phi, genus)
+            assert got == outcome(oracle, phi, genus)
+            outcomes.add(got.split(" ")[0] if isinstance(got, str)
+                         else "matrix")
+        assert outcomes == {"no", "image", "map", "matrix"}
 
     def test_surface_generators(self):
         assert surface_generators(2) == ["a1", "b1", "a2", "b2"]
