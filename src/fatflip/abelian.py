@@ -14,8 +14,7 @@ the number of nonzero coordinates, not the rank.  Each product is an
 ``_add_*`` kernel that adds sign * product to a coefficient dict; the
 flip-path sums of ``cocycles`` and ``transform`` call them directly.
 
-All values are immutable after construction.  Their constructors take
-integers only, as ``operator.index`` does: a float raises TypeError.
+All values are immutable after construction; non-integers raise TypeError.
 """
 
 from __future__ import annotations

@@ -126,7 +126,7 @@ class TestAutomorphism:
 
         rng = random.Random(149)
         names = surface_generators(4) + ["a", "b"]
-        letters = names + ["c", "a0", 7]
+        letters = names + ["c", "a0", "a1\n", 7]
         outcomes = set()
         for _ in range(400):
             genus = rng.randint(1, 3)
