@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .cocycles import COCYCLES, path_sum, walk_values
+from .cocycles import COCYCLES, path_sum, path_sums, walk_values
 from .earle import d2, d_surface, earle_f, h_str
 from .flips import apply_path, flip, pentagon_path
 from .graphio import GraphParseError, format_graph, parse_graph
@@ -141,13 +141,11 @@ def _cmd_pentagon(args, out) -> int:
     if marking is None:
         marking, _ = canonical_h_marking(graph)
     path = pentagon_path(graph, edges[0], edges[1])
-    status = 0
-    for which in _cocycle_list(args.cocycle):
-        total, _ = path_sum(path, marking, which)
-        _emit(out, args.format, [("%s total" % which, total)])
-        if not total.is_zero():
-            status = FAILURE
-    if status:
+    names = _cocycle_list(args.cocycle)
+    totals, _ = path_sums(path, marking, names)
+    _emit(out, args.format,
+          [("%s total" % w, total) for w, total in zip(names, totals)])
+    if not all(total.is_zero() for total in totals):
         raise CliError("pentagon total is nonzero", FAILURE)
     return 0
 

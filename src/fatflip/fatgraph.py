@@ -79,9 +79,11 @@ class OrientedEdge(NamedTuple):
 
 
 def oe(edge: int, sign: int = 1) -> OrientedEdge:
-    """Shorthand constructor; ``sign`` is +1 or -1."""
-    if sign not in (1, -1):
-        raise ValueError("direction flag must be +1 or -1")
+    """Shorthand constructor for an int id >= 0 and the int sign +-1."""
+    if type(edge) is not int or edge < 0:
+        raise ValueError("edge id must be an int >= 0, not %r" % (edge,))
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError("direction flag must be +1 or -1, not %r" % (sign,))
     return OrientedEdge(edge, sign)
 
 

@@ -73,7 +73,7 @@ def parse_graph(text: str) -> Tuple[FatGraph, Optional[Marking]]:
             if len(toks) < 2 or not toks[1][0].endswith(":"):
                 raise GraphParseError("expected 'vertex <vid>:'", lineno)
             vid_tok = toks[1][0][:-1]
-            if not vid_tok.isdigit():
+            if not re.fullmatch(r"[0-9]+", vid_tok):
                 raise GraphParseError("bad vertex id %r" % vid_tok,
                                       lineno, toks[1][1])
             vid = int(vid_tok)
@@ -107,7 +107,8 @@ def parse_graph(text: str) -> Tuple[FatGraph, Optional[Marking]]:
         elif keyword == "marking":
             if rank is not None:
                 raise GraphParseError("marking section already started", lineno)
-            if len(toks) != 3 or toks[1][0] != "rank" or not toks[2][0].isdigit():
+            if (len(toks) != 3 or toks[1][0] != "rank"
+                    or not re.fullmatch(r"[0-9]+", toks[2][0])):
                 raise GraphParseError("expected 'marking rank <r>'", lineno)
             rank = int(toks[2][0])
             if rank < 1:

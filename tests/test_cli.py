@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatflip import selftest
+from fatflip import markings, selftest
 from fatflip.cli import main
 from fatflip.graphio import format_graph, parse_graph
 from fatflip.markings import Marking
@@ -280,6 +280,20 @@ class TestFlipAndPaths:
         assert "m total: 0 0" in out
         assert "j total: 0" in out
         assert "s total: 0" in out
+
+    def test_pentagon_walks_its_loop_once(self, capsys, g1_path,
+                                          monkeypatch):
+        # all three totals come from one walk of the loop
+        walkers = []
+        init = markings._Walker.__init__
+
+        def counted(self, marking):
+            walkers.append(marking)
+            init(self, marking)
+        monkeypatch.setattr(markings._Walker, "__init__", counted)
+        status, _, _ = run(capsys, "pentagon", g1_path, "--edges", "1,2",
+                           "--cocycle", "all")
+        assert (status, len(walkers)) == (0, 1)
 
     def test_pentagon_three_boundary_cycles(self, capsys, tmp_path):
         p = tmp_path / "three.fg"

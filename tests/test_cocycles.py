@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+from fatflip import intlinalg
 from fatflip.abelian import (KElement, SymWedge, Wedge3, sym_pair, wedge2,
                              wedge3)
 from fatflip.cocycles import (CocycleConditionError, InducedAutomorphismError,
@@ -81,6 +82,24 @@ class TestPathSums:
         with pytest.raises(SelfTestFailure) as err:
             check_relation_loop(path, m)
         assert str(err.value) == "relation loop did not close"
+
+    def test_closed_loop_that_moves_the_marking_fails(self, g1):
+        # flipping 1 then 2 ends at an isomorphic graph, marking moved
+        m, _ = canonical_h_marking(g1)
+        with pytest.raises(SelfTestFailure) as err:
+            check_relation_loop(apply_path(g1, [1, 2]), m)
+        assert (str(err.value)
+                == "marking did not return around a relation loop")
+
+    def test_relation_loop_check_runs_no_smith(self, g2, monkeypatch):
+        # the marking's return already says T = 1; nothing is solved
+        m, _ = canonical_h_marking(g2)
+        loop = pentagon_path(g2, *adjacent_flippable_pairs(g2)[0])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("smith called")
+        monkeypatch.setattr(intlinalg, "smith", fail)
+        check_relation_loop(loop, m)
 
     def test_step_values_sum_to_path_sum(self):
         rng = random.Random(25)

@@ -214,10 +214,16 @@ class TestStructure:
                                match=re.escape("no half-edge %s" % text)):
                 accessor(h)
 
-    @pytest.mark.parametrize("sign", ["+", "-", 0, 2])
+    @pytest.mark.parametrize("sign", ["+", "-", 0, 2, 1.0, True])
     def test_oe_takes_only_plus_or_minus_one(self, sign):
         with pytest.raises(ValueError, match="direction flag"):
             oe(1, sign)
+
+    @pytest.mark.parametrize("edge", [1.5, -1, True, "1"])
+    def test_oe_takes_only_an_int_id_from_zero(self, edge):
+        with pytest.raises(ValueError, match=re.escape(
+                "edge id must be an int >= 0, not %r" % (edge,))):
+            oe(edge)
 
     def test_tail_into_wrong_vertex(self):
         g = FatGraph([

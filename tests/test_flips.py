@@ -25,8 +25,8 @@ def correspondence(path):
 
 # arguments that name no edge: a negative id, a sign other than +-1 and
 # an id that is not an int
-NOT_EDGES = (-1, oe(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0), 1.5, "1",
-             True, OrientedEdge("x", 1))
+NOT_EDGES = (-1, OrientedEdge(-1, 1), OrientedEdge(3, 2), OrientedEdge(3, 0),
+             1.5, "1", True, OrientedEdge("x", 1))
 
 
 def loopy_graph():

@@ -138,10 +138,18 @@ PARSE_ERRORS = [
     (TREE_FILE + "marking rank 0\n", 6, 14,
      "line 6, col 14: rank must be at least 1"),
     ("", 1, None, "line 1: empty file, expected 'fatgraph v1'"),
+    # ids are ASCII digits only: str.isdigit() would pass these
+    ("fatgraph v1\nvertex \u00b2: 0-\n", 2, 8,
+     "line 2, col 8: bad vertex id '\u00b2'"),
+    ("fatgraph v1\nvertex \u0663: 0-\n", 2, 8,
+     "line 2, col 8: bad vertex id '\u0663'"),
+    (TREE_FILE + "marking rank \u00b2\n", 6, None,
+     "line 6: expected 'marking rank <r>'"),
 ]
 PARSE_ERROR_IDS = ["bad-vertex-id", "vertex-without-half-edges", "second-tail",
                    "second-marking-rank", "malformed-marking-rank",
-                   "rank-below-one", "empty-file"]
+                   "rank-below-one", "empty-file", "superscript-vertex-id",
+                   "arabic-indic-vertex-id", "superscript-marking-rank"]
 
 
 class TestParseErrors:

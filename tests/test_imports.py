@@ -60,6 +60,19 @@ def test_no_import_inside_a_function():
     assert not found
 
 
+def test_front_ends_import_no_private_name():
+    # cli and the shared checks of selftest use the public API, as the
+    # acceptance suite does
+    parsed = _parsed()
+    found = ["%s imports %s" % (name, alias.name)
+             for name in ("cli", "selftest")
+             for node in ast.walk(parsed[name])
+             if isinstance(node, ast.ImportFrom) and (
+                 node.level or (node.module or "").startswith("fatflip"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found
+
+
 def test_only_fatgraph_walks_a_boundary_cycle():
     # FatGraph._tail_cycle is the one-boundary gate: other modules read
     # it rather than walk the cycle and repeat its length test
