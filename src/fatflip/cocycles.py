@@ -135,13 +135,18 @@ def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix
     the canonical isomorphism psi, and is invertible over Z.  T is the
     identity exactly when the path preserves the marking.
     """
+    return _induced_matrix(path.start, _closing_iso(path), marking,
+                           propagate_path(marking, path.steps))
+
+
+def _closing_iso(path: FlipPath) -> Dict[OrientedEdge, OrientedEdge]:
+    """The canonical isomorphism from the start of a closed path to its
+    end; ClosureError if the path does not close."""
     try:
-        psi = canonical_iso(path.start, path.end)
+        return canonical_iso(path.start, path.end)
     except FatGraphError as err:
         raise ClosureError(
             "path does not return to its starting graph") from err
-    return _induced_matrix(path.start, psi, marking,
-                           propagate_path(marking, path.steps))
 
 
 def _induced_matrix(start: FatGraph, psi: Dict, marking: Marking,
@@ -195,13 +200,15 @@ def verify_cocycle_condition(path1: FlipPath, path2: FlipPath,
     """Check value(path1 * path2) == value(path1) + T1 . value(path2).
 
     Both paths must be closed loops based at the marking's graph; T1 is
-    the coefficient automorphism induced by the first path.
+    the coefficient automorphism induced by the first path, read off the
+    end marking of the walk that sums it (see
+    :func:`induced_k_automorphism`), so each path is walked once.
     """
     composite = compose_closed(path1, path2)
     total_comp, _ = path_sum(composite, marking, which)
-    total1, _ = path_sum(path1, marking, which)
+    total1, end1 = path_sum(path1, marking, which)
     total2, _ = path_sum(path2, marking, which)
-    t1 = induced_k_automorphism(path1, marking)
+    t1 = _induced_matrix(path1.start, _closing_iso(path1), marking, end1)
     expected = total1 + total2.transform(t1)
     if total_comp != expected:
         raise CocycleConditionError(which, total_comp, expected)

@@ -31,6 +31,7 @@ an :class:`OrientedEdge`.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterator, Mapping
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -123,6 +124,37 @@ def _successors(rows: Iterable[Tuple[int, ...]]) -> Dict[int, int]:
     return succ
 
 
+def _pattern(n: int, rows: Iterable[Tuple[int, int]],
+             cols: List[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The boundary pattern P(a, b) for a in ``rows`` and b in ``cols``.
+
+    Each oriented edge h is given by its boundary ranks (r(h), r(~h)),
+    out of ``n`` ranks in all.  With I_h the open arc that runs upward,
+    cyclically, from r(h) to r(~h),
+
+        P(a, b) = [r(~a) in I_b] - [r(a) in I_b].
+
+    Read as a cyclic word in a, b, A = ~a and B = ~b, sorted by rank,
+    this is +1 on rotations of (a, b, A, B), where I_b holds A but not
+    a, -1 on rotations of (a, B, A, b), where it holds a but not A, and
+    0 when b and B do not separate a from A, or when b is a or A.  So
+    P is skew, P(a, b) = [r(b) in I_a] - [r(~b) in I_a], and each row
+    is read off one 0/1 list of the ranks on I_a.
+    """
+    at = [r for r, _ in cols]
+    rev_at = [r for _, r in cols]
+    out = []
+    for lo, hi in rows:
+        if lo < hi:
+            arc = [0] * (lo + 1) + [1] * (hi - lo - 1) + [0] * (n - hi)
+        else:
+            arc = [1] * hi + [0] * (lo - hi + 1) + [1] * (n - lo - 1)
+        on_arc = arc.__getitem__
+        out.append(tuple(map(operator.sub, map(on_arc, at),
+                             map(on_arc, rev_at))))
+    return tuple(out)
+
+
 class FatGraph:
     """Immutable fatgraph with tail.
 
@@ -143,7 +175,12 @@ class FatGraph:
     parent's and rewrites six entries; a canonical form from
     :meth:`canonicalize` holds only its rows and builds the index on
     first use, since a flip-graph search drops most of them unread.
-    The boundary number is counted on first request and kept.
+    The boundary number is counted once per graph and kept, and so are
+    two walks from the tail: the breadth-first tail tree
+    (:meth:`_spanning_tree`) and the pairing block of the edges off it
+    (:meth:`_pairing_block`).  These three slots stay unset until first
+    use, so no constructor stores them, and a walk that raises keeps
+    nothing.
 
     Construction performs the purely structural checks (edge ids are
     ints >= 0 and signs are +-1, each oriented edge occurs at exactly
@@ -157,7 +194,7 @@ class FatGraph:
     """
 
     __slots__ = ("_rows", "_tail", "_fresh", "_succ", "_vert",
-                 "_boundaries")
+                 "_boundaries", "_tree", "_pairing")
 
     def __init__(self, vertices: Iterable[Iterable[OrientedEdge]],
                  tail: OrientedEdge):
@@ -185,7 +222,6 @@ class FatGraph:
         self._fresh = max(vert) // 2 + 1
         self._succ = _successors(rows)
         self._vert = vert
-        self._boundaries = None
 
     @classmethod
     def _from_codes(cls, rows: Tuple[Tuple[int, ...], ...], tail: int,
@@ -199,7 +235,6 @@ class FatGraph:
         graph._fresh = fresh
         graph._succ = succ
         graph._vert = vert
-        graph._boundaries = None
         return graph
 
     def _index(self) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -289,11 +324,13 @@ class FatGraph:
             raise DisconnectedGraphError("only %d of %d vertices reachable"
                                          % (reached, len(self._rows)))
 
-    def _spanning_tree(self) -> List[int]:
+    def _spanning_tree(self) -> Tuple[int, ...]:
         """The breadth-first spanning tree grown from the tail vertex,
         listed by its links: the code of the tree edge pointing into each
         vertex it reached, in the order reached.  It spans the graph iff
-        it has V - 1 links."""
+        it has V - 1 links.  Grown on first use and kept."""
+        if hasattr(self, "_tree"):
+            return self._tree
         rows, vert = self._rows, self._index()[1]
         root = vert[self._tail ^ 1]
         seen, links, queue = {root}, [], [root]
@@ -304,7 +341,8 @@ class FatGraph:
                     seen.add(other)
                     links.append(c ^ 1)
                     queue.append(other)
-        return links
+        self._tree = tuple(links)
+        return self._tree
 
     # -- boundary structure ---------------------------------------------
 
@@ -338,7 +376,7 @@ class FatGraph:
         return tuple(tuple(map(_decode, c)) for c in cycles)
 
     def boundary_number(self) -> int:
-        if self._boundaries is None:
+        if not hasattr(self, "_boundaries"):
             self._boundaries = len(self.boundary_cycles())
         return self._boundaries
 
@@ -361,6 +399,22 @@ class FatGraph:
                 "boundary order needs boundary number 1, got %d"
                 % self.boundary_number())
         return cycle
+
+    def _pairing_block(self) -> Tuple[Tuple[int, ...],
+                                      Tuple[Tuple[int, ...], ...]]:
+        """The ids of the edges off the tail tree, ascending, and the
+        boundary pattern P on their ``+`` orientations, from one walk of
+        the only boundary cycle.  Built on first use and kept; it holds
+        ints only, so it keeps no graph alive."""
+        if hasattr(self, "_pairing"):
+            return self._pairing
+        cycle = self._tail_cycle()
+        rank = dict(zip(cycle, range(len(cycle))))  # by code
+        tree = {c >> 1 for c in self._spanning_tree()}
+        basis = tuple(x for x in self.edge_ids() if x not in tree)
+        ranks = [(rank[2 * x], rank[2 * x + 1]) for x in basis]
+        self._pairing = basis, _pattern(len(cycle), ranks, ranks)
+        return self._pairing
 
     def boundary_order(self) -> Dict[OrientedEdge, int]:
         """Rank of first appearance along the boundary, starting at the tail.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .abelian import KElement, _sparse_columns
@@ -264,59 +264,30 @@ def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
     return walker.marking()
 
 
-def _pattern(n: int, rows: Sequence[Tuple[int, int]],
-             cols: Sequence[Tuple[int, int]]) -> intlinalg.Matrix:
-    """The boundary pattern P(a, b) for a in ``rows`` and b in ``cols``.
-
-    Each oriented edge h is given by its boundary ranks (r(h), r(~h)),
-    out of ``n`` ranks in all.  With I_h the open arc that runs upward,
-    cyclically, from r(h) to r(~h),
-
-        P(a, b) = [r(~a) in I_b] - [r(a) in I_b].
-
-    Read as a cyclic word in a, b, A = ~a and B = ~b, sorted by rank,
-    this is +1 on rotations of (a, b, A, B), where I_b holds A but not
-    a, -1 on rotations of (a, B, A, b), where it holds a but not A, and
-    0 when b and B do not separate a from A, or when b is a or A.  So
-    P is skew, P(a, b) = [r(b) in I_a] - [r(~b) in I_a], and each row
-    is read off one 0/1 list of the ranks on I_a.
-    """
-    at = [r for r, _ in cols]
-    rev_at = [r for _, r in cols]
-    out = []
-    for lo, hi in rows:
-        if lo < hi:
-            arc = [0] * (lo + 1) + [1] * (hi - lo - 1) + [0] * (n - hi)
-        else:
-            arc = [1] * hi + [0] * (lo - hi + 1) + [1] * (n - lo - 1)
-        on_arc = arc.__getitem__
-        out.append(list(map(operator.sub, map(on_arc, at),
-                            map(on_arc, rev_at))))
-    return out
-
-
 class _SpanningTree:
-    """The breadth-first spanning tree grown from the tail vertex.
+    """The breadth-first spanning tree the graph keeps, from the tail vertex.
 
     The ``+`` orientations of the edges off the tree, ``basis``, freely
     generate the group of oriented edges modulo inversion and
     coherence: coherence at the vertex a tree edge points into writes
     that edge in edges off the tree or further out, and there are
-    E - V + 1 of them, the rank of the group.
+    E - V + 1 of them, the rank of the group.  A caller that holds
+    their ids, ascending, passes them as ``basis``.
     """
 
     __slots__ = ("graph", "links", "basis")
 
-    def __init__(self, graph: FatGraph):
+    def __init__(self, graph: FatGraph, basis: Optional[Iterable[int]] = None):
         links = graph._spanning_tree()
         if len(links) + 1 != graph.num_vertices:
             raise PairingError("spanning tree from the tail vertex reaches %d "
                                "of %d vertices" % (len(links) + 1,
                                                    graph.num_vertices))
-        tree = {c >> 1 for c in links}
+        if basis is None:
+            tree = {c >> 1 for c in links}
+            basis = [x for x in graph.edge_ids() if x not in tree]
         self.graph, self.links = graph, links
-        self.basis = [OrientedEdge(x, 1) for x in graph.edge_ids()
-                      if x not in tree]
+        self.basis = [OrientedEdge(x, 1) for x in basis]
 
     def fill(self, rank: int,
              basis_values: Sequence[Sequence[int]]) -> Marking:
@@ -335,18 +306,17 @@ class _SpanningTree:
         return Marking._of_edges(rank, values)
 
 
-def _basis_pairing(graph: FatGraph) -> Tuple[_SpanningTree, intlinalg.Matrix]:
+def _basis_pairing(graph: FatGraph
+                   ) -> Tuple[_SpanningTree, Tuple[Tuple[int, ...], ...]]:
     """The spanning tree from the tail vertex and the boundary pattern P
-    on its basis edges, from one walk of the boundary cycle.
+    on its basis edges, as a tuple of row tuples: the pairing block the
+    graph builds on first use and keeps (:meth:`FatGraph._pairing_block`).
 
     Needs boundary number 1.  Then V - E = 2 - 2g - 1 gives
     E - V + 1 = 2g basis edges, so the block is 2g x 2g.
     """
-    cycle = graph._tail_cycle()
-    rank = dict(zip(cycle, range(len(cycle))))  # by code
-    tree = _SpanningTree(graph)
-    ranks = [(rank[2 * h.edge], rank[2 * h.edge + 1]) for h in tree.basis]
-    return tree, _pattern(len(cycle), ranks, ranks)
+    basis, pairing = graph._pairing_block()
+    return _SpanningTree(graph, basis), pairing
 
 
 def is_topological_h(graph: FatGraph, marking: Marking,
@@ -373,7 +343,8 @@ def is_topological_h(graph: FatGraph, marking: Marking,
         kills the coherence relations, and the form is unimodular, so
         every vertex sum would be zero.
     So an incoherent marking is rejected before any pairing is read,
-    and the pairings come from one :meth:`SymplecticForm.gram` product.
+    and the pairings come from one :meth:`SymplecticForm.gram` product,
+    read as row tuples to compare with the kept block.
     """
     tree, want = _basis_pairing(graph)
     if marking.rank != len(tree.basis):
@@ -383,7 +354,8 @@ def is_topological_h(graph: FatGraph, marking: Marking,
         raise MarkingError("form size does not match the marking rank")
     if any(row and any(_chain(marking.values, row)) for row in graph._rows):
         return False
-    return form.gram([marking.value(h) for h in tree.basis]) == want
+    return tuple(map(tuple, form.gram([marking.value(h)
+                                       for h in tree.basis]))) == want
 
 
 def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
@@ -399,7 +371,7 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
     P descends to the edge classes, so its basis block determines it.
     P is skew, so the relations need checking in a only:
       * Inversion: P(~a, b) = -P(a, b) term by term in the arc formula
-        of :func:`_pattern`.
+        of :func:`fatgraph._pattern`.
       * Coherence: let h_1, ..., h_k point into a vertex v, in cyclic
         order.  The boundary walk goes from h_i to ~h_{i+1}, so
         r(~h_{i+1}) = r(h_i) + 1 mod the boundary length and, with
@@ -418,8 +390,16 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
         s = intlinalg.symplectic_basis(pair_m)
     except intlinalg.LinAlgError as err:
         raise PairingError(str(err)) from err
-    # the columns of S^-1 = J^T S^T P are the rows of P^T S J = -P S J,
-    # and -J sends a row (x1, y1, x2, y2, ...) to (y1, -x1, y2, -x2, ...)
-    values = [[z for x, y in zip(row[::2], row[1::2]) for z in (y, -x)]
-              for row in intlinalg.mat_mul(pair_m, s)]
-    return tree.fill(2 * g, values), SymplecticForm.standard(g)
+    # the columns of S^-1 = J^T S^T P are the rows of P^T S J = P S (-J).
+    # -J sends (x1, y1, x2, y2, ...) to (y1, -x1, y2, -x2, ...), so row k
+    # of S (-J) holds S[k][j] at j ^ 1, negated where j is even; row a of
+    # the product adds P[a][k] times it for the nonzero P[a][k] only
+    n = 2 * g
+    s_j = [[(j ^ 1, row[j] if j & 1 else -row[j])
+            for j in compress(range(n), row)] for row in s]
+    values = [[0] * n for _ in pair_m]
+    for acc, p_row in zip(values, pair_m):
+        for k in compress(range(n), p_row):
+            for j, x in s_j[k]:
+                acc[j] += p_row[k] * x
+    return tree.fill(n, values), SymplecticForm.standard(g)

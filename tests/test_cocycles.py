@@ -7,14 +7,15 @@ import pytest
 from fatflip import intlinalg
 from fatflip.abelian import (KElement, SymWedge, Wedge3, sym_pair, wedge2,
                              wedge3)
-from fatflip.cocycles import (CocycleConditionError, InducedAutomorphismError,
-                              _induced_matrix, cocycle_j, cocycle_m, cocycle_s,
-                              compose_closed, induced_k_automorphism,
-                              path_sum, verify_cocycle_condition, walk_values)
+from fatflip.cocycles import (CocycleConditionError, CocycleError,
+                              InducedAutomorphismError, _induced_matrix,
+                              cocycle_j, cocycle_m, cocycle_s, compose_closed,
+                              induced_k_automorphism, path_sum,
+                              verify_cocycle_condition, walk_values)
 from fatflip.fatgraph import oe
-from fatflip.flips import (adjacent_flippable_pairs, apply_path, flip,
-                           flippable_edges, involution_pair, pentagon_path,
-                           concat_paths, reverse_path)
+from fatflip.flips import (ClosureError, adjacent_flippable_pairs, apply_path,
+                           concat_paths, flip, flippable_edges,
+                           involution_pair, pentagon_path, reverse_path)
 from fatflip.intlinalg import identity, mat_eq, solve_transform
 from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
                               canonical_h_marking, propagate, propagate_path)
@@ -348,12 +349,59 @@ class TestCocycleCondition:
         m, _ = canonical_h_marking(g1)
         p = apply_path(g1, [1, 2])
         assert path_sum(p, m, "m")[0] == KElement((1, -2))
-        monkeypatch.setattr(cocycles, "induced_k_automorphism",
-                            lambda path, marking: identity(2))
+        monkeypatch.setattr(cocycles, "_induced_matrix",
+                            lambda start, psi, marking, end: identity(2))
         with pytest.raises(CocycleConditionError) as err:
             verify_cocycle_condition(p, p, m, "m")
         assert err.value.lhs == KElement((2, -1))
         assert err.value.rhs == KElement((2, -4))
+
+    def test_each_path_is_walked_once(self, g2, monkeypatch):
+        # the first path's total and its end marking, which T1 is read
+        # from, come from one walk: three walkers for three paths
+        from fatflip import markings
+        walkers = []
+        init = markings._Walker.__init__
+
+        def counted(self, marking):
+            walkers.append(marking)
+            init(self, marking)
+        monkeypatch.setattr(markings._Walker, "__init__", counted)
+        m, _ = canonical_h_marking(g2)
+        loop = pentagon_path(g2, *adjacent_flippable_pairs(g2)[0])
+        for which in "mjs":
+            walkers.clear()
+            verify_cocycle_condition(loop, loop, m, which)
+            assert len(walkers) == 3, which
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("open first path", ClosureError,
+         "path does not return to its starting graph"),
+        ("second path elsewhere", ClosureError,
+         "paths are not based at the same graph"),
+        ("unknown cocycle", CocycleError, "unknown cocycle 'q'"),
+        ("value missing", MarkingDomainError, "no value on 0+"),
+        ("rank-deficient marking", InducedAutomorphismError,
+         "sample vectors span rank 3 < 4"),
+    ])
+    def test_refusals(self, g2, case, error, message):
+        m, _ = canonical_h_marking(g2)
+        loop = pentagon_path(g2, *adjacent_flippable_pairs(g2)[0])
+        step = apply_path(g2, [flippable_edges(g2)[0]])
+        args = {
+            "open first path": (step, apply_path(step.end, []), m, "m"),
+            "second path elsewhere": (loop, apply_path(step.end, []), m, "m"),
+            "unknown cocycle": (loop, loop, m, "q"),
+            "value missing": (loop, loop, Marking(4, {
+                oe(x, 1): v for x, v in m.values.items() if x}), "m"),
+            # coherent, but its values span rank 3 only
+            "rank-deficient marking": (loop, loop, m.transform(
+                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]),
+                "j"),
+        }[case]
+        with pytest.raises(error) as err:
+            verify_cocycle_condition(*args)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 class TestLocalCoherence:

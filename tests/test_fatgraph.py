@@ -347,6 +347,19 @@ class TestBoundary:
             g.genus()
         assert str(err.value) == "only 4 of 6 vertices reachable"
 
+    def test_disconnected_refusal_is_not_kept(self, g1):
+        # the graph keeps its tail tree, which is short here, so the
+        # length test fails again on every call
+        g = FatGraph(list(g1.vertices) + [[oe(5, 1), oe(6, 1), oe(7, 1)],
+                                          [oe(5, -1), oe(6, -1), oe(7, -1)]],
+                     g1.tail)
+        for _ in range(3):
+            for check in (g.genus, g.validate):
+                with pytest.raises(DisconnectedGraphError) as err:
+                    check()
+                assert str(err.value) == "only 4 of 6 vertices reachable"
+        assert len(g._spanning_tree()) == 3
+
 
 class TestCanonical:
     def test_idempotent(self, g1):

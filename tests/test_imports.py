@@ -85,6 +85,21 @@ def test_only_fatgraph_walks_a_boundary_cycle():
     assert not found
 
 
+def test_only_fatgraph_stores_what_a_graph_keeps():
+    # the boundary number, the tail tree and the pairing block are filled
+    # in by FatGraph's own methods, never from outside
+    kept = {"_boundaries", "_tree", "_pairing"}
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items() if name != "fatgraph"
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in kept
+                 and not isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "setattr"
+                 and getattr(node.args[1], "value", None) in kept)]
+    assert not found
+
+
 def _definitions(body, prefix=""):
     """(qualified name, name) of every function and class in ``body``,
     methods and nested definitions included."""

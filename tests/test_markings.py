@@ -1,4 +1,5 @@
 import collections
+import gc
 import importlib.resources
 import itertools
 import operator
@@ -10,13 +11,13 @@ import pytest
 from fatflip import intlinalg
 from fatflip.abelian import KElement, RankMismatchError
 from fatflip.fatgraph import (BoundaryNumberError, FatGraph, OrientedEdge,
-                              _decode, canonical_iso, oe)
+                              _decode, _pattern, canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.graphio import parse_graph
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingDomainError, MarkingError,
                               PairingError, SurjectivityError, SymplecticForm,
-                              _basis_pairing, _pattern, _SpanningTree,
+                              _basis_pairing, _SpanningTree,
                               canonical_h_marking, check_marking,
                               is_topological_h, propagate, propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
@@ -240,7 +241,7 @@ class TestPatternMatcher:
             ranks = [(rank[h], rank[h.rev]) for h in edges]
             block = _pattern(len(rank), ranks, ranks)
             for a, row in zip(edges, block):
-                assert row == [
+                assert list(row) == [
                     0 if a.edge == b.edge else
                     oracle_sign(rank[a], rank[b], rank[a.rev], rank[b.rev],
                                 len(rank))
@@ -642,7 +643,8 @@ def dense_is_topological_h(graph, marking, form):
     tree, want = _basis_pairing(graph)
     if any(map(any, dense_vertex_sums(graph, marking))):
         return False
-    return form.gram([marking.value(h) for h in tree.basis]) == want
+    return form.gram([marking.value(h) for h in tree.basis]) == list(
+        map(list, want))
 
 
 def dense_fill(tree, rank, basis_values):
@@ -758,3 +760,124 @@ class TestCoherenceChain:
                     assert not any(map(any, dense_vertex_sums(graph,
                                                               filled)))
                 check_marking(graph, tree.fill(rank, spread))
+
+
+def dense_basis_values(pair_m, s):
+    """The basis values as built before the sparse product: the dense
+    P S, then -J on each row as the signed swap (x, y) -> (y, -x)."""
+    return [[z for x, y in zip(row[::2], row[1::2]) for z in (y, -x)]
+            for row in intlinalg.mat_mul(pair_m, s)]
+
+
+def counted_stores(monkeypatch, slot):
+    """The values stored in FatGraph slot ``slot`` from now on, read
+    through a wrapper of the slot's own descriptor."""
+    stores = []
+    member = getattr(FatGraph, slot)
+
+    class Counted:
+        def __get__(self, graph, cls):
+            return member.__get__(graph, cls)
+
+        def __set__(self, graph, value):
+            stores.append(value)
+            member.__set__(graph, value)
+    monkeypatch.setattr(FatGraph, slot, Counted())
+    return stores
+
+
+class TestKeptTailData:
+    """The tail tree and the pairing block are built once per graph."""
+
+    @staticmethod
+    def marked(genus):
+        """A way to build fresh copies of a seeded graph, the canonical
+        marking and form of the copies, and a non-symplectic element of
+        GL, for the same seeds at every genus."""
+        rng = random.Random("kept/%d" % genus)
+        source = random_graph(genus, rng)
+
+        def copy():
+            return FatGraph(source.vertices, source.tail)
+        marking, form = canonical_h_marking(copy())
+        return copy, marking, form, random_gl(2 * genus, rng)
+
+    @pytest.mark.parametrize("genus", range(1, 9))
+    def test_repeated_calls_match_a_fresh_graph(self, genus):
+        copy, marking, form, move = self.marked(genus)
+        moved = marking.transform(move)
+        calls = [
+            lambda g: g._spanning_tree(),
+            canonical_h_marking,
+            lambda g: outcome(check_marking, g, marking),
+            lambda g: outcome(check_marking, g, moved),
+            lambda g: is_topological_h(g, marking, form),
+            lambda g: is_topological_h(g, moved, form),
+        ]
+        graph = copy()
+        first = [call(graph) for call in calls]
+        again = [call(graph) for call in calls]
+        # a fresh graph whose first caller of each kept value differs
+        fresh = copy()
+        assert first == again == [call(fresh) for call in calls[::-1]][::-1]
+        assert first[0] == tuple(first[0])
+        assert first[1] == (marking, form)
+        assert first[2:] == [None, None, True, False]
+
+    def test_failures_are_not_kept(self, g1):
+        # a loop at the tail's neighbour: genus 0, two boundary cycles
+        two = FatGraph([[oe(0, -1)], [oe(0, 1), oe(1, 1), oe(1, -1)]],
+                       oe(0, 1))
+        m, form = canonical_h_marking(g1)
+        for _ in range(3):
+            with pytest.raises(BoundaryNumberError) as err:
+                is_topological_h(two, m, form)
+            assert str(err.value) == ("boundary order needs boundary "
+                                      "number 1, got 2")
+            with pytest.raises(BoundaryNumberError):
+                canonical_h_marking(two)
+        assert not hasattr(two, "_pairing")
+
+    @pytest.mark.parametrize("genus", [1, 4, 8])
+    def test_one_op_walks_from_the_tail_once(self, genus, monkeypatch):
+        # the homology benchmark's op on a fresh graph: one tree, one
+        # boundary walk, one pattern
+        copy, _, _, move = self.marked(genus)
+        trees = counted_stores(monkeypatch, "_tree")
+        blocks = counted_stores(monkeypatch, "_pairing")
+        cycles = []
+        walk = FatGraph._cycle
+
+        def counted(graph, start):
+            cycles.append(start)
+            return walk(graph, start)
+        monkeypatch.setattr(FatGraph, "_cycle", counted)
+        graph = copy()
+        for _ in range(2):
+            marking, form = canonical_h_marking(graph)
+            check_marking(graph, marking)
+            assert is_topological_h(graph, marking, form)
+            assert not is_topological_h(graph, marking.transform(move), form)
+            assert (len(trees), len(blocks), len(cycles)) == (1, 1, 1)
+
+    def test_kept_data_holds_no_graph(self):
+        copy, marking, form, _ = self.marked(3)
+        graph = copy()
+        graph.genus()
+        is_topological_h(graph, marking, form)
+        seen, todo = set(), [graph._boundaries, graph._tree, graph._pairing]
+        while todo:
+            obj = todo.pop()
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                assert not isinstance(obj, (FatGraph, _SpanningTree))
+                todo += gc.get_referents(obj)
+        assert id(graph._pairing[1][0]) in seen  # it reached P's rows
+
+    @pytest.mark.parametrize("genus", [*range(1, 9), 16])
+    def test_basis_values_match_dense_swap(self, genus):
+        graph = random_graph(genus, random.Random("swap/%d" % genus))
+        marking, _ = canonical_h_marking(graph)
+        tree, pair_m = _basis_pairing(graph)
+        want = dense_basis_values(pair_m, intlinalg.symplectic_basis(pair_m))
+        assert [list(marking.value(h).coords) for h in tree.basis] == want
