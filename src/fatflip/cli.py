@@ -13,8 +13,10 @@ from typing import List, Optional
 
 from .cocycles import COCYCLES, path_sum, path_sums, walk_values
 from .earle import d2, d_surface, earle_f, h_str
+from .flipgraph import expand, identity_rows, solve_identity
 from .flips import apply_path, flip, pentagon_path
 from .graphio import GraphParseError, format_graph, parse_graph
+from .intlinalg import LinAlgError, smith
 from .markings import (MarkingError, Marking, SymplecticForm,
                        canonical_h_marking, check_marking, is_topological_h,
                        propagate_path)
@@ -195,6 +197,38 @@ def _cmd_earle(args, out) -> int:
     return 0
 
 
+def _cmd_enumerate(args, out) -> int:
+    if args.genus < 1:
+        raise CliError("--genus must be at least 1", USAGE_ERROR)
+    if args.max_classes is not None and args.max_classes < 1:
+        raise CliError("--max-classes must be at least 1", USAGE_ERROR)
+    if args.max_classes is None and args.genus > 3:
+        raise CliError("the whole flip graph of genus %d is out of reach; "
+                       "give --max-classes" % args.genus, FAILURE)
+    classes = flips = 0
+    rows = set()
+    for expansion in expand(args.genus, args.max_classes):
+        classes += 1
+        flips += len(expansion.flips)
+        rows |= identity_rows(expansion.flips)
+    res = smith([row[:-1] for row in sorted(rows)])
+    _emit(out, "plain", [
+        ("classes", classes), ("flips", flips), ("rows", len(rows)),
+        ("rank", "%d of %d" % (res.rank, 2 * args.genus + 1)),
+        ("invariants", " ".join(map(str, res.invariants)))])
+    try:
+        solution = solve_identity(rows)
+    except LinAlgError:
+        out.write("h, k: undetermined\n")
+        return 0
+    if solution is None:
+        raise CliError("the identity rows have no integral solution",
+                       FAILURE)
+    out.write("h: %s\nk: %d\n" % (" ".join(map(str, solution[:-1])),
+                                   solution[-1]))
+    return 0
+
+
 def _cmd_selftest(args, out) -> int:
     if args.trials < 1:
         raise CliError("--trials must be at least 1", USAGE_ERROR)
@@ -268,6 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--inverse", action="store_true",
                     help="the file gives the images of the inverse map")
     pe.set_defaults(func=_cmd_earle)
+
+    p = sub.add_parser("enumerate",
+                       help="the flip graph of a genus and its loop identity")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--max-classes", type=int,
+                   help="stop finding classes at this many: a partial ball")
+    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("selftest", help="randomized exact-identity checks")
     p.add_argument("--seed", type=int, default=0)

@@ -31,7 +31,6 @@ an :class:`OrientedEdge`.
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Iterator, Mapping
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -124,13 +123,13 @@ def _successors(rows: Iterable[Tuple[int, ...]]) -> Dict[int, int]:
     return succ
 
 
-def _pattern(n: int, rows: Iterable[Tuple[int, int]],
+def _pattern(rows: Iterable[Tuple[int, int]],
              cols: List[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
     """The boundary pattern P(a, b) for a in ``rows`` and b in ``cols``.
 
-    Each oriented edge h is given by its boundary ranks (r(h), r(~h)),
-    out of ``n`` ranks in all.  With I_h the open arc that runs upward,
-    cyclically, from r(h) to r(~h),
+    Each oriented edge h is given by its boundary ranks (r(h), r(~h)).
+    With I_h the open arc that runs upward, cyclically, from r(h) to
+    r(~h),
 
         P(a, b) = [r(~a) in I_b] - [r(a) in I_b].
 
@@ -138,21 +137,15 @@ def _pattern(n: int, rows: Iterable[Tuple[int, int]],
     this is +1 on rotations of (a, b, A, B), where I_b holds A but not
     a, -1 on rotations of (a, B, A, b), where it holds a but not A, and
     0 when b and B do not separate a from A, or when b is a or A.  So
-    P is skew, P(a, b) = [r(b) in I_a] - [r(~b) in I_a], and each row
-    is read off one 0/1 list of the ranks on I_a.
+    P is skew, P(a, b) = [r(b) in I_a] - [r(~b) in I_a], and each entry
+    is read straight from the two pairs: with (lo, hi) = (r(a), r(~a)),
+    x is in I_a when lo < x < hi, or, for an arc that wraps, when x is
+    not in [hi, lo].
     """
-    at = [r for r, _ in cols]
-    rev_at = [r for _, r in cols]
-    out = []
-    for lo, hi in rows:
-        if lo < hi:
-            arc = [0] * (lo + 1) + [1] * (hi - lo - 1) + [0] * (n - hi)
-        else:
-            arc = [1] * hi + [0] * (lo - hi + 1) + [1] * (n - lo - 1)
-        on_arc = arc.__getitem__
-        out.append(tuple(map(operator.sub, map(on_arc, at),
-                             map(on_arc, rev_at))))
-    return tuple(out)
+    return tuple(
+        tuple((lo < r < hi) - (lo < s < hi) for r, s in cols) if lo < hi
+        else tuple((hi <= s <= lo) - (hi <= r <= lo) for r, s in cols)
+        for lo, hi in rows)
 
 
 class FatGraph:
@@ -319,16 +312,18 @@ class FatGraph:
 
     def _check_connected(self) -> None:
         """Raise DisconnectedGraphError unless the tree from the tail spans."""
-        reached = len(self._spanning_tree()) + 1
+        reached = len(self._spanning_tree()[0]) + 1
         if reached != len(self._rows):
             raise DisconnectedGraphError("only %d of %d vertices reachable"
                                          % (reached, len(self._rows)))
 
-    def _spanning_tree(self) -> Tuple[int, ...]:
+    def _spanning_tree(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """The breadth-first spanning tree grown from the tail vertex,
         listed by its links: the code of the tree edge pointing into each
-        vertex it reached, in the order reached.  It spans the graph iff
-        it has V - 1 links.  Grown on first use and kept."""
+        vertex it reached, in the order reached; and the ids of the edges
+        off it, ascending, those of any other component included.  It
+        spans the graph iff it has V - 1 links.  Grown on first use and
+        kept."""
         if hasattr(self, "_tree"):
             return self._tree
         rows, vert = self._rows, self._index()[1]
@@ -341,7 +336,9 @@ class FatGraph:
                     seen.add(other)
                     links.append(c ^ 1)
                     queue.append(other)
-        self._tree = tuple(links)
+        tree = {c >> 1 for c in links}
+        self._tree = tuple(links), tuple(x for x in self.edge_ids()
+                                         if x not in tree)
         return self._tree
 
     # -- boundary structure ---------------------------------------------
@@ -400,20 +397,18 @@ class FatGraph:
                 % self.boundary_number())
         return cycle
 
-    def _pairing_block(self) -> Tuple[Tuple[int, ...],
-                                      Tuple[Tuple[int, ...], ...]]:
-        """The ids of the edges off the tail tree, ascending, and the
-        boundary pattern P on their ``+`` orientations, from one walk of
-        the only boundary cycle.  Built on first use and kept; it holds
-        ints only, so it keeps no graph alive."""
+    def _pairing_block(self) -> Tuple[Tuple[int, ...], ...]:
+        """The boundary pattern P on the ``+`` orientations of the edges
+        off the tail tree, from one walk of the only boundary cycle.
+        Built on first use and kept; it holds ints only, so it keeps no
+        graph alive."""
         if hasattr(self, "_pairing"):
             return self._pairing
         cycle = self._tail_cycle()
         rank = dict(zip(cycle, range(len(cycle))))  # by code
-        tree = {c >> 1 for c in self._spanning_tree()}
-        basis = tuple(x for x in self.edge_ids() if x not in tree)
-        ranks = [(rank[2 * x], rank[2 * x + 1]) for x in basis]
-        self._pairing = basis, _pattern(len(cycle), ranks, ranks)
+        ranks = [(rank[2 * x], rank[2 * x + 1])
+                 for x in self._spanning_tree()[1]]
+        self._pairing = _pattern(ranks, ranks)
         return self._pairing
 
     def boundary_order(self) -> Dict[OrientedEdge, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import intlinalg
 from .abelian import KElement, _sparse_columns
@@ -168,8 +168,7 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     # the values off the tree (fill the links in from the leaves), and
     # the edges of every other component are all off it, so those span
     # the same subgroup, with the same Smith invariants
-    tree = {c >> 1 for c in graph._spanning_tree()}
-    rows = [marking.values[x].coords for x in ids if x not in tree]
+    rows = [marking.values[x].coords for x in graph._spanning_tree()[1]]
     res = intlinalg.smith(intlinalg.transpose(rows))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
         raise SurjectivityError(
@@ -267,35 +266,30 @@ def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
 class _SpanningTree:
     """The breadth-first spanning tree the graph keeps, from the tail vertex.
 
-    The ``+`` orientations of the edges off the tree, ``basis``, freely
-    generate the group of oriented edges modulo inversion and
-    coherence: coherence at the vertex a tree edge points into writes
-    that edge in edges off the tree or further out, and there are
-    E - V + 1 of them, the rank of the group.  A caller that holds
-    their ids, ascending, passes them as ``basis``.
+    The ``+`` orientations of the edges off the tree, whose ids ascending
+    are ``basis``, freely generate the group of oriented edges modulo
+    inversion and coherence: coherence at the vertex a tree edge points
+    into writes that edge in edges off the tree or further out, and
+    there are E - V + 1 of them, the rank of the group.
     """
 
     __slots__ = ("graph", "links", "basis")
 
-    def __init__(self, graph: FatGraph, basis: Optional[Iterable[int]] = None):
-        links = graph._spanning_tree()
+    def __init__(self, graph: FatGraph):
+        links, basis = graph._spanning_tree()
         if len(links) + 1 != graph.num_vertices:
             raise PairingError("spanning tree from the tail vertex reaches %d "
                                "of %d vertices" % (len(links) + 1,
                                                    graph.num_vertices))
-        if basis is None:
-            tree = {c >> 1 for c in links}
-            basis = [x for x in graph.edge_ids() if x not in tree]
-        self.graph, self.links = graph, links
-        self.basis = [OrientedEdge(x, 1) for x in basis]
+        self.graph, self.links, self.basis = graph, links, basis
 
     def fill(self, rank: int,
              basis_values: Sequence[Sequence[int]]) -> Marking:
         """Extend the values on ``basis`` to every edge by coherence,
         filling the links from the leaves to the root: the other edges
         at the vertex a link points into are known by then."""
-        values = {h.edge: KElement._of(tuple(v))
-                  for h, v in zip(self.basis, basis_values)}
+        values = {x: KElement._of(tuple(v))
+                  for x, v in zip(self.basis, basis_values)}
         rows, vert = self.graph._rows, self.graph._index()[1]
         for h in reversed(self.links):
             # the chain reads -h.sign * mu(h) times the sign of others[0]
@@ -315,8 +309,7 @@ def _basis_pairing(graph: FatGraph
     Needs boundary number 1.  Then V - E = 2 - 2g - 1 gives
     E - V + 1 = 2g basis edges, so the block is 2g x 2g.
     """
-    basis, pairing = graph._pairing_block()
-    return _SpanningTree(graph, basis), pairing
+    return _SpanningTree(graph), graph._pairing_block()
 
 
 def is_topological_h(graph: FatGraph, marking: Marking,
@@ -354,8 +347,8 @@ def is_topological_h(graph: FatGraph, marking: Marking,
         raise MarkingError("form size does not match the marking rank")
     if any(row and any(_chain(marking.values, row)) for row in graph._rows):
         return False
-    return tuple(map(tuple, form.gram([marking.value(h)
-                                       for h in tree.basis]))) == want
+    return tuple(map(tuple, form.gram([marking.values[x]
+                                       for x in tree.basis]))) == want
 
 
 def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:

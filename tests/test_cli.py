@@ -1,6 +1,7 @@
 import contextlib
 import importlib.resources
 import io
+import operator
 import sys
 import time
 from pathlib import Path
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatflip import markings, selftest
+from fatflip import cocycles, flipgraph, markings, selftest
 from fatflip.cli import main
 from fatflip.graphio import format_graph, parse_graph
 from fatflip.markings import Marking
@@ -337,8 +338,14 @@ class TestExitStatus:
         ("a1 -> a1\nb1 -> b1\na2 -> a2\nb2 -> b2\na3 -> a3 a3\n",
          ["earle", "eval", "--genus", "2", "--auto", "{file}"], 1,
          "fatflip: map gives an image for a3, outside genus 2\n"),
+        ("", ["enumerate", "--genus", "0"], 2, "--genus must be at least 1"),
+        ("", ["enumerate", "--genus", "2", "--max-classes", "0"], 2,
+         "--max-classes must be at least 1"),
+        ("", ["enumerate", "--genus", "4"], 1, "give --max-classes"),
     ], ids=["path-incoherent", "pentagon-three-boundaries", "eval-genus-0",
-            "eval-not-additive", "eval-image-outside-genus"])
+            "eval-not-additive", "eval-image-outside-genus",
+            "enumerate-genus-0", "enumerate-max-classes-0",
+            "enumerate-genus-4-whole"])
     def test_no_traceback(self, capsys, tmp_path, text, argv, status,
                           message):
         p = tmp_path / "input"
@@ -354,7 +361,16 @@ class TestExitStatus:
          "fatflip: bad edge list '1,x'\n"),
         (["earle", "d", "--word", "a b1"], 1,
          "fatflip: mixed bare and indexed generators\n"),
-    ], ids=["missing-file", "bad-edge-list", "mixed-generators"])
+        (["enumerate", "--genus", "0"], 2,
+         "fatflip: --genus must be at least 1\n"),
+        (["enumerate", "--genus", "1", "--max-classes", "0"], 2,
+         "fatflip: --max-classes must be at least 1\n"),
+        (["enumerate", "--genus", "4"], 1,
+         "fatflip: the whole flip graph of genus 4 is out of reach; "
+         "give --max-classes\n"),
+    ], ids=["missing-file", "bad-edge-list", "mixed-generators",
+            "enumerate-genus-0", "enumerate-max-classes-0",
+            "enumerate-genus-4-whole"])
     def test_refusals_pinned(self, capsys, tmp_path, g1_path, argv, status,
                              message):
         names = {"missing": tmp_path / "missing.fg", "g1": g1_path}
@@ -509,6 +525,40 @@ class TestEarleCommands:
                              "--auto", str(p), "--inverse")
         assert status == 0
         assert out == "2*B2\n"
+
+
+class TestEnumerate:
+    def test_genus2_solves_every_row(self, capsys):
+        status, out, err = run(capsys, "enumerate", "--genus", "2")
+        assert (status, err) == (0, "")
+        got = dict(line.split(": ") for line in out.splitlines())
+        assert (got["classes"], got["flips"]) == ("105", "1050")
+        solution = [int(x) for x in got["h"].split()] + [int(got["k"])]
+        rows = set().union(*(flipgraph.identity_rows(ex.flips)
+                             for ex in flipgraph.expand(2)))
+        assert got["rows"] == str(len(rows))
+        assert all(sum(map(operator.mul, row, solution)) == row[-1]
+                   for row in rows)
+
+    def test_undetermined_factor_is_reported(self, capsys):
+        status, out, _ = run(capsys, "enumerate", "--genus", "1")
+        assert status == 0
+        assert out.splitlines()[-3:] == ["rank: 2 of 3", "invariants: 1 1",
+                                         "h, k: undetermined"]
+
+    def test_inconsistent_rows_fail(self, capsys, monkeypatch):
+        def m_as_a_minus_c(out, xa, sa, xb, sb, xc, sc, xd, sd):
+            cocycles._add_m(out, xa, sa, xb, sb, xc, -sc, xd, sd)
+        monkeypatch.setitem(cocycles._KERNELS, "m", m_as_a_minus_c)
+        status, _, err = run(capsys, "enumerate", "--genus", "2")
+        assert status == 1
+        assert err == ("fatflip: the identity rows have no integral "
+                       "solution\n")
+
+    def test_whole_genus4_refused_before_any_flip(self, capsys, monkeypatch):
+        monkeypatch.setattr(flipgraph, "flip", None)
+        status, out, _ = run(capsys, "enumerate", "--genus", "4")
+        assert (status, out) == (1, "")
 
 
 class TestSelfTest:

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from fatflip.fatgraph import FatGraph, OrientedEdge, canonical_iso, oe
+from fatflip.flipgraph import expand
 from fatflip.flips import (FlipContext, FlipError, PathStepError,
                            adjacent_flippable_pairs, apply_path,
                            commuting_loop, disjoint_flippable_pairs, flip,
@@ -269,17 +270,11 @@ class TestFlipGraph:
     @pytest.mark.parametrize("genus, classes, flips",
                              [(1, 1, 4), (2, 105, 1050)])
     def test_walsh_lehman_counts(self, genus, classes, flips):
-        # breadth-first search over canonical classes: every non-tail edge
-        # of a trivalent one-boundary graph flips, 6g - 2 per class
-        start, _ = random_graph(genus, random.Random(genus)).canonicalize()
-        seen, queue, made = {start}, [start], 0
-        for g in queue:
-            for e in flippable_edges(g):
-                canon, _ = flip(g, e)[0].canonicalize()
-                made += 1
-                if canon not in seen:
-                    seen.add(canon)
-                    queue.append(canon)
+        # the enumerator's classes and flips: every non-tail edge of a
+        # trivalent one-boundary graph flips, 6g - 2 per class
+        found = list(expand(genus))
+        made = sum(len(ex.flips) for ex in found)
+        assert all(f.target >= 0 for ex in found for f in ex.flips)
         want = walsh_lehman(genus)
-        assert (len(seen), made) == (want, want * (6 * genus - 2))
-        assert (len(seen), made) == (classes, flips)
+        assert (len(found), made) == (want, want * (6 * genus - 2))
+        assert (len(found), made) == (classes, flips)

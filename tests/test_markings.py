@@ -208,7 +208,7 @@ def oracle_sign(ra, rb, rra, rrb, total):
 def pattern_sign(ra, rb, rra, rrb):
     """The entry P(a, b) of the 1 x 1 pattern of the four boundary ranks
     of a, b, ~a and ~b."""
-    return _pattern(max(ra, rb, rra, rrb) + 1, [(ra, rra)], [(rb, rrb)])[0][0]
+    return _pattern([(ra, rra)], [(rb, rrb)])[0][0]
 
 
 def sort_and_rotate_sign(ra, rb, rra, rrb):
@@ -239,7 +239,7 @@ class TestPatternMatcher:
             rank = graph.boundary_order()
             edges = graph.oriented_edges()
             ranks = [(rank[h], rank[h.rev]) for h in edges]
-            block = _pattern(len(rank), ranks, ranks)
+            block = _pattern(ranks, ranks)
             for a, row in zip(edges, block):
                 assert list(row) == [
                     0 if a.edge == b.edge else
@@ -256,7 +256,7 @@ class TestPatternMatcher:
             rank = graph.boundary_order()
             edges = graph.oriented_edges()
             ranks = [(rank[h], rank[h.rev]) for h in edges]
-            row = dict(zip(edges, _pattern(len(rank), ranks, ranks)))
+            row = dict(zip(edges, _pattern(ranks, ranks)))
             zero = [0] * len(edges)
             for x in graph.edge_ids():
                 assert [p + m for p, m in zip(row[oe(x, 1)], row[oe(x, -1)])
@@ -535,7 +535,7 @@ class TestCanonicalHMarking:
         j = intlinalg.standard_symplectic(genus)
         want = intlinalg.mat_mul(intlinalg.transpose(pair_m),
                                  intlinalg.mat_mul(s, j))
-        assert [list(marking.value(h).coords) for h in tree.basis] == want
+        assert [list(marking.values[x].coords) for x in tree.basis] == want
 
 
 def cokernel_classes(graph):
@@ -607,8 +607,8 @@ class TestSpanningTree:
             values = [[rng.randint(-3, 3) for _ in range(n)]
                       for _ in tree.basis]
             filled = tree.fill(n, values).values
-            for h, v in zip(tree.basis, values):
-                assert list(filled[h.edge].coords) == v
+            for x, v in zip(tree.basis, values):
+                assert list(filled[x].coords) == v
             marking = Marking(n, {oe(x, 1): k for x, k in filled.items()})
             for v in graph.vertices:
                 assert sum((marking.value(h) for h in v),
@@ -643,14 +643,14 @@ def dense_is_topological_h(graph, marking, form):
     tree, want = _basis_pairing(graph)
     if any(map(any, dense_vertex_sums(graph, marking))):
         return False
-    return form.gram([marking.value(h) for h in tree.basis]) == list(
+    return form.gram([marking.values[x] for x in tree.basis]) == list(
         map(list, want))
 
 
 def dense_fill(tree, rank, basis_values):
     """_SpanningTree.fill with a dense accumulator re-listed per term."""
-    values = {h.edge: KElement._of(tuple(v))
-              for h, v in zip(tree.basis, basis_values)}
+    values = {x: KElement._of(tuple(v))
+              for x, v in zip(tree.basis, basis_values)}
     rows, vert = tree.graph._rows, tree.graph._index()[1]
     for h in reversed(tree.links):
         acc = [0] * rank
@@ -872,7 +872,7 @@ class TestKeptTailData:
                 seen.add(id(obj))
                 assert not isinstance(obj, (FatGraph, _SpanningTree))
                 todo += gc.get_referents(obj)
-        assert id(graph._pairing[1][0]) in seen  # it reached P's rows
+        assert id(graph._pairing[0]) in seen  # it reached P's rows
 
     @pytest.mark.parametrize("genus", [*range(1, 9), 16])
     def test_basis_values_match_dense_swap(self, genus):
@@ -880,4 +880,4 @@ class TestKeptTailData:
         marking, _ = canonical_h_marking(graph)
         tree, pair_m = _basis_pairing(graph)
         want = dense_basis_values(pair_m, intlinalg.symplectic_basis(pair_m))
-        assert [list(marking.value(h).coords) for h in tree.basis] == want
+        assert [list(marking.values[x].coords) for x in tree.basis] == want
