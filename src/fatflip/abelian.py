@@ -7,10 +7,10 @@ integer coefficients in a canonical normal form, so that equality is
 exact coordinatewise comparison.  Plain Python integers are used
 throughout; there is no overflow to worry about.
 
-The wedge products iterate over the support of their arguments, the
-indices at which some factor is nonzero: a minor that uses any other
-row has a zero row, so its determinant vanishes.  Their cost follows
-the number of nonzero coordinates, not the rank.  Each product is an
+A vector finds its support, its nonzero positions, once and keeps it.
+The wedge products iterate over the union of the supports of their
+arguments: a minor that uses any other row has a zero row, so its
+determinant vanishes; they cost the nonzeros, not the rank.  Each is an
 ``_add_*`` kernel that adds sign * product to a coefficient dict; the
 flip-path sums of ``cocycles`` and ``transform`` call them directly.
 
@@ -43,19 +43,27 @@ def _common_rank(*items) -> int:
 class KElement:
     """Element of Z^r as a dense tuple of integer coordinates."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_nz")  # _nz: the support once found, or None
 
     def __init__(self, coords: Iterable[int]):
         self.coords = tuple(map(operator.index, coords))
         if not self.coords:
             raise ValueError("rank must be at least 1")
+        self._nz = None
 
     @classmethod
-    def _of(cls, coords: Tuple[int, ...]) -> "KElement":
-        """Wrap a nonempty tuple of Python ints without copying or checking."""
+    def _of(cls, coords: Tuple[int, ...], nz=None) -> "KElement":
+        """Wrap a nonempty tuple of Python ints without copying or checking;
+        ``nz`` is its support, if the caller knows it."""
         k = cls.__new__(cls)
-        k.coords = coords
+        k.coords, k._nz = coords, nz
         return k
+
+    def _nonzero(self) -> Tuple[int, ...]:
+        """The ascending nonzero positions, found once and kept."""
+        if self._nz is None:
+            self._nz = tuple(compress(range(len(self.coords)), self.coords))
+        return self._nz
 
     @classmethod
     def zero(cls, rank: int) -> "KElement":
@@ -110,7 +118,7 @@ class KElement:
                                       self._coords_like(other))))
 
     def __neg__(self) -> "KElement":
-        return KElement._of(tuple(map(operator.neg, self.coords)))
+        return KElement._of(tuple(map(operator.neg, self.coords)), self._nz)
 
     def __mul__(self, n: int) -> "KElement":
         # index() first: a fixed-width integer such as numpy.int64 would
@@ -156,7 +164,7 @@ class _SparseTensor:
 
     Subclasses fix the key domain and give ``_add_term(out, c, key,
     cols)``, which adds c times the image of one basis key under the
-    linear map whose columns are the coordinate tuples ``cols``; keys
+    linear map whose columns are the KElements ``cols``; keys
     with coefficient 0 are never stored, which makes coefficient
     dictionaries canonical.
     """
@@ -177,7 +185,7 @@ class _SparseTensor:
 
     def transform(self, matrix: Sequence[Sequence[int]]):
         """Apply the functor of the linear map given by an integer matrix."""
-        cols = _columns(matrix, self.rank)
+        cols = [KElement._of(c) for c in _columns(matrix, self.rank)]
         out: Dict[tuple, int] = {}
         for key, c in self.coeffs.items():
             self._add_term(out, c, key, cols)
@@ -280,25 +288,22 @@ class SymWedge(_SparseTensor):
             out[k] = out.get(k, 0) + x // 2
 
 
-def _support(*coords: Tuple[int, ...]) -> List[int]:
-    """The ascending positions at which some of the tuples is nonzero."""
-    at = range(len(coords[0]))
-    return sorted({i for x in coords for i in compress(at, x)})
-
-
-def _add_wedge2(out: Dict[tuple, int], sign: int, x: Tuple[int, ...],
-                y: Tuple[int, ...]) -> None:
-    """Add sign * x ^ y, for coordinate tuples x and y, to ``out``."""
-    for i, j in combinations(_support(x, y), 2):
+def _add_wedge2(out: Dict[tuple, int], sign: int, u: KElement,
+                v: KElement) -> None:
+    """Add sign * u ^ v to ``out``, over the union of the supports."""
+    x, y = u.coords, v.coords
+    for i, j in combinations(sorted({*u._nonzero(), *v._nonzero()}), 2):
         c = x[i] * y[j] - x[j] * y[i]
         if c:
             out[(i, j)] = out.get((i, j), 0) + sign * c
 
 
-def _add_wedge3(out: Dict[tuple, int], sign: int, x: Tuple[int, ...],
-                y: Tuple[int, ...], z: Tuple[int, ...]) -> None:
-    """Add sign * x ^ y ^ z, for coordinate tuples, to ``out``."""
-    for i, j, k in combinations(_support(x, y, z), 3):
+def _add_wedge3(out: Dict[tuple, int], sign: int, u: KElement, v: KElement,
+                w: KElement) -> None:
+    """Add sign * u ^ v ^ w to ``out``, over the union of the supports."""
+    x, y, z = u.coords, v.coords, w.coords
+    for i, j, k in combinations(sorted({*u._nonzero(), *v._nonzero(),
+                                        *w._nonzero()}), 3):
         # 3x3 determinant of the (i, j, k) minor of the column matrix [x y z]
         xi, xj, xk = x[i], x[j], x[k]
         yi, yj, yk = y[i], y[j], y[k]
@@ -325,14 +330,14 @@ def _add_sym(out: Dict[tuple, int], sign: int, u: Mapping[tuple, int],
 def wedge2(x: KElement, y: KElement) -> Wedge2:
     """The wedge product x ^ y, bilinear and antisymmetric."""
     r, out = _common_rank(x, y), {}
-    _add_wedge2(out, 1, x.coords, y.coords)
+    _add_wedge2(out, 1, x, y)
     return Wedge2(r, out)
 
 
 def wedge3(x: KElement, y: KElement, z: KElement) -> Wedge3:
     """The wedge product x ^ y ^ z, trilinear and alternating."""
     r, out = _common_rank(x, y, z), {}
-    _add_wedge3(out, 1, x.coords, y.coords, z.coords)
+    _add_wedge3(out, 1, x, y, z)
     return Wedge3(r, out)
 
 

@@ -16,7 +16,6 @@ mapping class the path represents.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from . import intlinalg
@@ -41,23 +40,23 @@ class InducedAutomorphismError(CocycleError):
 
 
 # Step kernels for _Walker.step: each adds one flip's value, from the
-# stored coordinates x and signs s of a, b, c and d, to a dict of
-# coordinates (m) or of coefficients (j, s).
+# kept supports of the stored values v and the signs s of a, b, c and d,
+# to a dict of coordinates (m) or of coefficients (j, s).
 
-def _add_m(out, xa, sa, xb, sb, xc, sc, xd, sd) -> None:
-    for x, sign in ((xa, sa), (xc, sc)):
-        for i in compress(range(len(x)), x):
-            out[i] = out.get(i, 0) + sign * x[i]
-
-
-def _add_j(out, xa, sa, xb, sb, xc, sc, xd, sd) -> None:
-    _add_wedge3(out, sa * sb * sc, xa, xb, xc)
+def _add_m(out, va, sa, vb, sb, vc, sc, vd, sd) -> None:
+    for v, sign in ((va, sa), (vc, sc)):
+        for i in v._nonzero():
+            out[i] = out.get(i, 0) + sign * v.coords[i]
 
 
-def _add_s(out, xa, sa, xb, sb, xc, sc, xd, sd) -> None:
+def _add_j(out, va, sa, vb, sb, vc, sc, vd, sd) -> None:
+    _add_wedge3(out, sa * sb * sc, va, vb, vc)
+
+
+def _add_s(out, va, sa, vb, sb, vc, sc, vd, sd) -> None:
     ac, bd = {}, {}
-    _add_wedge2(ac, 1, xa, xc)
-    _add_wedge2(bd, 1, xb, xd)
+    _add_wedge2(ac, 1, va, vc)
+    _add_wedge2(bd, 1, vb, vd)
     _add_sym(out, sa * sb * sc * sd, ac, bd)
 
 

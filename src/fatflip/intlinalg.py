@@ -222,17 +222,18 @@ def solve_transform(xs: Sequence[Sequence[int]],
         raise LinAlgError("need equally many x and y vectors")
     r = _width(xs, "x vectors")
     x_mat = [[x[i] for x in xs] for i in range(r)]
-    y_mat = [[y[i] for y in ys] for i in range(_width(ys, "y vectors"))]
+    width = _width(ys, "y vectors")
     res = smith(x_mat)
     if res.rank < r:
         raise LinAlgError("sample vectors span rank %d < %d" % (res.rank, r))
     # With X = U^-1 S V^-1, T X = Y holds exactly when W S = Y V for
     # W = T U^-1.  W's columns are those of Y V over the invariants; a
     # remainder, or a nonzero column of Y V past r, makes W S differ
-    # from Y V, so the closing check alone decides consistency.
-    d = res.invariants
-    t = mat_mul([[z // dj for z, dj in zip(row, d)]
-                 for row in mat_mul(y_mat, res.v)], res.u)
+    # from Y V, so the closing check alone decides consistency.  (Y V)^T
+    # is the y moved by the row moves of V^T: V itself is never built.
+    yv = _moved([list(y) for y in ys], [(j, i, q) for i, j, q in res._cols])
+    t = mat_mul([[yv[j][k] // dj for j, dj in enumerate(res.invariants)]
+                 for k in range(width)], res.u)
     if any(mat_vec(t, x) != list(y) for x, y in zip(xs, ys)):
         return None
     return t

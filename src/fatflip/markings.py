@@ -176,29 +176,54 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
             % (res.rank, res.invariants, marking.rank))
 
 
-def _coords(values: Mapping[int, KElement],
-            h: OrientedEdge) -> Tuple[int, ...]:
-    """The stored ``+`` coordinates of the edge of h."""
+def _stored(values: Mapping[int, KElement], h: OrientedEdge) -> KElement:
+    """The stored ``+`` value of the edge of h."""
     try:
-        return values[h.edge].coords
+        return values[h.edge]
     except KeyError:
         raise MarkingDomainError("no value on %s" % (h,)) from None
 
 
-def _incoherent(xe: Tuple[int, ...], se: int, xa: Tuple[int, ...], sa: int,
-                xb: Tuple[int, ...], sb: int) -> bool:
-    """Is se * xe + sa * xa + sb * xb nonzero?  Read as sa times that
-    sum, so no coordinate is negated."""
-    return any(map(operator.add if sa == sb else operator.sub,
-                   map(operator.add if sa == se else operator.sub, xa, xe),
-                   xb))
+_DENSE_RANK = 8  # up to it a scan in C beats finding fresh supports
+
+
+def _coherent(se: int, ve: KElement, sa: int, va: KElement, sb: int,
+              vb: KElement) -> bool:
+    """Is se * ve + sa * va + sb * vb zero?  Past _DENSE_RANK read on the
+    union of the kept supports, else as sa times the sum, negating none."""
+    x, y, z = ve.coords, va.coords, vb.coords
+    if len(x) <= _DENSE_RANK:
+        return not any(map(operator.add if sa == sb else operator.sub,
+                           map(operator.add if sa == se else operator.sub,
+                               y, x), z))
+    for i in {*ve._nonzero(), *va._nonzero(), *vb._nonzero()}:
+        if se * x[i] + sa * y[i] + sb * z[i]:
+            return False
+    return True
+
+
+def _signed_sum(sx: int, vx: KElement, sy: int, vy: KElement) -> KElement:
+    """sx * vx + sy * vy; past _DENSE_RANK with its support, from theirs."""
+    x, y = vx.coords, vy.coords
+    if len(x) <= _DENSE_RANK:
+        t = KElement._of(tuple(map(operator.add if sx == sy
+                                   else operator.sub, x, y)))
+        return t if sx > 0 else -t
+    acc, nz = [0] * len(x), []
+    for i in sorted({*vx._nonzero(), *vy._nonzero()}):
+        acc[i] = t = sx * x[i] + sy * y[i]
+        if t:
+            nz.append(i)
+    return KElement._of(tuple(acc), tuple(nz))
 
 
 class _Walker:
     """A marking carried along flips, under :func:`propagate_path` and
     the path sums of ``cocycles``.  The values are copied once; a step
-    reads stored ``+`` coordinates and their signs, never negated ones.
-    It trusts the FlipContexts that ``flip`` builds: no ``_code`` checks.
+    reads stored ``+`` values and their signs, never negated ones; past
+    _DENSE_RANK only their supports, each found once and kept, so it
+    costs the nonzeros, not the rank.  It trusts the FlipContexts that
+    ``flip`` builds: no ``_code`` checks.
     """
 
     __slots__ = ("rank", "values")
@@ -208,24 +233,22 @@ class _Walker:
 
     def step(self, ctx: FlipContext, sums=()) -> None:
         """Check coherence at head(e), then at head(~e); call each
-        kernel(out, xa, sa, xb, sb, xc, sc, xd, sd) of the (kernel, out)
+        kernel(out, va, sa, vb, sb, vc, sc, vd, sd) of the (kernel, out)
         pairs in ``sums``; store mu(d) + mu(a) on the new edge."""
         e, a, b, c, d = ctx.edge, ctx.a, ctx.b, ctx.c, ctx.d
         values = self.values
-        xe, xa, xb = _coords(values, e), _coords(values, a), _coords(values, b)
-        if _incoherent(xe, e.sign, xa, a.sign, xb, b.sign):
+        ve, va, vb = _stored(values, e), _stored(values, a), _stored(values, b)
+        if not _coherent(e.sign, ve, a.sign, va, b.sign, vb):
             raise CoherenceError("marking incoherent at the head of %s" % (e,))
-        xc, xd = _coords(values, c), _coords(values, d)
-        if _incoherent(xe, -e.sign, xc, c.sign, xd, d.sign):
+        vc, vd = _stored(values, c), _stored(values, d)
+        if not _coherent(-e.sign, ve, c.sign, vc, d.sign, vd):
             raise CoherenceError("marking incoherent at the head of %s"
                                  % (e.rev,))
         for kernel, out in sums:
-            kernel(out, xa, a.sign, xb, b.sign, xc, c.sign, xd, d.sign)
+            kernel(out, va, a.sign, vb, b.sign, vc, c.sign, vd, d.sign)
         del values[e.edge]
-        # d.sign * (d + a), stored on the + orientation the flip creates
-        new = KElement._of(tuple(map(operator.add if a.sign == d.sign
-                                     else operator.sub, xd, xa)))
-        values[ctx.new_edge.edge] = new if d.sign > 0 else -new
+        # stored on the + orientation the flip creates
+        values[ctx.new_edge.edge] = _signed_sum(d.sign, vd, a.sign, va)
 
     def marking(self) -> Marking:
         """The marking reached; the walker hands its values over."""
@@ -235,7 +258,7 @@ class _Walker:
 def _chain(values: Mapping[int, KElement], codes: Sequence[int]) -> Iterable[int]:
     """The inward sum at ``codes`` (nonempty) times the sign of the first,
     as one lazy chain of maps over the stored ``+`` coordinates: a term of
-    the first's parity adds, any other subtracts (see :func:`_incoherent`)."""
+    the first's parity adds, any other subtracts: none is negated."""
     c = first = codes[0]
     try:
         acc = values[first >> 1].coords

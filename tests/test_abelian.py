@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fatflip.abelian import (KElement, RankMismatchError, SymWedge, Wedge2,
-                             Wedge3, _common_rank, sym_pair, wedge2, wedge3)
+                             Wedge3, _add_wedge2, _add_wedge3, _common_rank,
+                             sym_pair, wedge2, wedge3)
 from fatflip.fatgraph import oe
 from fatflip.intlinalg import mat_mul
 from fatflip.markings import Marking, SymplecticForm
@@ -336,6 +337,75 @@ class TestSparseWedges:
                                 == list(want.coeffs.items()))
                     cases += 1
         assert cases == 12 * 5 * 6
+
+
+def support(v: KElement) -> Tuple[int, ...]:
+    """The nonzero positions of v, read off its coordinates."""
+    return tuple(i for i, x in enumerate(v.coords) if x)
+
+
+def seeded_values(rng, rank):
+    """A zero, a sparse and a dense value of rank ``rank``, each twice:
+    fresh, and as a copy whose support an earlier read has kept."""
+    for kind in ("zero", "sparse", "dense"):
+        coords = [0] * rank
+        if kind != "zero":
+            k = rank if kind == "dense" else rng.randint(1, min(3, rank))
+            for i in rng.sample(range(rank), k):
+                coords[i] = random_coeff(rng)
+        kept = KElement(coords)
+        assert kept._nonzero() == support(kept)
+        yield KElement(coords)
+        yield kept
+
+
+KEPT_RANKS = (1, 2, 6, 32, 64)
+
+
+class TestKeptSupport:
+    @pytest.mark.parametrize("rank", KEPT_RANKS)
+    def test_kernels_equal_dense_oracles(self, rank):
+        rng = random.Random(900 + rank)
+        pool = list(seeded_values(rng, rank))
+        # the all-triples oracle is slow at rank 64: fewer triples there
+        triples = [rng.sample(pool, 3) for _ in range(8 if rank > 32 else 40)]
+        triples += [[pool[0]] * 3, [pool[5], pool[4], pool[1]]]
+        for x, y, z in triples:
+            sign = rng.choice((1, -1))
+            for got, want in ((wedge2(x, y), dense_wedge2(x, y)),
+                              (wedge3(x, y, z), dense_wedge3(x, y, z))):
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+            # the kernels add into what the dict already holds
+            out2, out3 = dict(dense_wedge2(z, y).coeffs), {(0, 1, 2): 7}
+            _add_wedge2(out2, sign, x, y)
+            _add_wedge3(out3, sign, x, y, z)
+            assert (Wedge2(rank, out2)
+                    == dense_wedge2(z, y) + sign * dense_wedge2(x, y))
+            assert (Wedge3(rank, out3) == Wedge3(rank, {(0, 1, 2): 7})
+                    + sign * dense_wedge3(x, y, z))
+        for v in pool:
+            assert v._nz == support(v)
+
+    @pytest.mark.parametrize("rank", KEPT_RANKS)
+    def test_transform_reads_each_column_support(self, rank):
+        rng = random.Random(950 + rank)
+        t = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rank)]
+             for _ in range(min(rank, 6))]
+        x, y, z = rng.sample(list(seeded_values(rng, rank)), 3)
+        for value in (wedge2(x, y), wedge3(x, y, z)):
+            assert value.transform(t) == dense_transform(value, t)
+
+    def test_slot_is_not_part_of_equality_or_hash(self):
+        coords = (0, 3, 0, -2 ** 70)
+        fresh, read = KElement(coords), KElement(coords)
+        read._nonzero()
+        given = KElement._of(coords, (1, 3))
+        assert fresh._nz is None and read._nz == given._nz == (1, 3)
+        assert fresh == read == given
+        assert hash(fresh) == hash(read) == hash(given) == hash(coords)
+        assert len({fresh, read, given}) == 1
+        assert -read == KElement((0, -3, 0, 2 ** 70))
+        assert (-read)._nz == (1, 3)
 
 
 class TestExactScaling:

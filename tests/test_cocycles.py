@@ -7,11 +7,12 @@ import pytest
 from fatflip import intlinalg
 from fatflip.abelian import (KElement, SymWedge, Wedge3, sym_pair, wedge2,
                              wedge3)
-from fatflip.cocycles import (CocycleConditionError, CocycleError,
+from fatflip.cocycles import (_KERNELS, CocycleConditionError, CocycleError,
                               InducedAutomorphismError, _induced_matrix,
-                              cocycle_j, cocycle_m, cocycle_s, compose_closed,
-                              induced_k_automorphism, path_sum,
-                              verify_cocycle_condition, walk_values)
+                              _value, cocycle_j, cocycle_m, cocycle_s,
+                              compose_closed, induced_k_automorphism,
+                              path_sum, path_sums, verify_cocycle_condition,
+                              walk_values)
 from fatflip.fatgraph import oe
 from fatflip.flips import (ClosureError, adjacent_flippable_pairs, apply_path,
                            concat_paths, flip, flippable_edges,
@@ -22,6 +23,8 @@ from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
                              random_gl, random_graph)
 from fatflip.selftest import SelfTestFailure, check_relation_loop
+from test_abelian import (KEPT_RANKS, dense_wedge2, dense_wedge3,
+                          seeded_values, support)
 
 ZERO = {"m": KElement.zero, "j": Wedge3.zero, "s": SymWedge.zero}
 
@@ -213,6 +216,42 @@ class TestWalkerOracle:
                   for x in k.coords).bit_length() <= 64:
             m = m.transform(random_gl(2 * genus, rng))
         self.assert_matches(random_flip_path(g, 30, rng), m)
+
+
+class TestKeptSupports:
+    @pytest.mark.parametrize("rank", KEPT_RANKS)
+    def test_step_kernels_equal_dense_oracles(self, rank):
+        rng = random.Random(980 + rank)
+        pool = list(seeded_values(rng, rank))
+        for _ in range(8 if rank > 32 else 30):
+            a, b, c, d = rng.sample(pool, 4)
+            sa, sb, sc, sd = (rng.choice((1, -1)) for _ in range(4))
+            for which, kernel in _KERNELS.items():
+                out = {}
+                for _ in range(2):  # a kernel adds to what is there
+                    kernel(out, a, sa, b, sb, c, sc, d, sd)
+                want = {"m": sa * a + sc * c,
+                        "j": sa * sb * sc * dense_wedge3(a, b, c),
+                        "s": sa * sb * sc * sd * sym_pair(
+                            dense_wedge2(a, c), dense_wedge2(b, d))}[which]
+                assert _value(which, rank, out) == 2 * want, which
+        assert all(v._nz == support(v) for v in pool)
+
+    def test_no_support_is_stale_after_a_long_walk(self):
+        rng = random.Random(990)
+        g = random_graph(16, rng)
+        m, _ = canonical_h_marking(g)
+        path = random_flip_path(g, 200, rng)
+        totals, end = path_sums(path, m)
+        for which, total in zip("mjs", totals):
+            assert (total, end) == fold_path_sum(path, m, which), which
+        made = set(end.values) - set(m.values)
+        assert len(made) > 20
+        # each value the walk made came with its support, and no kept
+        # support differs from the value's nonzero positions
+        assert all(end.values[x]._nz is not None for x in made)
+        for value in (*m.values.values(), *end.values.values()):
+            assert value._nz is None or value._nz == support(value)
 
 
 class TestInducedAutomorphism:
@@ -434,6 +473,23 @@ class TestLocalCoherence:
         for step in self.STEPS:
             with pytest.raises(CoherenceError) as err:
                 step(path, bad)
+            assert str(err.value) == "marking incoherent at the head of " + head
+
+    @pytest.mark.parametrize("bumped, head", [((0,), "1+"), ((4,), "1-"),
+                                              ((0, 4), "1+")])
+    @pytest.mark.parametrize("at", [0, 11])
+    def test_incoherent_head_named_at_rank_12(self, g1, bumped, head, at):
+        # at rank 12 a step reads the kept supports, not every coordinate;
+        # coordinate 11 lies outside every other value's support
+        path, values = self.reference(g1)
+        wide = {oe(x, 1): KElement(v + (0,) * 10) for x, v in values.items()}
+        for step in self.STEPS:
+            step(path, Marking(12, wide))
+        for x in bumped:
+            wide[oe(x, 1)] += KElement.basis(12, at)
+        for step in self.STEPS:
+            with pytest.raises(CoherenceError) as err:
+                step(path, Marking(12, wide))
             assert str(err.value) == "marking incoherent at the head of " + head
 
     @pytest.mark.parametrize("missing, name", [(1, "1+"), (3, "3-"),

@@ -100,6 +100,20 @@ def test_only_fatgraph_stores_what_a_graph_keeps():
     assert not found
 
 
+def test_only_abelian_stores_a_kept_support():
+    # a value's kept support is filled by abelian alone, on the first read
+    # or through KElement._of, so no other module can make it stale
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items() if name != "abelian"
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "_nz"
+                 and not isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "setattr"
+                 and getattr(node.args[1], "value", None) == "_nz")]
+    assert not found
+
+
 def _definitions(body, prefix=""):
     """(qualified name, name) of every function and class in ``body``,
     methods and nested definitions included."""

@@ -331,6 +331,32 @@ class TestSolveTransform:
             kinds[type(outcomes[0]).__name__] += 1
         assert set(kinds) == {"list", "NoneType", "str"}
 
+    def test_never_builds_the_column_transform(self, monkeypatch):
+        # Y V comes from Smith's column moves; the n x n V of n samples
+        # is never built, and T is what the oracle, which reads V, gives
+        rng = random.Random(26)
+        cases = []
+        for _ in range(60):
+            r = rng.randint(1, 4)
+            xs = [random_matrix(rng, 1, r, -3, 3)[0]
+                  for _ in range(r + rng.randint(0, 12))]
+            t = random_matrix(rng, rng.randint(1, 4), r, -3, 3)
+            ys = [la.mat_vec(t, x) for x in xs]
+            if rng.random() < 0.3:
+                ys[rng.randrange(len(ys))][0] += 1
+            try:
+                cases.append((xs, ys, oracle_solve_transform(xs, ys)))
+            except la.LinAlgError:
+                pass
+
+        def refuse(res):
+            raise AssertionError("SmithResult.v was read")
+        monkeypatch.setattr(la.SmithResult, "v", property(refuse))
+        for xs, ys, want in cases:
+            assert la.solve_transform(xs, ys) == want
+        kinds = {type(want).__name__ for _, _, want in cases}
+        assert kinds == {"list", "NoneType"}
+
 
 def oracle_solve_transform(xs, ys):
     """solve_transform with its former three consistency checks (the
