@@ -387,7 +387,7 @@ class TestKeptSupport:
             assert v._nz == support(v)
 
     @pytest.mark.parametrize("rank", KEPT_RANKS)
-    def test_transform_reads_each_column_support(self, rank):
+    def test_transform_equals_dense_oracle(self, rank):
         rng = random.Random(950 + rank)
         t = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rank)]
              for _ in range(min(rank, 6))]
