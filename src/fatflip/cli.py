@@ -8,6 +8,7 @@ error of the package is a ValueError), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -322,13 +323,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
-    except CliError as err:
-        sys.stderr.write("fatflip: %s\n" % err)
-        return err.status
-    except ValueError as err:
-        sys.stderr.write("fatflip: %s\n" % err)
-        return FAILURE
+        try:
+            status = args.func(args, sys.stdout)
+        except (CliError, ValueError) as err:
+            sys.stderr.write("fatflip: %s\n" % err)
+            status = getattr(err, "status", FAILURE)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:  # devnull takes what stdout still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = FAILURE
+    return status
 
 
 if __name__ == "__main__":

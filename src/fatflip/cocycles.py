@@ -153,7 +153,15 @@ def _induced_matrix(start: FatGraph, psi: Dict, marking: Marking,
     """The unimodular T with T * mu(e) = mu_end(psi(e)) on every oriented
     edge e of ``start``, for a path already walked and closed by psi.
     Both sides negate under reversal, so the ``+`` orientations carry
-    every condition."""
+    every condition.
+
+    T is invertible over Z with no test, as both callers walked the path:
+    a step stores mu(d) + mu(a) and drops mu(e), which coherence at
+    head(e), checked first, writes in the kept mu(a), mu(b), so the walk
+    keeps the span L of the values.  psi is a bijection, so T(L) = L; L
+    has rank r, or ``solve_transform`` raises; [Z^r : T L] = |det T|
+    [Z^r : L] then forces |det T| = 1.
+    """
     edges = [OrientedEdge(x, 1) for x in start.edge_ids()]
     xs = [list(marking.value(e).coords) for e in edges]
     ys = [list(end_marking.value(psi[e]).coords) for e in edges]
@@ -164,9 +172,6 @@ def _induced_matrix(start: FatGraph, psi: Dict, marking: Marking,
     if t is None:
         raise InducedAutomorphismError(
             "end marking is not an integer transform of the start marking")
-    if not intlinalg.is_unimodular(t):
-        raise InducedAutomorphismError(
-            "induced transform %r is not invertible over Z" % (t,))
     return t
 
 

@@ -181,9 +181,9 @@ class FatGraph:
     Connectivity and the valence rules are checked separately by
     :meth:`validate`, so that degenerate graphs such as trees can still
     be built and measured.  The internal constructor :meth:`_from_codes`
-    skips the structural checks; only :func:`flips.flip` and
-    :meth:`canonicalize` use it, whose results are valid by
-    construction.
+    skips the structural checks; only :func:`flips.flip`,
+    :meth:`canonicalize` and ``flipgraph`` use it, on canonical or
+    flipped rows that are valid by construction.
     """
 
     __slots__ = ("_rows", "_tail", "_fresh", "_succ", "_vert",

@@ -60,8 +60,7 @@ from .abelian import KElement, Wedge3
 from .cocycles import InducedAutomorphismError, path_sums
 from .fatgraph import FatGraph
 from .flips import FlipPath, flip, flippable_edges
-from .markings import (Marking, SurjectivityError, SymplecticForm,
-                       _SpanningTree, canonical_h_marking)
+from .markings import Marking, SymplecticForm, _span, canonical_h_marking
 from .randgen import standard_surface_graph
 
 Vector = Tuple[int, ...]
@@ -152,12 +151,8 @@ def expand(genus: int, max_classes: Optional[int] = None
     queue = deque()
 
     def discover(key, graph, marking, b_m, b_j, parent, edge):
-        basis = _SpanningTree(graph).basis
-        res = intlinalg.smith(intlinalg.transpose(
-            [marking.values[x].coords for x in basis]))
-        if res.rank < n or any(d != 1 for d in res.invariants):
-            raise SurjectivityError("gauge marking of class %d does not "
-                                    "span Z^%d" % (len(classes), n))
+        basis = graph._spanning_tree()[1]
+        res = _span(marking, basis)
         y_inv = tuple(map(tuple, intlinalg.mat_mul(res.v, res.u)))
         index[key] = len(classes)
         classes.append(FlipClass(basis, y_inv, b_m, b_j, parent, edge))

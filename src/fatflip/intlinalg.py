@@ -1,11 +1,11 @@
 """Exact integer linear algebra helpers.
 
-Small matrices only (a few dozen rows).  Smith reduction is the plain
-quadratic one on the matrix alone; it records its moves and builds each
-transform from them when it is read.  ``gram`` and ``symplectic_basis``,
-which keeps the Gram matrix of its working basis as sparse rows, cost
-only the nonzeros of the sparse intersection pairings.  Matrices are
-lists of lists of Python ints; nothing here ever leaves Z.
+Dense matrices, as large as 4,197 x 7 (the genus-3 loop identity).
+Smith reduction is the plain quadratic one on the matrix alone; it
+records its moves and builds each transform from them when it is read.
+``gram`` and ``symplectic_basis``, which keeps the Gram matrix of its
+working basis as sparse rows, cost only the nonzeros of the sparse
+pairings.  Matrices are lists of lists of ints; nothing leaves Z.
 """
 
 from __future__ import annotations

@@ -168,12 +168,19 @@ def check_marking(graph: FatGraph, marking: Marking) -> None:
     # the values off the tree (fill the links in from the leaves), and
     # the edges of every other component are all off it, so those span
     # the same subgroup, with the same Smith invariants
-    rows = [marking.values[x].coords for x in graph._spanning_tree()[1]]
-    res = intlinalg.smith(intlinalg.transpose(rows))
+    _span(marking, graph._spanning_tree()[1])
+
+
+def _span(marking: Marking, ids: Iterable[int]) -> intlinalg.SmithResult:
+    """The Smith form of the matrix whose columns are the values on the
+    edge ids ``ids``; SurjectivityError unless they span Z^r."""
+    res = intlinalg.smith(intlinalg.transpose(
+        [marking.values[x].coords for x in ids]))
     if res.rank < marking.rank or any(d != 1 for d in res.invariants):
         raise SurjectivityError(
             "values span a subgroup of rank %d with invariants %s in Z^%d"
             % (res.rank, res.invariants, marking.rank))
+    return res
 
 
 def _stored(values: Mapping[int, KElement], h: OrientedEdge) -> KElement:
@@ -286,53 +293,27 @@ def propagate_path(marking: Marking, steps: Iterable[FlipContext]) -> Marking:
     return walker.marking()
 
 
-class _SpanningTree:
-    """The breadth-first spanning tree the graph keeps, from the tail vertex.
-
-    The ``+`` orientations of the edges off the tree, whose ids ascending
-    are ``basis``, freely generate the group of oriented edges modulo
-    inversion and coherence: coherence at the vertex a tree edge points
-    into writes that edge in edges off the tree or further out, and
-    there are E - V + 1 of them, the rank of the group.
-    """
-
-    __slots__ = ("graph", "links", "basis")
-
-    def __init__(self, graph: FatGraph):
-        links, basis = graph._spanning_tree()
-        if len(links) + 1 != graph.num_vertices:
-            raise PairingError("spanning tree from the tail vertex reaches %d "
-                               "of %d vertices" % (len(links) + 1,
-                                                   graph.num_vertices))
-        self.graph, self.links, self.basis = graph, links, basis
-
-    def fill(self, rank: int,
-             basis_values: Sequence[Sequence[int]]) -> Marking:
-        """Extend the values on ``basis`` to every edge by coherence,
-        filling the links from the leaves to the root: the other edges
-        at the vertex a link points into are known by then."""
-        values = {x: KElement._of(tuple(v))
-                  for x, v in zip(self.basis, basis_values)}
-        rows, vert = self.graph._rows, self.graph._index()[1]
-        for h in reversed(self.links):
-            # the chain reads -h.sign * mu(h) times the sign of others[0]
-            others = [k for k in rows[vert[h]] if k != h]
-            new = KElement._of(tuple(_chain(values, others)) if others
-                               else (0,) * rank)
-            values[h >> 1] = new if others and (h ^ others[0]) & 1 else -new
-        return Marking._of_edges(rank, values)
-
-
-def _basis_pairing(graph: FatGraph
-                   ) -> Tuple[_SpanningTree, Tuple[Tuple[int, ...], ...]]:
-    """The spanning tree from the tail vertex and the boundary pattern P
-    on its basis edges, as a tuple of row tuples: the pairing block the
-    graph builds on first use and keeps (:meth:`FatGraph._pairing_block`).
-
-    Needs boundary number 1.  Then V - E = 2 - 2g - 1 gives
-    E - V + 1 = 2g basis edges, so the block is 2g x 2g.
-    """
-    return _SpanningTree(graph), graph._pairing_block()
+def _fill(graph: FatGraph, rank: int,
+          basis_values: Sequence[Sequence[int]]) -> Marking:
+    """The marking with ``basis_values`` on the edges off the tail tree,
+    ``graph._spanning_tree()[1]``, extended by coherence; a graph the
+    tree does not span raises DisconnectedGraphError.  The ``+``
+    orientations of those edges freely generate the group of oriented
+    edges modulo inversion and coherence: coherence at the vertex a tree
+    link points into writes that link in edges off the tree or further
+    out, and there are E - V + 1 of them, the rank of the group.  So the
+    links fill from the leaves to the root."""
+    graph._check_connected()
+    links, basis = graph._spanning_tree()
+    values = {x: KElement._of(tuple(v)) for x, v in zip(basis, basis_values)}
+    rows, vert = graph._rows, graph._index()[1]
+    for h in reversed(links):
+        # the chain reads -h.sign * mu(h) times the sign of others[0]
+        others = [k for k in rows[vert[h]] if k != h]
+        new = KElement._of(tuple(_chain(values, others)) if others
+                           else (0,) * rank)
+        values[h >> 1] = new if others and (h ^ others[0]) & 1 else -new
+    return Marking._of_edges(rank, values)
 
 
 def is_topological_h(graph: FatGraph, marking: Marking,
@@ -345,7 +326,7 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     number 1 and a marking of rank 2g.
 
     Both sides are bilinear in the edge classes, so the check runs on
-    the 2g basis edges of :class:`_SpanningTree` only.  This gives the
+    the 2g edges off the tail tree (:func:`_fill`) only.  This gives the
     all-pairs verdict because
       * P descends to that group (the proof is in
         :func:`canonical_h_marking`) with a unimodular form, the
@@ -362,23 +343,23 @@ def is_topological_h(graph: FatGraph, marking: Marking,
     and the pairings come from one :meth:`SymplecticForm.gram` product,
     read as row tuples to compare with the kept block.
     """
-    tree, want = _basis_pairing(graph)
-    if marking.rank != len(tree.basis):
+    want = graph._pairing_block()
+    if marking.rank != len(want):
         raise MarkingError("marking rank %d, expected 2g = %d"
-                           % (marking.rank, len(tree.basis)))
+                           % (marking.rank, len(want)))
     if len(form.matrix) != marking.rank:
         raise MarkingError("form size does not match the marking rank")
     if any(row and any(_chain(marking.values, row)) for row in graph._rows):
         return False
-    return tuple(map(tuple, form.gram([marking.values[x]
-                                       for x in tree.basis]))) == want
+    basis = [marking.values[x] for x in graph._spanning_tree()[1]]
+    return tuple(map(tuple, form.gram(basis))) == want
 
 
 def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
     """Construct a homology marking realizing the intersection pairing.
 
-    Reads the boundary-pattern pairing P on the free basis of
-    :class:`_SpanningTree`.  With S^T P S = J from ``symplectic_basis``,
+    Reads the pairing P on the E - V + 1 = 2g edges off the tail tree,
+    ``graph._pairing_block()``.  With S^T P S = J from symplectic_basis,
     the basis edges take the columns of S^-1 = J^T S^T P and coherence
     fills in the tree, so the result passes is_topological_h with the
     standard form and all three marking axioms.  Requires boundary
@@ -398,8 +379,8 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
         v].  The walk leaves that predecessor by b, the next half-edge
         at its head, so it points into the head of b: the sum is 0.
     """
-    tree, pair_m = _basis_pairing(graph)
-    g = len(tree.basis) // 2
+    pair_m = graph._pairing_block()
+    g = len(pair_m) // 2
     if g < 1:
         raise MarkingError("graph has genus 0, no homology marking exists")
     try:
@@ -418,4 +399,4 @@ def canonical_h_marking(graph: FatGraph) -> Tuple[Marking, SymplecticForm]:
         for k in compress(range(n), p_row):
             for j, x in s_j[k]:
                 acc[j] += p_row[k] * x
-    return tree.fill(n, values), SymplecticForm.standard(g)
+    return _fill(graph, n, values), SymplecticForm.standard(g)

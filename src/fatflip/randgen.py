@@ -16,7 +16,7 @@ from typing import List, Optional
 from . import intlinalg
 from .fatgraph import FatGraph, OrientedEdge
 from .flips import FlipPath, flip, flippable_edges
-from .markings import Marking, _SpanningTree
+from .markings import Marking, _fill
 
 Rng = random.Random
 
@@ -109,10 +109,9 @@ def random_coherent_marking(graph: FatGraph, rank: int, rng: Rng) -> Marking:
     The edges off the spanning tree are a free basis of the classes, so
     they take the columns of L and coherence fills in the tree.
     """
-    tree = _SpanningTree(graph)
-    free = len(tree.basis)
+    free = len(graph._spanning_tree()[1])
     if not 1 <= rank <= free:
         raise ValueError("rank %d is not between 1 and the edge class "
                          "rank %d" % (rank, free))
     l_map = random_gl(free, rng)[:rank]
-    return tree.fill(rank, intlinalg.transpose(l_map))
+    return _fill(graph, rank, intlinalg.transpose(l_map))

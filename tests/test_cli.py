@@ -2,6 +2,9 @@ import contextlib
 import importlib.resources
 import io
 import operator
+import os
+import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -10,10 +13,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fatflip
 from fatflip import cocycles, flipgraph, markings, selftest
+from fatflip.abelian import KElement
 from fatflip.cli import main
+from fatflip.earle import reference_bp_automorphism
+from fatflip.fatgraph import oe
 from fatflip.graphio import format_graph, parse_graph
-from fatflip.markings import Marking
+from fatflip.intlinalg import LinAlgError, solve_transform
+from fatflip.markings import (Marking, MarkingError, SymplecticForm,
+                              canonical_h_marking, is_topological_h)
+from fatflip.randgen import random_coherent_marking, standard_surface_graph
+from fatflip.words import WordError, reduce_word
 
 G1_FILE = """\
 fatgraph v1
@@ -611,3 +622,101 @@ class TestSelfTest:
         _, first, _ = run(capsys, "selftest", "--seed", "11", "--trials", "2")
         _, second, _ = run(capsys, "selftest", "--seed", "11", "--trials", "2")
         assert first == second
+
+
+# incoherent at vertex 1 only: the path writes step 0, then fails at step 1
+INCOHERENT_G1 = SHIPPED_G1.read_text().replace("mark 0+: 0 0", "mark 0+: 1 0")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv, status, message", [
+        (["selftest", "--trials", "1"], 1, ""),
+        (["enumerate", "--genus", "1"], 1, ""),
+        # buffered, the refusal comes before the write that fails
+        (["path", "{file}", "--flips", "4,1"], 1,
+         "fatflip: step 1: marking incoherent at the head of 1+\n"),
+        # no write: the usage status stands
+        (["validate", "{missing}"], 2,
+         "fatflip: [Errno 2] No such file or directory: '{missing}'\n"),
+    ], ids=["selftest", "enumerate", "path-incoherent", "missing-file"])
+    def test_gone_reader_exits_without_traceback(self, tmp_path, buffered,
+                                                 argv, status, message):
+        # stdout is the write end of a pipe whose read end is closed, so
+        # the first write that reaches it fails, however fast the run
+        names = {"file": tmp_path / "bad.fg", "missing": tmp_path / "no.fg"}
+        names["file"].write_text(INCOHERENT_G1)
+        src = Path(fatflip.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONUNBUFFERED="" if buffered else "1")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from fatflip.cli import "
+                 "main; sys.exit(main())", *[a.format(**names) for a in argv]],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        if not buffered and status == 1:
+            message = ""  # the first write fails, before any refusal
+        assert (proc.returncode, proc.stderr.decode()) == (
+            status, message.format(**names))
+
+
+def _cli(text, *argv):
+    """A call that runs the CLI on ``text`` as ``{file}``, and returns
+    its status, stdout and stderr."""
+    def call(tmp_path):
+        path = tmp_path / "input"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([a.format(file=path, g1=SHIPPED_G1) for a in argv])
+        return status, out.getvalue(), err.getvalue()
+    return call
+
+
+def _off_form(_):
+    graph = standard_surface_graph(1)
+    marking, _ = canonical_h_marking(graph)
+    return is_topological_h(graph, marking, SymplecticForm.standard(2))
+
+
+EVAL = ("earle", "eval", "--genus", "1", "--auto", "{file}")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (_cli("a1 -> a1\nb1 b1\n", *EVAL),
+     (1, "", "fatflip: line 2: expected 'gen -> word'\n")),
+    (_cli("a1 -> a1\na1 -> b1\n", *EVAL),
+     (1, "", "fatflip: line 2: duplicate image for a1\n")),
+    (_cli("", "pentagon", "{g1}", "--edges", "1,1"),
+     (1, "", "fatflip: pentagon needs two distinct edges\n")),
+    (lambda _: Marking(2, {oe(1, 1): KElement((1, 2, 3))}),
+     (MarkingError, "value on 1+ has rank 3, marking has 2")),
+    (lambda _: KElement(()), (ValueError, "rank must be at least 1")),
+    (lambda _: KElement.basis(4, 4), (ValueError, "basis index out of range")),
+    (lambda _: solve_transform([[1]], [[1], [2]]),
+     (LinAlgError, "need equally many x and y vectors")),
+    (lambda _: reduce_word([("a", 2)]),
+     (WordError, "letter sign must be +-1")),
+    (lambda _: reference_bp_automorphism(1),
+     (WordError, "the bounding-pair map needs genus >= 2")),
+    (lambda _: standard_surface_graph(0),
+     (ValueError, "genus must be at least 1")),
+    (lambda _: random_coherent_marking(standard_surface_graph(1), 5,
+                                       random.Random(0)),
+     (ValueError, "rank 5 is not between 1 and the edge class rank 2")),
+    (_off_form, (MarkingError, "form size does not match the marking rank")),
+], ids=["eval-no-arrow", "eval-duplicate-image", "pentagon-same-edge",
+        "marking-rank", "kelement-rank-0", "kelement-basis-index",
+        "solve-transform-counts", "word-letter-sign", "bp-map-genus-1",
+        "surface-genus-0", "random-marking-rank", "topological-form-size"])
+def test_public_refusals_pinned(tmp_path, call, expected):
+    # reachable public error paths that no other test runs
+    try:
+        got = call(tmp_path)
+    except ValueError as err:
+        got = type(err), str(err)
+    assert got == expected

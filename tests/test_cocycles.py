@@ -1,3 +1,4 @@
+import collections
 import operator
 import random
 from functools import reduce
@@ -15,7 +16,8 @@ from fatflip.cocycles import (_KERNELS, CocycleConditionError, CocycleError,
                               walk_values)
 from fatflip.fatgraph import oe
 from fatflip.flips import (ClosureError, adjacent_flippable_pairs, apply_path,
-                           concat_paths, flip, flippable_edges,
+                           commuting_loop, concat_paths,
+                           disjoint_flippable_pairs, flip, flippable_edges,
                            involution_pair, pentagon_path, reverse_path)
 from fatflip.intlinalg import identity, mat_eq, solve_transform
 from fatflip.markings import (CoherenceError, Marking, MarkingDomainError,
@@ -27,6 +29,9 @@ from test_abelian import (KEPT_RANKS, dense_wedge2, dense_wedge3,
                           seeded_values, support)
 
 ZERO = {"m": KElement.zero, "j": Wedge3.zero, "s": SymWedge.zero}
+# flip sequences that return the g1 fixture to itself
+G1_CLOSED = ([1, 2], [1, 2, 3], [2, 3, 4], [1, 4, 5], [4, 2, 3], [1, 2, 4],
+             [1, 3, 5])
 
 
 def marked_flip(g1, edge=1, rank=4):
@@ -283,8 +288,6 @@ class TestInducedAutomorphism:
         ("deficient", "sample vectors span rank 1 < 2"),
         ("bumped", "end marking is not an integer transform of the start "
                    "marking"),
-        ("doubled", "induced transform [[2, 0], [0, 1]] is not invertible "
-                    "over Z"),
     ])
     def test_induced_matrix_errors(self, g1, end, message):
         # the identity closes the path, so the ends are compared directly
@@ -293,12 +296,10 @@ class TestInducedAutomorphism:
         if end == "deficient":  # values (x, 0) span rank 1
             start = end_marking = Marking(2, {oe(x, 1): KElement((x, 0))
                                               for x in g1.edge_ids()})
-        elif end == "bumped":  # one value off any linear image
+        else:  # one value off any linear image
             values = dict(start.values)
             values[4] += KElement((1, 0))
             end_marking = Marking(2, {oe(x, 1): v for x, v in values.items()})
-        else:  # T = diag(2, 1), an integer matrix of determinant 2
-            end_marking = start.transform([[2, 0], [0, 1]])
         with pytest.raises(InducedAutomorphismError) as err:
             _induced_matrix(g1, psi, start, end_marking)
         assert str(err.value) == message
@@ -321,12 +322,93 @@ class TestInducedAutomorphism:
         # genuine mapping classes preserve the intersection form, so
         # every induced matrix on a homology marking has determinant 1
         m, _ = canonical_h_marking(g1)
-        for seq in ([1, 2], [1, 2, 3], [2, 3, 4], [1, 4, 5], [4, 2, 3],
-                    [1, 2, 4], [1, 3, 5]):
+        for seq in G1_CLOSED:
             path = apply_path(g1, seq)
             assert path.is_closed()
             t = induced_k_automorphism(path, m)
             assert t[0][0] * t[1][1] - t[0][1] * t[1][0] == 1, seq
+
+
+    @staticmethod
+    def span(values):
+        """The Smith rank and invariants of the lattice the values span."""
+        res = intlinalg.smith(intlinalg.transpose([v.coords for v in values]))
+        return res.rank, res.invariants
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_walks_keep_the_span_of_the_values(self, genus):
+        # the first half of _induced_matrix's proof: the start values, the
+        # end values and both together span one lattice L.  With L inside
+        # the span of both, equal rank and invariants make them equal.
+        rng = random.Random("span/%d" % genus)
+        graph = random_graph(genus, rng)
+        for rank in range(1, 2 * genus + 1):
+            onto = random_coherent_marking(graph, rank, rng)
+            halved = random_gl(rank, rng)  # determinant +-2: index 2
+            halved[0] = [2 * x for x in halved[0]]
+            for start, top in ((onto, 1), (onto.transform(halved), 2)):
+                path = random_flip_path(graph, 3 * genus + 6, rng)
+                end = propagate_path(start, path.steps)
+                ends = [start.values.values(), end.values.values()]
+                spans = [self.span(v) for v in ends + [[*ends[0], *ends[1]]]]
+                assert spans[0] == spans[1] == spans[2]
+                assert spans[0][0] == rank and spans[0][1][-1] == top
+
+    def closed_loops(self, g1):
+        """Relation loops at random graphs of genus 1 to 3, the g1 closed
+        sequences, and compose_closed products of both."""
+        rng = random.Random("loops")
+        for genus in (1, 2, 3):
+            graph = random_graph(genus, rng)
+            loops = [involution_pair(graph, e)
+                     for e in rng.sample(flippable_edges(graph), 2)]
+            loops += [pentagon_path(graph, *p) for p in
+                      rng.sample(adjacent_flippable_pairs(graph), 2)]
+            loops += [commuting_loop(graph, *p) for p in
+                      disjoint_flippable_pairs(graph)[:2]]
+            loops.append(compose_closed(loops[0], loops[-1]))
+            yield from ((graph, loop) for loop in loops)
+        g1_loops = [apply_path(g1, seq) for seq in G1_CLOSED]
+        yield from ((g1, loop) for loop in g1_loops)
+        for p, q in zip(g1_loops, g1_loops[1:] + g1_loops[:1]):
+            yield g1, compose_closed(p, q)
+
+    def test_induced_matrix_is_unimodular(self, g1):
+        # the theorem of _induced_matrix's docstring, for markings of a
+        # random rank and of full rank 2g.  Below 2g a loop's map need
+        # not keep the kernel of the marking, and then no T exists
+        rng = random.Random("unimodular")
+        outcomes = collections.Counter()
+        for graph, loop in self.closed_loops(g1):
+            full = 2 * graph.genus()
+            for rank in (rng.randint(1, full), full):
+                marking = random_coherent_marking(graph, rank, rng)
+                try:
+                    t = induced_k_automorphism(loop, marking)
+                except InducedAutomorphismError as err:
+                    assert rank < full and str(err) == (
+                        "end marking is not an integer transform of the "
+                        "start marking")
+                    outcomes["none"] += 1
+                    continue
+                assert intlinalg.is_unimodular(t)
+                outcomes["moved" if t != identity(rank) else "fixed"] += 1
+        assert outcomes["moved"] >= 10 and outcomes["fixed"] >= 30, outcomes
+
+    def test_one_smith_per_closed_path(self, g1, monkeypatch):
+        rng = random.Random("count")
+        calls = []
+        smith = intlinalg.smith
+
+        def counted(a):
+            calls.append(a)
+            return smith(a)
+        monkeypatch.setattr(intlinalg, "smith", counted)
+        for graph, loop in self.closed_loops(g1):
+            marking = random_coherent_marking(graph, 2 * graph.genus(), rng)
+            calls.clear()
+            induced_k_automorphism(loop, marking)
+            assert len(calls) == 1
 
 
 class TestCocycleCondition:

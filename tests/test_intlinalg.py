@@ -6,8 +6,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from fatflip import intlinalg as la
-from fatflip.markings import (_basis_pairing, canonical_h_marking,
-                              check_marking)
+from fatflip.markings import canonical_h_marking, check_marking
 from fatflip.randgen import random_graph
 
 
@@ -497,7 +496,7 @@ def conjugated_standard_forms():
 
 
 def graph_block(genus):
-    return _basis_pairing(random_graph(genus, random.Random(genus)))[1]
+    return random_graph(genus, random.Random(genus))._pairing_block()
 
 
 def random_skew_form(rng):

@@ -10,14 +10,14 @@ import pytest
 
 from fatflip import intlinalg
 from fatflip.abelian import KElement, RankMismatchError
-from fatflip.fatgraph import (BoundaryNumberError, FatGraph, OrientedEdge,
-                              _decode, _pattern, canonical_iso, oe)
+from fatflip.fatgraph import (BoundaryNumberError, DisconnectedGraphError,
+                              FatGraph, OrientedEdge, _decode, _pattern,
+                              canonical_iso, oe)
 from fatflip.flips import flip, flippable_edges, involution_pair
 from fatflip.graphio import parse_graph
 from fatflip.markings import (CoherenceError, InversionError, Marking,
                               MarkingDomainError, MarkingError,
-                              PairingError, SurjectivityError, SymplecticForm,
-                              _basis_pairing, _SpanningTree,
+                              SurjectivityError, SymplecticForm, _fill,
                               canonical_h_marking, check_marking,
                               is_topological_h, propagate, propagate_path)
 from fatflip.randgen import (random_coherent_marking, random_flip_path,
@@ -530,12 +530,13 @@ class TestCanonicalHMarking:
         # records' genus 8
         graph = random_graph(genus, random.Random("dense/%d" % genus))
         marking, _ = canonical_h_marking(graph)
-        tree, pair_m = _basis_pairing(graph)
+        pair_m = graph._pairing_block()
         s = intlinalg.symplectic_basis(pair_m)
         j = intlinalg.standard_symplectic(genus)
         want = intlinalg.mat_mul(intlinalg.transpose(pair_m),
                                  intlinalg.mat_mul(s, j))
-        assert [list(marking.values[x].coords) for x in tree.basis] == want
+        assert [list(marking.values[x].coords)
+                for x in graph._spanning_tree()[1]] == want
 
 
 def cokernel_classes(graph):
@@ -572,10 +573,9 @@ class TestSpanningTree:
 
     def test_classes_match_cokernel(self, three_boundary):
         for graph in self.graphs() + [three_boundary]:
-            tree = _SpanningTree(graph)
-            n = len(tree.basis)
+            n = len(graph._spanning_tree()[1])
             assert n == graph.num_edges - graph.num_vertices + 1
-            filled = tree.fill(n, intlinalg.identity(n)).values
+            filled = _fill(graph, n, intlinalg.identity(n)).values
             assert sorted(filled) == graph.edge_ids()
             ours = [list(filled[x].coords) for x in graph.edge_ids()]
             theirs, invariants = cokernel_classes(graph)
@@ -594,20 +594,32 @@ class TestSpanningTree:
             [oe(0, 1), oe(1, 1), oe(1, -1)],
             [oe(2, 1), oe(2, -1), oe(3, 1), oe(3, -1)],
         ], oe(0, 1))
-        with pytest.raises(PairingError) as err:
+        with pytest.raises(DisconnectedGraphError) as err:
             random_coherent_marking(graph, 1, random.Random(0))
-        assert str(err.value) == ("spanning tree from the tail vertex "
-                                  "reaches 2 of 3 vertices")
+        assert str(err.value) == "only 2 of 3 vertices reachable"
+
+    @pytest.mark.parametrize("call", [
+        lambda graph, marking, form: canonical_h_marking(graph),
+        is_topological_h,
+    ], ids=["canonical_h_marking", "is_topological_h"])
+    def test_homology_marking_needs_a_connected_graph(self, g1, call):
+        # g1 and a loop on a second component: the tail's component has
+        # one boundary cycle, the graph three
+        graph = FatGraph(g1.vertices + ((oe(9, 1), oe(9, -1)),), g1.tail)
+        marking, form = canonical_h_marking(g1)
+        with pytest.raises(BoundaryNumberError) as err:
+            call(graph, marking, form)
+        assert str(err.value) == ("boundary order needs boundary number 1, "
+                                  "got 3")
 
     def test_filled_marking_is_coherent(self, three_boundary):
         rng = random.Random(36)
         for graph in self.graphs()[:10] + [three_boundary]:
-            tree = _SpanningTree(graph)
-            n = len(tree.basis)
-            values = [[rng.randint(-3, 3) for _ in range(n)]
-                      for _ in tree.basis]
-            filled = tree.fill(n, values).values
-            for x, v in zip(tree.basis, values):
+            basis = graph._spanning_tree()[1]
+            n = len(basis)
+            values = [[rng.randint(-3, 3) for _ in range(n)] for _ in basis]
+            filled = _fill(graph, n, values).values
+            for x, v in zip(basis, values):
                 assert list(filled[x].coords) == v
             marking = Marking(n, {oe(x, 1): k for x, k in filled.items()})
             for v in graph.vertices:
@@ -640,19 +652,19 @@ def dense_coherence(graph, marking):
 
 def dense_is_topological_h(graph, marking, form):
     """is_topological_h on the dense sums, for markings of rank 2g."""
-    tree, want = _basis_pairing(graph)
+    want = graph._pairing_block()
     if any(map(any, dense_vertex_sums(graph, marking))):
         return False
-    return form.gram([marking.values[x] for x in tree.basis]) == list(
-        map(list, want))
+    return form.gram([marking.values[x] for x in graph._spanning_tree()[1]]
+                     ) == list(map(list, want))
 
 
-def dense_fill(tree, rank, basis_values):
-    """_SpanningTree.fill with a dense accumulator re-listed per term."""
-    values = {x: KElement._of(tuple(v))
-              for x, v in zip(tree.basis, basis_values)}
-    rows, vert = tree.graph._rows, tree.graph._index()[1]
-    for h in reversed(tree.links):
+def dense_fill(graph, rank, basis_values):
+    """_fill with a dense accumulator re-listed per term."""
+    links, basis = graph._spanning_tree()
+    values = {x: KElement._of(tuple(v)) for x, v in zip(basis, basis_values)}
+    rows, vert = graph._rows, graph._index()[1]
+    for h in reversed(links):
         acc = [0] * rank
         for c in rows[vert[h]]:
             if c != h:  # c's value enters with sign -h.sign * c.sign
@@ -747,19 +759,18 @@ class TestCoherenceChain:
     def test_fill_matches_dense_fill(self):
         rng = random.Random(53)
         for graph in chain_graphs(rng):
-            tree = _SpanningTree(graph)
-            n = len(tree.basis)
+            n = len(graph._spanning_tree()[1])
             for rank in (1, n):
                 # a unimodular basis block gives a surjective marking
                 spread = intlinalg.transpose(random_gl(n, rng)[:rank])
                 small = [[rng.randint(-3, 3) for _ in range(rank)]
-                         for _ in tree.basis]
+                         for _ in range(n)]
                 for values in (spread, small):
-                    filled = tree.fill(rank, values)
-                    assert filled == dense_fill(tree, rank, values)
+                    filled = _fill(graph, rank, values)
+                    assert filled == dense_fill(graph, rank, values)
                     assert not any(map(any, dense_vertex_sums(graph,
                                                               filled)))
-                check_marking(graph, tree.fill(rank, spread))
+                check_marking(graph, _fill(graph, rank, spread))
 
 
 def dense_basis_values(pair_m, s):
@@ -870,7 +881,7 @@ class TestKeptTailData:
             obj = todo.pop()
             if id(obj) not in seen:
                 seen.add(id(obj))
-                assert not isinstance(obj, (FatGraph, _SpanningTree))
+                assert not isinstance(obj, FatGraph)
                 todo += gc.get_referents(obj)
         assert id(graph._pairing[0]) in seen  # it reached P's rows
 
@@ -878,6 +889,7 @@ class TestKeptTailData:
     def test_basis_values_match_dense_swap(self, genus):
         graph = random_graph(genus, random.Random("swap/%d" % genus))
         marking, _ = canonical_h_marking(graph)
-        tree, pair_m = _basis_pairing(graph)
+        pair_m = graph._pairing_block()
         want = dense_basis_values(pair_m, intlinalg.symplectic_basis(pair_m))
-        assert [list(marking.values[x].coords) for x in tree.basis] == want
+        assert [list(marking.values[x].coords)
+                for x in graph._spanning_tree()[1]] == want
