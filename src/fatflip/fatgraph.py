@@ -164,10 +164,10 @@ class FatGraph:
 
     The half-edge index maps each code to the next code in the cyclic
     order at its head (``_succ``) and to that vertex (``_vert``).  The
-    checked constructor builds it; :func:`flips.flip` copies its
-    parent's and rewrites six entries; a canonical form from
-    :meth:`canonicalize` holds only its rows and builds the index on
-    first use, since a flip-graph search drops most of them unread.
+    checked constructor builds it; a flip or a flip path in ``flips``
+    copies its start graph's once and rewrites six entries per flip; a
+    canonical form holds only its rows and builds the index on first
+    use, since a flip-graph search drops most of them unread.
     The boundary number is counted once per graph and kept, and so are
     two walks from the tail: the breadth-first tail tree
     (:meth:`_spanning_tree`) and the pairing block of the edges off it
@@ -181,9 +181,9 @@ class FatGraph:
     Connectivity and the valence rules are checked separately by
     :meth:`validate`, so that degenerate graphs such as trees can still
     be built and measured.  The internal constructor :meth:`_from_codes`
-    skips the structural checks; only :func:`flips.flip`,
-    :meth:`canonicalize` and ``flipgraph`` use it, on canonical or
-    flipped rows that are valid by construction.
+    skips the structural checks; only ``flips`` (at the end of a flip or
+    a flip path), :meth:`canonicalize` and ``flipgraph`` use it, on
+    canonical or flipped rows that are valid by construction.
     """
 
     __slots__ = ("_rows", "_tail", "_fresh", "_succ", "_vert",

@@ -21,8 +21,10 @@ n + 2].
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from .fatgraph import (CorruptedStructureError, FatGraph, FatGraphError,
                        OrientedEdge, _code, _decode, canonical_iso)
@@ -30,6 +32,8 @@ from .fatgraph import (CorruptedStructureError, FatGraph, FatGraphError,
 # an edge argument: an int id, standing for its + orientation, or an
 # (edge, sign) pair of ints; anything else names no edge and raises
 EdgeLike = Union[int, OrientedEdge]
+# a graph's rows and its index (successor, vertex), flipped in place
+_State = Tuple[List[Tuple[int, ...]], Dict[int, int], Dict[int, int]]
 
 
 class FlipError(FatGraphError):
@@ -86,10 +90,10 @@ class FlipPath:
         return True
 
 
-def _edge_code(graph: FatGraph, e: EdgeLike) -> int:
-    """The code of edge argument e; FlipError unless it is in graph."""
+def _edge_code(vert: Mapping[int, int], e: EdgeLike) -> int:
+    """The code of edge argument e; FlipError unless ``vert`` holds it."""
     c = 2 * e if type(e) is int and e >= 0 else _code(e)
-    if c not in graph._index()[1]:
+    if c not in vert:
         raise FlipError("no edge %s" % (_decode(c) if c >= 0 else repr(e),))
     return c
 
@@ -103,14 +107,19 @@ def flippable(graph: FatGraph, e: EdgeLike) -> bool:
     return True
 
 
+def _flippable(rows: Sequence[Tuple[int, ...]], vert: Mapping[int, int],
+               tail: int, c: int) -> bool:
+    """Is edge c>>1 not the tail, with two distinct trivalent ends?"""
+    v, w = vert[c], vert[c ^ 1]
+    return (c >> 1 != tail >> 1 and v != w and len(rows[v]) == 3
+            and len(rows[w]) == 3)
+
+
 def flippable_edges(graph: FatGraph) -> List[int]:
     """The flippable edge ids, increasing, from one pass over the index."""
-    tri = [len(row) == 3 for row in graph._rows]
-    vert = graph._index()[1]
-    tail = graph._tail >> 1
-    return sorted(c >> 1 for c, v in vert.items()
-                  if not c & 1 and tri[v] and c >> 1 != tail
-                  and v != vert[c ^ 1] and tri[vert[c ^ 1]])
+    rows, vert, tail = graph._rows, graph._index()[1], graph._tail
+    return sorted(c >> 1 for c in vert
+                  if not c & 1 and _flippable(rows, vert, tail, c))
 
 
 def fresh_edge_id(graph: FatGraph) -> int:
@@ -118,58 +127,86 @@ def fresh_edge_id(graph: FatGraph) -> int:
     return graph._fresh
 
 
-def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
-    """Flip along e, returning the new graph and the move record."""
-    h = _edge_code(graph, e)
-    x = h >> 1
-    old_succ, old_vert = graph._index()
-    if x == graph._tail >> 1:
+def _flip_codes(state: _State, tail: int, fresh: int,
+                e: EdgeLike) -> FlipContext:
+    """Flip along e in place, giving the new edge the id ``fresh``; the
+    one copy of the flip rule.  A FlipError leaves ``state`` as it was."""
+    rows, succ, vert = state
+    h = _edge_code(vert, e)
+    x, v, w = h >> 1, vert[h], vert[h ^ 1]
+    if x == tail >> 1:
         raise FlipError("cannot flip the tail edge")
-    v, w = old_vert[h], old_vert[h ^ 1]
     if v == w:
         raise FlipError("edge %d is a loop" % x)
-    rows = list(graph._rows)
     if len(rows[v]) != 3 or len(rows[w]) != 3:
         raise FlipError("endpoints of edge %d are not both trivalent" % x)
-
-    a = old_succ[h]
-    b = old_succ[a]
-    c = old_succ[h ^ 1]
-    d = old_succ[c]
-    fresh = graph._fresh
+    a, c = succ[h], succ[h ^ 1]
+    b, d = succ[a], succ[c]
     n = 2 * fresh
+    size = len(succ)
     rows[v] = (n, b, c)
     rows[w] = (n + 1, d, a)
-    # only the six half-edges at v and w move; e and ~e give way to e', ~e'.
-    # copy() clones the hash table even after deletions, where dict()
-    # would insert the entries one by one
-    succ, vert = old_succ.copy(), old_vert.copy()
+    # only the six half-edges at v and w move; e and ~e give way to e', ~e'
     del succ[h], succ[h ^ 1], vert[h], vert[h ^ 1]
     succ[n], succ[b], succ[c] = b, c, n
     succ[n + 1], succ[d], succ[a] = d, a, n + 1
     vert[n] = vert[c] = v
     vert[n + 1] = vert[a] = w
-    if len(succ) != len(old_succ):
+    if len(succ) != size:
         raise CorruptedStructureError(
             "flip of edge %d left %d half-edges, expected %d"
-            % (x, len(succ), len(old_succ)))
+            % (x, len(succ), size))
     # tuple.__new__ skips the named tuple's Python-level constructor
-    ctx = tuple.__new__(FlipContext, map(_decode, (h, a, b, c, d, n)))
-    return FatGraph._from_codes(tuple(rows), graph._tail, fresh + 1,
+    return tuple.__new__(FlipContext, map(_decode, (h, a, b, c, d, n)))
+
+
+def _copy(graph: FatGraph) -> _State:
+    """The rows and index of ``graph``, copied to be flipped in place;
+    copy() clones a hash table, where dict() inserts entry by entry."""
+    succ, vert = graph._index()
+    return list(graph._rows), succ.copy(), vert.copy()
+
+
+def flip(graph: FatGraph, e: EdgeLike) -> Tuple[FatGraph, FlipContext]:
+    """Flip along e, returning the new graph and the move record."""
+    rows, succ, vert = state = _copy(graph)
+    ctx = _flip_codes(state, graph._tail, graph._fresh, e)
+    return FatGraph._from_codes(tuple(rows), graph._tail, graph._fresh + 1,
                                 succ, vert), ctx
 
 
-def apply_path(graph: FatGraph, flips: Iterable[EdgeLike]) -> FlipPath:
-    """Flip the listed edges in order; empty input gives the identity path."""
-    cur = graph
-    steps: List[FlipContext] = []
-    for i, e in enumerate(flips):
+def _walk(graph: FatGraph, edge: Callable[[int], EdgeLike], count: int,
+          ids: Optional[List[int]] = None) -> FlipPath:
+    """Flip edge(0), ..., edge(count - 1) in place on one copy of graph.
+    ``ids``, if given, is kept the sorted flippable ids of the graph
+    reached, for ``edge`` to draw from."""
+    rows, succ, vert = state = _copy(graph)
+    tail, fresh, steps = graph._tail, graph._fresh, []
+    for i in range(count):
+        if i and ids is not None:  # no draw follows the last step
+            ctx = steps[-1]
+            # a flip moves only a and c to another vertex, and adds its
+            # new edge, the largest id
+            del ids[bisect_left(ids, ctx.edge.edge)]
+            for y in {ctx.a.edge, ctx.c.edge}:
+                j = bisect_left(ids, y)
+                kept = ids[j:j + 1] == [y]
+                if kept != _flippable(rows, vert, tail, 2 * y):
+                    ids[j:j + kept] = [] if kept else [y]  # drop or insert
+            ids.append(ctx.new_edge.edge)
         try:
-            cur, ctx = flip(cur, e)
+            steps.append(_flip_codes(state, tail, fresh + i, edge(i)))
         except FlipError as err:
             raise PathStepError(i, err) from err
-        steps.append(ctx)
-    return FlipPath(graph, cur, tuple(steps))
+    end = FatGraph._from_codes(tuple(rows), tail, fresh + count, succ, vert)
+    return FlipPath(graph, end if steps else graph, tuple(steps))
+
+
+def apply_path(graph: FatGraph, flips: Iterable[EdgeLike]) -> FlipPath:
+    """Flip the listed edges in order, each in place on one copy of the
+    graph; empty input gives the identity path."""
+    edges = list(flips)
+    return _walk(graph, edges.__getitem__, len(edges))
 
 
 def replay_path(graph: FatGraph, moves: Sequence[Tuple[int, int]],
@@ -184,6 +221,9 @@ def replay_path(graph: FatGraph, moves: Sequence[Tuple[int, int]],
     fresh = fresh_edge_id(graph)
     edges = []
     for k, (flipped, created) in enumerate(moves):
+        if flipped not in translation:
+            raise PathStepError(k, FlipError(
+                "edge %r has no translation" % (flipped,)))
         edges.append(translation[flipped])
         translation[created] = fresh + k
     return apply_path(graph, edges)
@@ -223,10 +263,8 @@ def involution_pair(graph: FatGraph, e: EdgeLike) -> FlipPath:
 
 def commuting_loop(graph: FatGraph, e1: EdgeLike, e2: EdgeLike) -> FlipPath:
     """The length-4 loop flipping two disjoint edges and then undoing both."""
-    x1, x2 = _edge_code(graph, e1) >> 1, _edge_code(graph, e2) >> 1
-    ends1 = set(graph.endpoints(x1))
-    ends2 = set(graph.endpoints(x2))
-    if ends1 & ends2:
+    x1, x2 = (_edge_code(graph._index()[1], e) >> 1 for e in (e1, e2))
+    if set(graph.endpoints(x1)) & set(graph.endpoints(x2)):
         raise FlipError("edges %d and %d share an endpoint" % (x1, x2))
     n = fresh_edge_id(graph)
     path = apply_path(graph, [e1, e2, n, n + 1])
@@ -241,7 +279,7 @@ def pentagon_path(graph: FatGraph, f: EdgeLike, g: EdgeLike) -> FlipPath:
     flip immediately undoes the previous one.  The result is a closed
     loop.
     """
-    x, y = _edge_code(graph, f) >> 1, _edge_code(graph, g) >> 1
+    x, y = (_edge_code(graph._index()[1], e) >> 1 for e in (f, g))
     if x == y:
         raise FlipError("pentagon needs two distinct edges")
     shared = set(graph.endpoints(x)) & set(graph.endpoints(y))

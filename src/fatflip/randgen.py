@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import intlinalg
 from .fatgraph import FatGraph, OrientedEdge
-from .flips import FlipPath, flip, flippable_edges
+from .flips import FlipError, FlipPath, _walk, flippable_edges
 from .markings import Marking, _fill
 
 Rng = random.Random
@@ -68,12 +68,10 @@ def standard_surface_graph(genus: int,
 
 def random_flip_path(graph: FatGraph, steps: int, rng: Rng) -> FlipPath:
     """Flip an edge drawn from the graph reached, ``steps`` times."""
-    cur = graph
-    ctxs = []
-    for _ in range(steps):
-        cur, ctx = flip(cur, rng.choice(flippable_edges(cur)))
-        ctxs.append(ctx)
-    return FlipPath(graph, cur, tuple(ctxs))
+    ids = flippable_edges(graph)
+    if steps > 0 and not ids:
+        raise FlipError("the graph has no flippable edge")
+    return _walk(graph, lambda i: rng.choice(ids), steps, ids)
 
 
 def random_graph(genus: int, rng: Rng, *, extra_flips: int = 6) -> FatGraph:

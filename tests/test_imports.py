@@ -85,6 +85,20 @@ def test_only_fatgraph_walks_a_boundary_cycle():
     assert not found
 
 
+def test_only_fatgraph_flips_and_flipgraph_build_from_codes():
+    # FatGraph._from_codes skips the structural checks, so only the modules
+    # whose rows are valid by construction reach it: canonical forms, the
+    # end of a flip or a flip path, and flipgraph's new classes; randgen
+    # reaches the flip core through flips
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items()
+             if name not in ("fatgraph", "flips", "flipgraph")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr == "_from_codes"]
+    assert not found
+
+
 def test_only_fatgraph_stores_what_a_graph_keeps():
     # the boundary number, the tail tree and the pairing block are filled
     # in by FatGraph's own methods, never from outside
