@@ -134,18 +134,8 @@ def induced_k_automorphism(path: FlipPath, marking: Marking) -> intlinalg.Matrix
     the canonical isomorphism psi, and is invertible over Z.  T is the
     identity exactly when the path preserves the marking.
     """
-    return _induced_matrix(path.start, _closing_iso(path), marking,
+    return _induced_matrix(path.start, path.closing_iso(), marking,
                            propagate_path(marking, path.steps))
-
-
-def _closing_iso(path: FlipPath) -> Dict[OrientedEdge, OrientedEdge]:
-    """The canonical isomorphism from the start of a closed path to its
-    end; ClosureError if the path does not close."""
-    try:
-        return canonical_iso(path.start, path.end)
-    except FatGraphError as err:
-        raise ClosureError(
-            "path does not return to its starting graph") from err
 
 
 def _induced_matrix(start: FatGraph, psi: Dict, marking: Marking,
@@ -212,7 +202,7 @@ def verify_cocycle_condition(path1: FlipPath, path2: FlipPath,
     total_comp, _ = path_sum(composite, marking, which)
     total1, end1 = path_sum(path1, marking, which)
     total2, _ = path_sum(path2, marking, which)
-    t1 = _induced_matrix(path1.start, _closing_iso(path1), marking, end1)
+    t1 = _induced_matrix(path1.start, path1.closing_iso(), marking, end1)
     expected = total1 + total2.transform(t1)
     if total_comp != expected:
         raise CocycleConditionError(which, total_comp, expected)

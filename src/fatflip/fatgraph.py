@@ -380,11 +380,11 @@ class FatGraph:
     def genus(self) -> int:
         """Genus of the thickened surface, via 2 - 2g - b = V - E; a
         disconnected graph raises DisconnectedGraphError."""
+        self._check_connected()
         twice = 2 - self.boundary_number() - self.num_vertices + self.num_edges
         if twice < 0 or twice % 2:
             raise CorruptedStructureError(
                 "Euler characteristic gives 2g = %d" % twice)
-        self._check_connected()
         return twice // 2
 
     def _tail_cycle(self) -> List[int]:

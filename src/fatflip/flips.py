@@ -81,11 +81,20 @@ class FlipPath:
     def __len__(self) -> int:
         return len(self.steps)
 
+    def closing_iso(self) -> Dict[OrientedEdge, OrientedEdge]:
+        """The canonical isomorphism from the start graph to the end
+        graph; ClosureError if the path does not close."""
+        try:
+            return canonical_iso(self.start, self.end)
+        except FatGraphError as err:
+            raise ClosureError(
+                "path does not return to its starting graph") from err
+
     def is_closed(self) -> bool:
         """Is the end graph isomorphic rel tail to the start graph?"""
         try:
-            canonical_iso(self.start, self.end)
-        except FatGraphError:
+            self.closing_iso()
+        except ClosureError:
             return False
         return True
 
@@ -99,12 +108,13 @@ def _edge_code(vert: Mapping[int, int], e: EdgeLike) -> int:
 
 
 def flippable(graph: FatGraph, e: EdgeLike) -> bool:
-    """Does ``flip(graph, e)`` succeed?  It tries the flip, so O(E)."""
+    """Does ``flip(graph, e)`` succeed?  Read from the index in O(1)."""
+    vert = graph._index()[1]
     try:
-        flip(graph, e)
+        c = _edge_code(vert, e)
     except FlipError:
         return False
-    return True
+    return _flippable(graph._rows, vert, graph._tail, c)
 
 
 def _flippable(rows: Sequence[Tuple[int, ...]], vert: Mapping[int, int],

@@ -1,16 +1,17 @@
 """Seeded generators of valid test inputs.
 
 Graphs are grown from the one-vertex rose of a genus-g surface: attach
-the tail, split high-valence vertices until everything away from the
-tail vertex is trivalent (none of which changes the boundary count or
-the genus), then shuffle with random flips.  Coherent markings put the
-columns of a random integer matrix on the edges off a spanning tree and
-fill in the tree edges by coherence, so the axioms hold by construction.
+the tail, peel trivalent vertices off the rose's one vertex until it is
+trivalent too (no split changes the boundary count or the genus), then
+shuffle with random flips.  Coherent markings put the columns of a
+random integer matrix on the edges off a spanning tree and fill in the
+tree edges by coherence, so the axioms hold by construction.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import List, Optional
 
 from . import intlinalg
@@ -35,31 +36,25 @@ def standard_surface_graph(genus: int,
                            rng: Optional[Rng] = None) -> FatGraph:
     """A trivalent tailed fatgraph of the given genus with one boundary.
 
-    Deterministic without an rng; with one, the vertex splittings are
-    randomized (the resulting graph is still valid by construction).
+    The rose's one vertex is peeled: each split leaves a trivalent row
+    and the rest, the only vertex above valence 3, to split next.
+    Deterministic without an rng; with one, each split starts at a
+    random half-edge of the rest (the graph is still valid).
     """
     if genus < 1:
         raise ValueError("genus must be at least 1")
-    verts: List[List[OrientedEdge]] = [
-        [OrientedEdge(0, -1)],
-        [OrientedEdge(0, 1)] + rose_vertices(genus),
-    ]
-    next_id = 2 * genus + 1
+    rows = [[OrientedEdge(0, -1)]]
+    rest = deque([OrientedEdge(0, 1)] + rose_vertices(genus))
     # split until trivalent: (h1, ..., hk) -> (h1, h2, n) + (~n, h3, ..., hk)
-    while True:
-        big = [i for i, v in enumerate(verts) if len(v) > 3]
-        if not big:
-            break
-        vi = rng.choice(big) if rng else big[0]
-        v = verts[vi]
+    for x in range(2 * genus + 1, 6 * genus - 1):
         if rng:
-            cut = rng.randrange(len(v))
-            v = v[cut:] + v[:cut]
-        n = OrientedEdge(next_id, 1)
-        next_id += 1
-        verts[vi] = [v[0], v[1], n]
-        verts.insert(vi + 1, [n.rev] + list(v[2:]))
-    graph = FatGraph(verts, OrientedEdge(0, 1))
+            # pick the vertex to split among the one there is: the draw
+            # is part of every seeded stream, so seeds keep their graphs
+            rng.randrange(1)
+            rest.rotate(-rng.randrange(len(rest)))
+        rows.append([rest.popleft(), rest.popleft(), OrientedEdge(x, 1)])
+        rest.appendleft(OrientedEdge(x, -1))
+    graph = FatGraph(rows + [list(rest)], OrientedEdge(0, 1))
     graph.validate()
     if graph.boundary_number() != 1 or graph.genus() != genus:
         raise AssertionError("rose construction produced a wrong surface")

@@ -20,10 +20,10 @@ from typing import Callable, List, Optional
 from . import intlinalg
 from .abelian import KElement
 from .cocycles import COCYCLES, path_sums
-from .fatgraph import FatGraph, FatGraphError, canonical_iso
-from .flips import (FlipPath, adjacent_flippable_pairs, commuting_loop,
-                    disjoint_flippable_pairs, flippable_edges,
-                    involution_pair, pentagon_path)
+from .fatgraph import FatGraph
+from .flips import (ClosureError, FlipPath, adjacent_flippable_pairs,
+                    commuting_loop, disjoint_flippable_pairs,
+                    flippable_edges, involution_pair, pentagon_path)
 from .markings import (Marking, MarkingError, SymplecticForm,
                        canonical_h_marking, check_marking, is_topological_h,
                        propagate_path)
@@ -70,13 +70,13 @@ def random_relation_loops(graph: FatGraph,
 
 
 def check_relation_loop(loop: FlipPath, marking: Marking) -> None:
-    """The loop closes, the marking comes back under ``canonical_iso``
+    """The loop closes, the marking comes back under ``closing_iso``
     and the m, j and s totals vanish, from one walk.  So T = 1 on K with
     no solve: T * mu(e) = mu_end(psi(e)) on every edge defines T, the
     return gives mu_end(psi(e)) = mu(e), and the values span Z^r."""
     try:
-        psi = canonical_iso(loop.start, loop.end)
-    except FatGraphError:
+        psi = loop.closing_iso()
+    except ClosureError:
         raise SelfTestFailure("relation loop did not close") from None
     totals, m_end = path_sums(loop, marking)
     _check(all(m_end.value(psi[e]) == marking.value(e)

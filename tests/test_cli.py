@@ -208,6 +208,16 @@ class TestBasics:
         assert (status, out) == (1, "")
         assert err == "fatflip: only 4 of 6 vertices reachable\n"
 
+    def test_info_names_a_planar_extra_component(self, capsys, tmp_path):
+        # the loose edge 1 reads 2g = -2 by Euler; the refusal names the
+        # disconnection instead
+        p = tmp_path / "loose.fg"
+        p.write_text("fatgraph v1\nvertex 0: 0-\nvertex 1: 0+\n"
+                     "vertex 2: 1+\nvertex 3: 1-\ntail 0+\n")
+        status, out, err = run(capsys, "info", str(p))
+        assert (status, out) == (1, "")
+        assert err == "fatflip: only 2 of 4 vertices reachable\n"
+
 
 class TestFlipAndPaths:
     def test_flip_round_trips(self, capsys, g1_path, tmp_path):

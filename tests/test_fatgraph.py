@@ -329,14 +329,20 @@ class TestBoundary:
         assert len(walks) == 1
 
     def test_genus_bookkeeping_error_on_disconnected(self):
-        from fatflip.fatgraph import CorruptedStructureError
-        g = FatGraph([
+        # planar extra components read 2g < 0 by Euler: connectivity is
+        # checked first, so the error names what is wrong
+        three = FatGraph([
             [oe(0, -1)],
             [oe(0, 1), oe(1, 1), oe(1, -1)],
             [oe(2, 1), oe(2, -1), oe(3, 1), oe(3, -1)],
         ], oe(0, 1))
-        with pytest.raises(CorruptedStructureError):
-            g.genus()
+        four = FatGraph([[oe(0, -1)], [oe(0, 1)], [oe(1, 1)], [oe(1, -1)]],
+                        oe(0, 1))
+        for g, message in ((three, "only 2 of 3 vertices reachable"),
+                           (four, "only 2 of 4 vertices reachable")):
+            with pytest.raises(DisconnectedGraphError) as err:
+                g.genus()
+            assert str(err.value) == message
 
     def test_genus_of_a_disconnected_graph_is_refused(self, g1):
         # a genus-1 theta beside g1: 2 - b - V + E = 2 would read genus 1

@@ -4,10 +4,11 @@ from math import factorial
 
 import pytest
 
+from fatflip import flips
 from fatflip.fatgraph import FatGraph, OrientedEdge, canonical_iso, oe
 from fatflip.flipgraph import expand
-from fatflip.flips import (FlipContext, FlipError, PathStepError,
-                           adjacent_flippable_pairs, apply_path,
+from fatflip.flips import (ClosureError, FlipContext, FlipError,
+                           PathStepError, adjacent_flippable_pairs, apply_path,
                            commuting_loop, disjoint_flippable_pairs, flip,
                            flippable, flippable_edges, fresh_edge_id,
                            involution_pair, pentagon_path, reverse_path)
@@ -89,6 +90,18 @@ class TestFlip:
         for bad in NOT_EDGES:
             assert flippable(graphs[0], bad) is False
 
+    def test_flippable_copies_nothing(self, monkeypatch):
+        # the answer is read off the index: no flip is tried
+        g = random_graph(3, random.Random(3))
+        ids = flippable_edges(g)
+
+        def refuse(graph):
+            raise AssertionError("flippable copied the graph")
+        monkeypatch.setattr(flips, "_copy", refuse)
+        for x in g.edge_ids() + [fresh_edge_id(g)]:
+            assert flippable(g, x) is flippable(g, oe(x, -1)) is (x in ids)
+        assert 0 < len(ids) < len(g.edge_ids())
+
     def test_flip_preserves_shape(self, g1):
         for e in flippable_edges(g1):
             g, ctx = flip(g1, e)
@@ -129,6 +142,16 @@ class TestRelationLoops:
             path = involution_pair(g1, e)
             assert len(path) == 2
             assert path.is_closed()
+
+    def test_closing_iso(self, g1, g2):
+        for path in (involution_pair(g1, 1), pentagon_path(g1, 1, 2),
+                     commuting_loop(g2, *disjoint_flippable_pairs(g2)[0])):
+            assert path.closing_iso() == canonical_iso(path.start, path.end)
+        open_path = apply_path(g2, [disjoint_flippable_pairs(g2)[0][0]])
+        assert not open_path.is_closed()
+        with pytest.raises(ClosureError) as err:
+            open_path.closing_iso()
+        assert str(err.value) == "path does not return to its starting graph"
 
     def test_involution_unoriented_correspondence(self, g1):
         path = involution_pair(g1, 1)
