@@ -20,7 +20,7 @@ All values are immutable after construction; non-integers raise TypeError.
 from __future__ import annotations
 
 import operator
-from itertools import combinations, compress
+from itertools import combinations, compress, filterfalse
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
@@ -162,19 +162,34 @@ def _sparse_columns(matrix: Sequence[Sequence[int]], rank: int) -> list:
 class _SparseTensor:
     """Shared machinery for the sparse wedge/symmetric values.
 
-    Subclasses fix the key domain and give ``_add_term(out, c, key,
-    cols)``, which adds c times the image of one basis key under the
-    linear map whose columns are the KElements ``cols``; keys
-    with coefficient 0 are never stored, which makes coefficient
-    dictionaries canonical.
+    Subclasses fix the key domain, which the constructor checks and
+    ``_of`` does not, and give ``_add_term(out, c, key, cols)``, which
+    adds c times the image of one basis key under the linear map whose
+    columns are the KElements ``cols``; keys with coefficient 0 are
+    never stored, which makes coefficient dictionaries canonical.
     """
 
     __slots__ = ("rank", "coeffs")
+    _width = 2  # a key is an increasing _width-tuple of ints in range(rank)
 
     def __init__(self, rank: int, coeffs: Mapping):
         self.rank = operator.index(rank)
         self.coeffs = {k: c for k, x in coeffs.items()
                        if (c := operator.index(x))}
+        for key in filterfalse(self._is_key, coeffs):  # the first bad key
+            raise ValueError("%r is not a %s key at rank %d"
+                             % (key, type(self).__name__, self.rank))
+
+    @classmethod
+    def _of(cls, rank: int, coeffs: Mapping):  # unchecked; drops zeros
+        t = cls.__new__(cls)
+        t.rank, t.coeffs = rank, {k: c for k, c in coeffs.items() if c}
+        return t
+
+    def _is_key(self, key) -> bool:  # bools are no ints, as in _code
+        return (type(key) is tuple and len(key) == self._width
+                and all(type(i) is int for i in key) and key[-1] < self.rank
+                and 0 <= key[0] and all(map(operator.lt, key, key[1:])))
 
     @classmethod
     def zero(cls, rank: int):
@@ -189,7 +204,7 @@ class _SparseTensor:
         out: Dict[tuple, int] = {}
         for key, c in self.coeffs.items():
             self._add_term(out, c, key, cols)
-        return type(self)(len(matrix), out)
+        return self._of(len(matrix), out)
 
     def _binop(self, other, sign):
         if type(self) is not type(other):
@@ -199,7 +214,7 @@ class _SparseTensor:
         out = dict(self.coeffs)
         for key, x in other.coeffs.items():
             out[key] = out.get(key, 0) + sign * x
-        return type(self)(self.rank, out)
+        return self._of(self.rank, out)
 
     def __add__(self, other):
         return self._binop(other, +1)
@@ -208,11 +223,11 @@ class _SparseTensor:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return type(self)(self.rank, {k: -c for k, c in self.coeffs.items()})
+        return self._of(self.rank, {k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, n: int):
         n = operator.index(n)  # as in KElement.__mul__
-        return type(self)(self.rank, {k: n * c for k, c in self.coeffs.items()})
+        return self._of(self.rank, {k: n * c for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -225,14 +240,8 @@ class _SparseTensor:
                      tuple(sorted(self.coeffs.items()))))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key in sorted(self.coeffs):
-            c = self.coeffs[key]
-            parts.append("%s%d*%s" % ("+" if c > 0 else "-", abs(c),
-                                      self._key_str(key)))
-        return " ".join(parts)
+        return " ".join("%+d*%s" % (c, self._key_str(key))
+                        for key, c in sorted(self.coeffs.items())) or "0"
 
     def __repr__(self) -> str:
         return "%s(%d, %r)" % (type(self).__name__, self.rank, self.coeffs)
@@ -254,6 +263,7 @@ class Wedge3(_SparseTensor):
     """Element of Lambda^3 Z^r; keys are ordered triples (i, j, k)."""
 
     __slots__ = ()
+    _width = 3
 
     def _add_term(self, out, c, key, cols) -> None:
         _add_wedge3(out, c, *[cols[i] for i in key])
@@ -270,6 +280,10 @@ class SymWedge(_SparseTensor):
     """
 
     __slots__ = ()
+
+    def _is_key(self, key) -> bool:
+        return (type(key) is tuple and len(key) == 2
+                and all(map(super()._is_key, key)) and key[0] <= key[1])
 
     def _key_str(self, key) -> str:
         return "(%s)*(%s)" % tuple(map(super()._key_str, key))
@@ -331,18 +345,18 @@ def wedge2(x: KElement, y: KElement) -> Wedge2:
     """The wedge product x ^ y, bilinear and antisymmetric."""
     r, out = _common_rank(x, y), {}
     _add_wedge2(out, 1, x, y)
-    return Wedge2(r, out)
+    return Wedge2._of(r, out)
 
 
 def wedge3(x: KElement, y: KElement, z: KElement) -> Wedge3:
     """The wedge product x ^ y ^ z, trilinear and alternating."""
     r, out = _common_rank(x, y, z), {}
     _add_wedge3(out, 1, x, y, z)
-    return Wedge3(r, out)
+    return Wedge3._of(r, out)
 
 
 def sym_pair(u: Wedge2, v: Wedge2) -> SymWedge:
     """The symmetrized tensor u (x) v + v (x) u in S^2 Lambda^2."""
     r, out = _common_rank(u, v), {}
     _add_sym(out, 1, u.coeffs, v.coeffs)
-    return SymWedge(r, out)
+    return SymWedge._of(r, out)

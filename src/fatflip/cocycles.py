@@ -73,7 +73,7 @@ def _kernel(which: str):
 def _value(which: str, rank: int, terms: Dict) -> CocycleValue:
     if which == "m":
         return KElement._of(tuple(terms.get(i, 0) for i in range(rank)))
-    return _VALUE_TYPES[which](rank, terms)
+    return _VALUE_TYPES[which]._of(rank, terms)
 
 
 def _step_value(walker: _Walker, ctx: FlipContext,

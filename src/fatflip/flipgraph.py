@@ -43,6 +43,17 @@ Conventions (coordinates count from 0):
   distinct rows for T = (h, k) with ``solve_transform``: nothing is
   assumed about k.
 
+The 2-complex.  A cell lists its directed flips (class, canonical edge
+id) in order: [d, d^-1] for each flip d, d^-1 read off the relabeling
+``expand`` makes; [f, g, n, n + 1, n + 2] for each pair of
+``adjacent_flippable_pairs`` and [e1, e2, n, n + 1] for each pair of
+``disjoint_flippable_pairs``, n the class graph's fresh id.  :func:`cells`
+skips a cell that leaves a partial ball; :func:`h1` refuses one.  Its
+generators are the undirected flips, tree flips set to 0, and d is +1
+times its generator if d < d^-1 as pairs, else -1.  The distinct cell
+rows up to sign go to one dense ``smith``: 1,013 over 421 generators at
+genus 2, too few to need elimination on unit pivots first.
+
 Per class the search keeps ints only: the key, in its index, and in a
 :class:`FlipClass` the basis ids, Y0^-1, b^m, b^j and the tree parent
 and edge.  A class's graph and marking live only from its discovery
@@ -53,13 +64,15 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Set, Tuple)
+                    Sequence, Set, Tuple)
 
 from . import intlinalg
 from .abelian import KElement, Wedge3
 from .cocycles import InducedAutomorphismError, path_sums
 from .fatgraph import FatGraph
-from .flips import FlipPath, flip, flippable_edges
+from .flips import (ClosureError, FlipPath, adjacent_flippable_pairs,
+                    disjoint_flippable_pairs, flip, flippable_edges,
+                    fresh_edge_id)
 from .markings import Marking, SymplecticForm, _span, canonical_h_marking
 from .randgen import standard_surface_graph
 
@@ -82,12 +95,13 @@ class FlipClass(NamedTuple):
 
 class Flip(NamedTuple):
     """One directed flip: the canonical id of the flipped edge in its
-    source class, the target class number, the holonomy M_d and the
-    vectors r^m and r^j of its rows.  A flip out of a partial ball has
-    target -1 and None for the rest."""
+    source class, the target class number and the canonical id there of
+    the inverse flip's edge, the holonomy M_d and the vectors r^m and
+    r^j of its rows.  Out of a partial ball: target -1, None the rest."""
 
     edge: int
     target: int
+    inverse: Optional[int]
     holonomy: Optional[intlinalg.Matrix]
     r_m: Optional[Vector]
     r_j: Optional[Vector]
@@ -173,16 +187,17 @@ def expand(genus: int, max_classes: Optional[int] = None
                 c = code[2 * x]
                 nu[c >> 1] = -v if c & 1 else v
             cj = contraction(j).coords
+            inverse = code[2 * ctx.new_edge.edge] >> 1
             target = index.get(key)
             if target is None:
                 if max_classes is not None and len(classes) >= max_classes:
-                    flips.append(Flip(e, -1, None, None, None))
+                    flips.append(Flip(e, -1, None, None, None, None))
                     continue
                 discover(key, FatGraph._from_codes(key, 0, fresh),
                          Marking._of_edges(n, nu),
                          tuple(map(sum, zip(cls.b_m, m.coords))),
                          tuple(map(sum, zip(cls.b_j, cj))), number, e)
-                flips.append(Flip(e, len(classes) - 1,
+                flips.append(Flip(e, len(classes) - 1, inverse,
                                   intlinalg.identity(n), zero, zero))
                 continue
             other = classes[target]
@@ -193,7 +208,7 @@ def expand(genus: int, max_classes: Optional[int] = None
                 raise InducedAutomorphismError(
                     "holonomy of the flip of edge %d at class %d is not "
                     "symplectic" % (e, number))
-            flips.append(Flip(e, target, holonomy,
+            flips.append(Flip(e, target, inverse, holonomy,
                               _loop_sum(cls.b_m, m.coords, holonomy,
                                         other.b_m),
                               _loop_sum(cls.b_j, cj, holonomy, other.b_j)))
@@ -223,3 +238,78 @@ def solve_identity(rows: Iterable[Row]) -> Optional[Vector]:
     t = intlinalg.solve_transform([row[:-1] for row in rows],
                                   [row[-1:] for row in rows])
     return None if t is None else tuple(t[0])
+
+
+class Cell(NamedTuple):
+    """A 2-cell: "involution", "pentagon" or "square", and its directed
+    flips (class number, canonical edge id) in order."""
+
+    kind: str
+    steps: Tuple[Tuple[int, int], ...]
+
+
+def _walk_cell(graph: FatGraph, number: int, edges: Sequence[int],
+               index: Dict[Tuple[Vector, ...], int]):
+    """The steps of the loop flipping ``edges`` from the canonical graph
+    of class ``number``, or None if it leaves the ball."""
+    steps, at, code = [], number, None
+    for x in edges:
+        steps.append((at, x if code is None else code[2 * x] >> 1))
+        graph = flip(graph, x)[0]
+        code, key, _ = graph._canonical_codes()
+        at = index.get(key)
+    if at != number:
+        raise ClosureError("the loop of edges %s at class %d does not close"
+                           % (list(edges), number))
+    return None if any(c is None for c, _ in steps) else tuple(steps)
+
+
+def cells(expansions: Sequence[Expansion]) -> Iterator[Cell]:
+    """The cells at each expanded class: its flips' involution pairs,
+    then its pentagons, then its commuting squares."""
+    index = {ex.graph.canonical_key(): ex.number for ex in expansions}
+    for ex in expansions:
+        yield from (Cell("involution", ((ex.number, f.edge),
+                                        (f.target, f.inverse)))
+                    for f in ex.flips if f.target >= 0)
+        n = fresh_edge_id(ex.graph)
+        for kind, pairs, rest in (
+                ("pentagon", adjacent_flippable_pairs(ex.graph),
+                 (n, n + 1, n + 2)),
+                ("square", disjoint_flippable_pairs(ex.graph), (n, n + 1))):
+            for pair in pairs:
+                steps = _walk_cell(ex.graph, ex.number, pair + rest, index)
+                if steps is not None:
+                    yield Cell(kind, steps)
+
+
+def h1(expansions: Sequence[Expansion], cells: Iterable[Cell]
+       ) -> Tuple[int, Tuple[int, ...]]:
+    """H_1 of the flip 2-complex: its free rank and its torsion
+    invariants > 1.  ValueError on a partial ball."""
+    sign = {}  # directed flip -> (its generator, +-1)
+    for ex in expansions:
+        for f in ex.flips:
+            if f.target < 0:
+                raise ValueError("partial ball: the flip of edge %d at "
+                                 "class %d leaves it" % (f.edge, ex.number))
+            d = ex.number, f.edge
+            rep = min(d, (f.target, f.inverse))
+            sign[d] = rep, 1 if d == rep else -1
+    tree = {sign[ex.cls.parent, ex.cls.edge][0] for ex in expansions
+            if ex.cls.parent >= 0}
+    column = {rep: i for i, rep in
+              enumerate(sorted({rep for rep, _ in sign.values()} - tree))}
+    rows = set()
+    for cell in cells:
+        row = [0] * len(column)
+        for d in cell.steps:
+            rep, s = sign[d]
+            if rep in column:
+                row[column[rep]] += s
+        if any(row):  # up to sign: the first nonzero entry is positive
+            rows.add(tuple(row) if next(filter(None, row)) > 0
+                     else tuple(-x for x in row))
+    # sparsest rows first: smith pivots on the first unit it meets
+    res = intlinalg.smith(sorted(rows, key=lambda row: -row.count(0)))
+    return len(column) - res.rank, tuple(x for x in res.invariants if x > 1)

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -10,10 +11,13 @@ from hypothesis import given, strategies as st
 
 from fatflip.abelian import (KElement, RankMismatchError, SymWedge, Wedge2,
                              Wedge3, _add_wedge2, _add_wedge3, _common_rank,
-                             sym_pair, wedge2, wedge3)
+                             _SparseTensor, sym_pair, wedge2, wedge3)
+from fatflip.cocycles import path_sums
 from fatflip.fatgraph import oe
+from fatflip.flips import adjacent_flippable_pairs, pentagon_path
 from fatflip.intlinalg import mat_mul
-from fatflip.markings import Marking, SymplecticForm
+from fatflip.markings import Marking, SymplecticForm, canonical_h_marking
+from fatflip.randgen import random_flip_path, standard_surface_graph
 
 
 def e(i, rank=4):
@@ -375,13 +379,15 @@ class TestKeptSupport:
             for got, want in ((wedge2(x, y), dense_wedge2(x, y)),
                               (wedge3(x, y, z), dense_wedge3(x, y, z))):
                 assert list(got.coeffs.items()) == list(want.coeffs.items())
-            # the kernels add into what the dict already holds
-            out2, out3 = dict(dense_wedge2(z, y).coeffs), {(0, 1, 2): 7}
+            # the kernels add into what the dict already holds; below
+            # rank 3 Lambda^3 has no key to start from
+            seed3 = {(0, 1, 2): 7} if rank >= 3 else {}
+            out2, out3 = dict(dense_wedge2(z, y).coeffs), dict(seed3)
             _add_wedge2(out2, sign, x, y)
             _add_wedge3(out3, sign, x, y, z)
             assert (Wedge2(rank, out2)
                     == dense_wedge2(z, y) + sign * dense_wedge2(x, y))
-            assert (Wedge3(rank, out3) == Wedge3(rank, {(0, 1, 2): 7})
+            assert (Wedge3(rank, out3) == Wedge3(rank, seed3)
                     + sign * dense_wedge3(x, y, z))
         for v in pool:
             assert v._nz == support(v)
@@ -469,3 +475,51 @@ class TestIntegersOnly:
             Wedge3(3, {(0, 1, 2): 0.0})
         assert Wedge3(4, {(0, 1, 2): 0, (0, 1, 3): True}).coeffs == {
             (0, 1, 3): 1}
+
+
+class TestMalformedKeys:
+    # a key out of order, out of range, of the wrong length or of bools
+    # was stored as given, then read as another key or not read at all
+    @pytest.mark.parametrize("cls, rank, key", [
+        (Wedge2, 2, (1, 0)),
+        (Wedge2, 2, (0, 0)),
+        (Wedge2, 2, (False, True)),
+        (Wedge2, 2, 1),
+        (Wedge3, 3, (2, 1, 0)),
+        (Wedge3, 3, (0, 1, 7)),
+        (Wedge3, 3, (-1, 0, 1)),
+        (Wedge3, 3, (0, 1)),
+        (SymWedge, 3, ((1, 2), (0, 1))),
+        (SymWedge, 3, ((0, 1), (1, 0))),
+        (SymWedge, 3, ((0, 1), 2)),
+        (SymWedge, 3, (0, 1)),
+    ])
+    def test_constructor_refuses_and_names_the_key(self, cls, rank, key):
+        message = r"%s is not a %s key at rank %d" % (
+            re.escape(repr(key)), cls.__name__, rank)
+        for c in (1, 0):  # a zero coefficient does not hide the key
+            with pytest.raises(ValueError, match=message):
+                cls(rank, {key: c})
+
+    def test_internal_values_skip_the_check(self, monkeypatch):
+        # path sums, arithmetic, products and transforms build on keys
+        # valid by construction, so they pass with the check made to fail
+        graph = standard_surface_graph(2)
+        marking, _ = canonical_h_marking(graph)
+        f, g = adjacent_flippable_pairs(graph)[0]
+        (_, j, s), _ = path_sums(random_flip_path(graph, 12, random.Random(1)),
+                                 marking)
+        assert not j.is_zero() and not s.is_zero()
+
+        def refuse(self, key):
+            raise AssertionError("key check reached for %r" % (key,))
+
+        monkeypatch.setattr(_SparseTensor, "_is_key", refuse)
+        monkeypatch.setattr(SymWedge, "_is_key", refuse)
+        sums, _ = path_sums(pentagon_path(graph, f, g), marking)
+        assert all(v.is_zero() for v in sums)
+        t = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        for v in (j, s, wedge2(e(0), e(2)), wedge3(e(0), e(1), e(2)),
+                  sym_pair(wedge2(e(0), e(1)), wedge2(e(2), e(3)))):
+            assert (v + v).transform(t) == v.transform(t) * 2
+            assert -v - v == v * -2 and (v - v).is_zero()

@@ -4,15 +4,18 @@ No test types in h or k: each solves them, and the checks compare one
 computed result with another or with an independent replay.
 """
 
+from collections import Counter
+
 import pytest
 
 from fatflip import cocycles, flipgraph, intlinalg
 from fatflip.cocycles import induced_k_automorphism, path_sums
 from fatflip.fatgraph import canonical_iso, oe
-from fatflip.flips import (FlipPath, adjacent_flippable_pairs, commuting_loop,
-                           concat_paths, disjoint_flippable_pairs, flip,
-                           flippable_edges, involution_pair, pentagon_path,
-                           replay_path, reverse_path)
+from fatflip.flips import (ClosureError, FlipPath, adjacent_flippable_pairs,
+                           commuting_loop, concat_paths,
+                           disjoint_flippable_pairs, flip, flippable_edges,
+                           involution_pair, pentagon_path, replay_path,
+                           reverse_path)
 from fatflip.selftest import check_relation_loop
 
 
@@ -28,6 +31,11 @@ def holds(row, solution):
 @pytest.fixture(scope="module")
 def genus2():
     return list(flipgraph.expand(2))
+
+
+@pytest.fixture(scope="module")
+def cells2(genus2):
+    return list(flipgraph.cells(genus2))
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +76,8 @@ def test_partial_ball_is_closed_under_its_own_flips():
     assert len(targets) == 40 * 16 and -1 in targets
     assert max(targets) == 39
     assert all(f.holonomy is None for ex in expansions for f in ex.flips
+               if f.target < 0)
+    assert all(f.inverse is None for ex in expansions for f in ex.flips
                if f.target < 0)
 
 
@@ -166,3 +176,82 @@ def test_j_read_as_adc_negates_the_factor(monkeypatch, solved2):
     solution = flipgraph.solve_identity(rows_of(flipgraph.expand(2)))
     assert solution[:-1] == solved2[1][:-1]
     assert solution[-1] == -solved2[1][-1]
+
+
+def test_inverse_flip_undoes_the_flip(genus2):
+    keys = [ex.graph.canonical_key() for ex in genus2]
+    inverse = {}
+    for ex in genus2:
+        for f in ex.flips:
+            there = flip(ex.graph, f.edge)[0].canonicalize()[0]
+            assert there.canonical_key() == keys[f.target]
+            assert flip(there, f.inverse)[0].canonical_key() == keys[ex.number]
+            inverse[(ex.number, f.edge)] = (f.target, f.inverse)
+    assert all(inverse[inverse[d]] == d != inverse[d] for d in inverse)
+
+
+def test_cells_per_class_are_the_flips_and_the_pairs(genus2, cells2):
+    count = Counter((c.kind, c.steps[0][0]) for c in cells2)
+    assert len(count) == 3 * len(genus2)
+    for ex in genus2:
+        assert count["involution", ex.number] == len(ex.flips)
+        assert count["pentagon", ex.number] == len(
+            adjacent_flippable_pairs(ex.graph))
+        assert count["square", ex.number] == len(
+            disjoint_flippable_pairs(ex.graph))
+    assert {(c.kind, len(c.steps)) for c in cells2} == {
+        ("involution", 2), ("pentagon", 5), ("square", 4)}
+
+
+def test_holonomy_and_loop_values_close_around_every_cell(genus2, cells2):
+    # the involution pairs give M_d M_{d^-1} = 1 and r_d + M_d r_{d^-1} = 0
+    # on every flip; around a cell d_1 ... d_k the product of the M_{d_i}
+    # is 1 and the sum of M_{d_1} ... M_{d_{i-1}} r_{d_i} is 0
+    flips = {(ex.number, f.edge): f for ex in genus2 for f in ex.flips}
+    one = intlinalg.identity(4)
+    for cell in cells2:
+        product, r_m, r_j = one, (0,) * 4, (0,) * 4
+        for i, d in enumerate(cell.steps):
+            f = flips[d]
+            assert f.target == cell.steps[(i + 1) % len(cell.steps)][0]
+            r_m = tuple(map(sum, zip(r_m, intlinalg.mat_vec(product, f.r_m))))
+            r_j = tuple(map(sum, zip(r_j, intlinalg.mat_vec(product, f.r_j))))
+            product = intlinalg.mat_mul(product, f.holonomy)
+        assert product == one and not any(r_m) and not any(r_j), cell
+
+
+def test_h1_of_the_flip_complex_is_that_of_the_mapping_class_group(
+        genus2, cells2):
+    # the flip 2-complex of tailed graphs has fundamental group
+    # Mod(S_{g,1}) (Bene, Kawazumi & Penner, Adv. Math. 221, 2009), whose
+    # H_1 is Z at g = 1 and Z/10 at g = 2 (Powell, Proc. AMS 68, 1978;
+    # Korkmaz, Turkish J. Math. 26, 2002)
+    genus1 = list(flipgraph.expand(1))
+    cells1 = list(flipgraph.cells(genus1))
+    assert flipgraph.h1(genus1, cells1) == (1, ())
+    assert flipgraph.h1(genus2, cells2) == (0, (10,))
+    # every relation kind is needed: genus 1 has no squares
+    assert flipgraph.h1(genus1, [c for c in cells1
+                                 if c.kind != "pentagon"]) != (1, ())
+    assert flipgraph.h1(genus2, [c for c in cells2
+                                 if c.kind != "square"]) != (0, (10,))
+
+
+def test_cells_of_a_partial_ball_stay_in_it_and_h1_refuses_it():
+    ball = list(flipgraph.expand(3, max_classes=40))
+    with pytest.raises(ValueError, match="partial ball: the flip of edge"):
+        flipgraph.h1(ball, flipgraph.cells(ball))
+    ball = list(flipgraph.expand(2, max_classes=20))
+    cells = list(flipgraph.cells(ball))
+    assert {d[0] for c in cells for d in c.steps} == set(range(20))
+    whole = sum(len(ex.flips) + len(adjacent_flippable_pairs(ex.graph))
+                + len(disjoint_flippable_pairs(ex.graph)) for ex in ball)
+    assert 0 < len(cells) < whole
+
+
+def test_a_cell_walk_that_does_not_close_raises(genus2, monkeypatch):
+    # five flips on two disjoint edges end one flip off the start
+    monkeypatch.setattr(flipgraph, "adjacent_flippable_pairs",
+                        disjoint_flippable_pairs)
+    with pytest.raises(ClosureError, match="at class 0 does not close"):
+        list(flipgraph.cells(genus2[:1]))

@@ -99,6 +99,19 @@ def test_only_fatgraph_flips_and_flipgraph_build_from_codes():
     assert not found
 
 
+def test_only_fatgraph_and_flipgraph_relabel_canonically():
+    # FatGraph._canonical_codes is the one canonical relabeling: fatgraph
+    # builds the canonical form and key on it, and flipgraph reads the
+    # relabeling itself for new classes, inverse flips and cell steps
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items()
+             if name not in ("fatgraph", "flipgraph")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr == "_canonical_codes"]
+    assert not found
+
+
 def test_only_fatgraph_stores_what_a_graph_keeps():
     # the boundary number, the tail tree and the pairing block are filled
     # in by FatGraph's own methods, never from outside
