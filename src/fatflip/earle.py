@@ -10,7 +10,6 @@ pairing.  The reference bounding-pair automorphism evaluates to -2*B2.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Dict, List, Tuple
 
 from . import intlinalg
@@ -129,14 +128,12 @@ def check_d_difference_additive(phi: FreeAutomorphism,
     would be meaningless.
     """
     t_mat = abelianized_matrix(phi, genus)
-    form = SymplecticForm.standard(genus)
-    gram = form.gram([KElement._of(col) for col in zip(*t_mat)])
-    gens = surface_generators(genus)
-    for i, j in product(range(2 * genus), repeat=2):
-        if gram[i][j] != form.matrix[i][j]:
-            raise NotAHomomorphismError(
-                "d-difference is not additive on %s and %s"
-                % (gens[i], gens[j]))
+    pair = SymplecticForm.standard(genus).broken_pair(t_mat)
+    if pair is not None:
+        gens = surface_generators(genus)
+        raise NotAHomomorphismError(
+            "d-difference is not additive on %s and %s"
+            % (gens[pair[0]], gens[pair[1]]))
     return t_mat
 
 
@@ -151,15 +148,12 @@ def h_str(h: KElement) -> str:
 def d_difference_class(phi: FreeAutomorphism, genus: int) -> KElement:
     """The element h of H with h . y = d(phi(y)) - d(y) for all y.
 
-    H = Z^{2g} has the basis (A1, B1, ..., Ag, Bg).  With A_i . B_i = 1
-    the solution is sum_i lambda(b_i) A_i - lambda(a_i) B_i.
+    H = Z^{2g} has the basis (A1, B1, ..., Ag, Bg) and the form J, with
+    A_i . B_i = 1, so h = J lambda: sum_i lambda(b_i) A_i - lambda(a_i) B_i.
     """
     lam = d_differences(phi, genus)
-    coords = []
-    for i in range(1, genus + 1):
-        coords.append(lam["b%d" % i])
-        coords.append(-lam["a%d" % i])
-    return KElement(coords)
+    return KElement(lam[x] for x in surface_generators(genus)).transform(
+        SymplecticForm.standard(genus).matrix)
 
 
 def earle_f(phi: FreeAutomorphism, genus: int, *,
@@ -222,13 +216,5 @@ BP_M_CONTRIBUTIONS: Tuple[Tuple[KElement, ...], ...] = (
 
 def bp_m_phase_sums() -> Tuple[List[KElement], KElement]:
     """Per-phase totals of the bounding-pair m-contributions, plus the sum."""
-    totals = []
-    for phase in BP_M_CONTRIBUTIONS:
-        t = KElement.zero(4)
-        for v in phase:
-            t = t + v
-        totals.append(t)
-    grand = KElement.zero(4)
-    for t in totals:
-        grand = grand + t
-    return totals, grand
+    totals = [sum(phase, KElement.zero(4)) for phase in BP_M_CONTRIBUTIONS]
+    return totals, sum(totals, KElement.zero(4))

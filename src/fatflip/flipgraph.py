@@ -13,7 +13,7 @@ Conventions (coordinates count from 0):
 
 * K = H_1 = Z^{2g} with the form of ``SymplecticForm.standard``:
   omega(e_{2i}, e_{2i+1}) = 1, the form ``canonical_h_marking`` realizes.
-* The contraction C: Lambda^3 K -> K is
+* The contraction C: Lambda^3 K -> K, ``SymplecticForm.contract``, is
   C(x ^ y ^ z) = omega(x, y) z + omega(y, z) x + omega(z, x) y.
 * The gauge rule.  The base class takes ``canonical_h_marking`` and
   b^m = b^j = 0.  A flip d from a class X with marking mu_X carries mu_X
@@ -26,8 +26,8 @@ Conventions (coordinates count from 0):
   edges off Y's tail tree, M_d = X0 Y0^-1.  Those edges span the edge
   classes, and two coherent markings that agree on them agree
   everywhere, so no other edge needs a check.  Y0^-1 = v u comes from
-  one ``smith`` per class, and M_d^T J M_d = J is checked on every
-  flip.  A tree flip has M_d = 1.
+  one ``smith`` per class, and ``SymplecticForm.broken_pair`` checks
+  M_d^T J M_d = J on every flip.  A tree flip has M_d = 1.
 * The row form.  If phi_X = h + b^m_X + k b^j_X is a potential of
   c = m + k C(j), that is c(d) = M_d phi_Y - phi_X on every flip, then
   every flip gives the 2g rows
@@ -47,12 +47,13 @@ The 2-complex.  A cell lists its directed flips (class, canonical edge
 id) in order: [d, d^-1] for each flip d, d^-1 read off the relabeling
 ``expand`` makes; [f, g, n, n + 1, n + 2] for each pair of
 ``adjacent_flippable_pairs`` and [e1, e2, n, n + 1] for each pair of
-``disjoint_flippable_pairs``, n the class graph's fresh id.  :func:`cells`
-skips a cell that leaves a partial ball; :func:`h1` refuses one.  Its
-generators are the undirected flips, tree flips set to 0, and d is +1
-times its generator if d < d^-1 as pairs, else -1.  The distinct cell
-rows up to sign go to one dense ``smith``: 1,013 over 421 generators at
-genus 2, too few to need elimination on unit pivots first.
+``disjoint_flippable_pairs``, n the class graph's fresh id.  Its
+classes are those of the given expansions: :func:`cells` skips a cell
+that leaves them, :func:`h1` refuses a flip that does.  Its generators
+are the undirected flips, tree flips set to 0, and d is +1 times its
+generator if d < d^-1 as pairs, else -1.  The distinct cell rows up to
+sign go to one dense ``smith``: 1,013 over 421 generators at genus 2,
+too few to need elimination on unit pivots first.
 
 Per class the search keeps ints only: the key, in its index, and in a
 :class:`FlipClass` the basis ids, Y0^-1, b^m, b^j and the tree parent
@@ -67,7 +68,6 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from . import intlinalg
-from .abelian import KElement, Wedge3
 from .cocycles import InducedAutomorphismError, path_sums
 from .fatgraph import FatGraph
 from .flips import (ClosureError, FlipPath, adjacent_flippable_pairs,
@@ -119,19 +119,6 @@ class Expansion(NamedTuple):
     flips: List[Flip]
 
 
-def contraction(w: Wedge3) -> KElement:
-    """C(w) for the form omega(e_{2i}, e_{2i+1}) = 1.  On a key
-    i < j < k only omega(e_i, e_j) with j = i + 1, i even, and
-    omega(e_j, e_k) with k = j + 1, j even, can be nonzero."""
-    out = [0] * w.rank
-    for (i, j, k), c in w.coeffs.items():
-        if j == i + 1 and not i & 1:
-            out[k] += c
-        if k == j + 1 and not j & 1:
-            out[i] += c
-    return KElement._of(tuple(out))
-
-
 def _holonomy(nu_basis: List[Vector], y_inv: Tuple[Vector, ...]
               ) -> intlinalg.Matrix:
     """M_d = X0 Y0^-1, from the values of nu on the basis edges."""
@@ -158,7 +145,6 @@ def expand(genus: int, max_classes: Optional[int] = None
     base, _ = standard_surface_graph(genus).canonicalize()
     marking, _ = canonical_h_marking(base)
     form = SymplecticForm.standard(genus)
-    j_form = intlinalg.standard_symplectic(genus)
     zero = (0,) * n
     index: Dict[Tuple[Vector, ...], int] = {}
     classes: List[FlipClass] = []
@@ -186,7 +172,7 @@ def expand(genus: int, max_classes: Optional[int] = None
             for x, v in carried.values.items():
                 c = code[2 * x]
                 nu[c >> 1] = -v if c & 1 else v
-            cj = contraction(j).coords
+            cj = form.contract(j).coords
             inverse = code[2 * ctx.new_edge.edge] >> 1
             target = index.get(key)
             if target is None:
@@ -203,8 +189,7 @@ def expand(genus: int, max_classes: Optional[int] = None
             other = classes[target]
             holonomy = _holonomy([nu[x].coords for x in other.basis],
                                  other.y_inv)
-            if form.gram([KElement._of(col)
-                          for col in zip(*holonomy)]) != j_form:
+            if form.broken_pair(holonomy) is not None:
                 raise InducedAutomorphismError(
                     "holonomy of the flip of edge %d at class %d is not "
                     "symplectic" % (e, number))
@@ -268,10 +253,11 @@ def cells(expansions: Sequence[Expansion]) -> Iterator[Cell]:
     """The cells at each expanded class: its flips' involution pairs,
     then its pentagons, then its commuting squares."""
     index = {ex.graph.canonical_key(): ex.number for ex in expansions}
+    numbers = {ex.number for ex in expansions}
     for ex in expansions:
         yield from (Cell("involution", ((ex.number, f.edge),
                                         (f.target, f.inverse)))
-                    for f in ex.flips if f.target >= 0)
+                    for f in ex.flips if f.target in numbers)
         n = fresh_edge_id(ex.graph)
         for kind, pairs, rest in (
                 ("pentagon", adjacent_flippable_pairs(ex.graph),
@@ -286,11 +272,12 @@ def cells(expansions: Sequence[Expansion]) -> Iterator[Cell]:
 def h1(expansions: Sequence[Expansion], cells: Iterable[Cell]
        ) -> Tuple[int, Tuple[int, ...]]:
     """H_1 of the flip 2-complex: its free rank and its torsion
-    invariants > 1.  ValueError on a partial ball."""
+    invariants > 1.  ValueError on a flip that leaves ``expansions``."""
+    numbers = {ex.number for ex in expansions}
     sign = {}  # directed flip -> (its generator, +-1)
     for ex in expansions:
         for f in ex.flips:
-            if f.target < 0:
+            if f.target not in numbers:
                 raise ValueError("partial ball: the flip of edge %d at "
                                  "class %d leaves it" % (f.edge, ex.number))
             d = ex.number, f.edge

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .abelian import KElement, _sparse_columns
+from .abelian import KElement, Wedge3, _sparse_columns
 from .fatgraph import FatGraph, OrientedEdge, _code, _decode
 from .flips import FlipContext
 
@@ -140,6 +140,31 @@ class SymplecticForm:
         return intlinalg.gram(self._entries, [
             zip(compress(range(n), v.coords), filter(None, v.coords))
             for v in values])
+
+    def contract(self, w: Wedge3) -> KElement:
+        """C(x ^ y ^ z) = (x . y) z + (y . z) x + (z . x) y, key by key."""
+        m, out = self.matrix, [0] * w.rank
+        if w.rank != len(m):
+            raise MarkingError("wedge rank does not match the form")
+        for (i, j, k), c in w.coeffs.items():
+            out[k] += c * m[i][j]
+            out[i] += c * m[j][k]
+            out[j] += c * m[k][i]
+        return KElement._of(tuple(out))
+
+    def broken_pair(self, matrix: Sequence[Sequence[int]]
+                    ) -> Optional[Tuple[int, int]]:
+        """The first (i, j), in row order, where columns i and j of
+        ``matrix`` pair unlike e_i and e_j; None if it keeps the form."""
+        cols = [KElement._of(col) for col in zip(*matrix)]
+        if len(cols) != len(self.matrix):
+            raise MarkingError("matrix size does not match the form")
+        gram = tuple(map(tuple, self.gram(cols)))
+        if gram == self.matrix:  # one comparison on the common path
+            return None
+        for i, (row, want) in enumerate(zip(gram, self.matrix)):
+            if row != want:
+                return i, next(j for j, x in enumerate(row) if x != want[j])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix

@@ -7,9 +7,11 @@ from hypothesis import given, strategies as st
 from fatflip import earle
 from fatflip.abelian import KElement
 from fatflip.earle import (NotAHomomorphismError, bp_m_phase_sums,
-                           check_d_difference_additive, d2, d_differences,
-                           d_surface, earle_f, h_str, morita_normal_form,
+                           check_d_difference_additive, d2,
+                           d_difference_class, d_differences, d_surface,
+                           earle_f, h_str, morita_normal_form,
                            project, reconstruct, reference_bp_automorphism)
+from fatflip.markings import SymplecticForm
 from fatflip.words import (FreeAutomorphism, WordError, commutator, concat,
                            gen, inverse, parse_word, reduce_word,
                            surface_generators, word_str)
@@ -329,6 +331,32 @@ class TestExactAdditivity:
         with pytest.raises(WordError) as err:
             earle_f(FreeAutomorphism(images), 2)
         assert str(err.value) == message
+
+
+class TestDDifferenceClass:
+    @staticmethod
+    def hand_solution(phi, genus):
+        """sum_i lambda(b_i) A_i - lambda(a_i) B_i, written out by hand."""
+        lam = d_differences(phi, genus)
+        return KElement([c for i in range(1, genus + 1)
+                         for c in (lam["b%d" % i], -lam["a%d" % i])])
+
+    def test_matches_the_hand_solution_on_symplectic_maps(self):
+        nonzero = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            genus = 1 + seed % 3
+            phi = _symplectic_map(genus, rng)
+            h = d_difference_class(phi, genus)
+            assert h == self.hand_solution(phi, genus)
+            nonzero += not h.is_zero()
+            # h . e_j = lambda(x_j) under J, A_i . B_i = 1
+            lam = d_differences(phi, genus)
+            form = SymplecticForm.standard(genus)
+            assert [form.pairing(h, KElement.basis(2 * genus, j))
+                    for j in range(2 * genus)] == [
+                        lam[x] for x in surface_generators(genus)]
+        assert nonzero > 6
 
 
 class TestHStr:

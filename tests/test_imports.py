@@ -112,6 +112,31 @@ def test_only_fatgraph_and_flipgraph_relabel_canonically():
     assert not found
 
 
+def test_only_intlinalg_and_markings_name_the_standard_form():
+    # markings.SymplecticForm owns omega, from intlinalg's J: the other
+    # modules read its Gram matrix, contraction and symplecticity test
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items()
+             if name not in ("intlinalg", "markings")
+             for node in ast.walk(tree)
+             if "standard_symplectic" in (getattr(node, "attr", None),
+                                          getattr(node, "id", None),
+                                          getattr(node, "name", None))]
+    assert not found
+
+
+def test_only_markings_calls_gram():
+    # a Gram product compared with J outside SymplecticForm would be a
+    # second symplecticity test; intlinalg's own gram is a plain call
+    found = ["%s line %d" % (name, node.lineno)
+             for name, tree in _parsed().items() if name != "markings"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "gram"]
+    assert not found
+
+
 def test_only_fatgraph_stores_what_a_graph_keeps():
     # the boundary number, the tail tree and the pairing block are filled
     # in by FatGraph's own methods, never from outside

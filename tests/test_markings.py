@@ -9,7 +9,7 @@ import re
 import pytest
 
 from fatflip import intlinalg
-from fatflip.abelian import KElement, RankMismatchError
+from fatflip.abelian import KElement, RankMismatchError, Wedge3, wedge3
 from fatflip.fatgraph import (BoundaryNumberError, DisconnectedGraphError,
                               FatGraph, OrientedEdge, _decode, _pattern,
                               canonical_iso, oe)
@@ -285,6 +285,61 @@ def dense_gram(matrix, vectors):
                              intlinalg.mat_mul(matrix, v))
 
 
+def conjugated_form(g, rng):
+    """A^T J A for a random A in GL(2g, Z): a form that is not J."""
+    a, j = random_gl(2 * g, rng), intlinalg.standard_symplectic(g)
+    return SymplecticForm(intlinalg.mat_mul(intlinalg.transpose(a),
+                                            intlinalg.mat_mul(j, a)))
+
+
+def parity_contraction(w):
+    """C(w) for the standard form by the rule of index parity: on a key
+    i < j < k only omega(e_i, e_j) with j = i + 1, i even, and
+    omega(e_j, e_k) with k = j + 1, j even, can be nonzero."""
+    out = [0] * w.rank
+    for (i, j, k), c in w.coeffs.items():
+        if j == i + 1 and not i & 1:
+            out[k] += c
+        if k == j + 1 and not j & 1:
+            out[i] += c
+    return KElement(out)
+
+
+def dense_contraction(form, w):
+    """C(w) summed over the keys of w, each term from ``form.pairing`` on
+    the basis vectors."""
+    e = [KElement.basis(w.rank, i) for i in range(w.rank)]
+    out = KElement.zero(w.rank)
+    for (i, j, k), c in w.coeffs.items():
+        out += c * (form.pairing(e[i], e[j]) * e[k]
+                    + form.pairing(e[j], e[k]) * e[i]
+                    + form.pairing(e[k], e[i]) * e[j])
+    return out
+
+
+def random_wedge3(n, rng):
+    """A sum of two wedges of short random vectors in Z^n."""
+    def vector():
+        return KElement([rng.choice((0, 0, 1, -1, 2)) for _ in range(n)])
+    return wedge3(vector(), vector(), vector()) + wedge3(
+        vector(), vector(), vector())
+
+
+def dense_broken_pair(form, t):
+    """The first (i, j), row by row, where T^T F T differs from F."""
+    gram = intlinalg.mat_mul(intlinalg.transpose(t),
+                             intlinalg.mat_mul(form.matrix, t))
+    return next(((i, j) for i, (row, want) in enumerate(zip(gram, form.matrix))
+                 for j, (x, y) in enumerate(zip(row, want)) if x != y), None)
+
+
+def transvection(form, v):
+    """x -> x + (v . x) v, which keeps the form: 1 + v v^T F."""
+    vf = intlinalg.mat_vec(intlinalg.transpose(form.matrix), v)
+    return [[(i == j) + x * y for j, y in enumerate(vf)]
+            for i, x in enumerate(v)]
+
+
 class TestSymplecticForm:
     def test_standard_skips_the_checks(self, monkeypatch):
         checked = [SymplecticForm(intlinalg.standard_symplectic(g))
@@ -321,14 +376,74 @@ class TestSymplecticForm:
     def test_gram_matches_dense_product(self):
         rng = random.Random(37)
         for g in range(1, 6):
-            a, j = random_gl(2 * g, rng), intlinalg.standard_symplectic(g)
-            form = SymplecticForm(intlinalg.mat_mul(
-                intlinalg.transpose(a), intlinalg.mat_mul(j, a)))
+            form = conjugated_form(g, rng)
             vectors = [KElement([rng.choice((0, 0, 0, 1, -2, 5))
                                  for _ in range(2 * g)]) for _ in range(7)]
             assert form.gram(vectors) == dense_gram(form.matrix, vectors)
         with pytest.raises(MarkingError, match="rank does not match"):
             form.gram([KElement.zero(2 * g + 1)])
+
+    def test_contract_matches_the_parity_rule(self):
+        # every basis key, then seeded values, at ranks 2 to 8
+        rng = random.Random(38)
+        for g in range(1, 5):
+            n, form = 2 * g, SymplecticForm.standard(g)
+            values = [Wedge3(n, {key: 1})
+                      for key in itertools.combinations(range(n), 3)]
+            values += [random_wedge3(n, rng) for _ in range(30)]
+            for w in values:
+                assert form.contract(w) == parity_contraction(w)
+        assert sum(not w.is_zero() for w in values) > 50
+
+    def test_contract_matches_the_pairing_on_other_forms(self):
+        # C(x ^ y ^ z) = (x . y) z + (y . z) x + (z . x) y on a form
+        # whose entries lie off the pairs (2i, 2i + 1)
+        rng = random.Random(39)
+        for g in range(2, 5):
+            n, form = 2 * g, conjugated_form(g, rng)
+            assert form != SymplecticForm.standard(g)
+            for key in itertools.combinations(range(n), 3):
+                w = Wedge3(n, {key: 1})
+                assert form.contract(w) == dense_contraction(form, w)
+            for _ in range(20):
+                x, y, z = (KElement([rng.randint(-3, 3) for _ in range(n)])
+                           for _ in range(3))
+                assert form.contract(wedge3(x, y, z)) == (
+                    form.pairing(x, y) * z + form.pairing(y, z) * x
+                    + form.pairing(z, x) * y)
+        with pytest.raises(MarkingError, match="rank does not match"):
+            form.contract(Wedge3.zero(n + 1))
+
+    def test_broken_pair_matches_a_dense_product(self):
+        # products of transvections keep the form; GL moves mostly break
+        # it
+        rng = random.Random(40)
+        first_rows = collections.Counter()
+        for g in range(1, 5):
+            for form in (SymplecticForm.standard(g), conjugated_form(g, rng)):
+                n = 2 * g
+                for _ in range(10):
+                    t = intlinalg.identity(n)
+                    for _ in range(3):
+                        t = intlinalg.mat_mul(t, transvection(
+                            form, [rng.randint(-2, 2) for _ in range(n)]))
+                    assert dense_broken_pair(form, t) is None
+                    assert form.broken_pair(t) is None
+                    # one elementary move, col l += q col k, also breaks
+                    # the form first in a late row
+                    k, l = rng.sample(range(n), 2)
+                    move = intlinalg.identity(n)
+                    move[k][l] = rng.choice((-2, -1, 1, 2))
+                    for m in (random_gl(n, rng), move):
+                        moved = intlinalg.mat_mul(t, m)
+                        want = dense_broken_pair(form, moved)
+                        assert form.broken_pair(moved) == want
+                        first_rows[want and want[0]] += 1
+        assert first_rows[None] and first_rows[0] and len(first_rows) > 5
+        with pytest.raises(MarkingError, match="size does not match"):
+            form.broken_pair([row[:-1] for row in t])
+        with pytest.raises(MarkingError, match="rank does not match"):
+            form.broken_pair(t[:-1])
 
 
 class TestTopologicalH:
